@@ -54,10 +54,10 @@ class Dictionary:
         if not m.flags.f_contiguous:
             m = np.asfortranarray(m)
         norms = np.sqrt(np.einsum("ij,ij->j", m, m))
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+        if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):  # NaN fails too
             worst = int(np.argmax(np.abs(norms - 1.0)))
             raise InvalidInputError(
-                f"column {worst} has norm {norms[worst]!r}, expected 1 within {UNIT_NORM_TOL}"
+                f"column {worst} has norm {float(norms[worst])!r}, expected 1 within {UNIT_NORM_TOL}"
             )
         ids = tuple(self.ids)
         texts = tuple(self.texts)
@@ -106,50 +106,63 @@ def build_dictionary(records, dedup="normalized"):
         raise InvalidInputError("cannot build a dictionary from zero records")
     key_of = normalize_question_text if dedup == "normalized" else (lambda t: t)
 
-    survivors = []
-    seen_keys = set()
-    seen_ids = set()
+    ids, texts, vecs = [], [], []
+    seen_keys, seen_ids = set(), set()
     dim = None
-    for rec in records:
-        if not rec.id:
-            raise InvalidInputError("record with empty id")
-        if not rec.text.strip():
-            raise InvalidInputError(f"record {rec.id!r} has empty text")
-        vec = np.asarray(rec.vector, dtype=np.float64)
-        if vec.ndim != 1:
-            raise ShapeError(f"record {rec.id!r}: vector must be 1-D")
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise ShapeError(
-                f"record {rec.id!r}: vector length {vec.shape[0]} != {dim} of earlier records"
-            )
-        if not np.all(np.isfinite(vec)):
-            raise InvalidInputError(f"record {rec.id!r}: non-finite vector")
-        key = key_of(rec.text)
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        if rec.id in seen_ids:
-            raise InvalidInputError(f"duplicate record id {rec.id!r}")
-        seen_ids.add(rec.id)
-        survivors.append((rec.id, rec.text, vec))
+    try:
+        for rec in records:
+            if not rec.id:
+                raise InvalidInputError("record with empty id")
+            if not rec.text.strip():
+                raise InvalidInputError(f"record {rec.id!r} has empty text")
+            vec = np.asarray(rec.vector, dtype=np.float64)
+            if vec.ndim != 1:
+                raise ShapeError(f"record {rec.id!r}: vector must be 1-D")
+            if dim is None:
+                dim = vec.shape[0]
+            elif vec.shape[0] != dim:
+                raise ShapeError(
+                    f"record {rec.id!r}: vector length {vec.shape[0]} != {dim} of earlier records"
+                )
+            key = key_of(rec.text)
+            if key in seen_keys:
+                _check_finite([rec.id], vec)
+                continue
+            seen_keys.add(key)
+            if rec.id in seen_ids:
+                raise InvalidInputError(f"duplicate record id {rec.id!r}")
+            seen_ids.add(rec.id)
+            ids.append(rec.id)
+            texts.append(rec.text)
+            vecs.append(vec)
+    except (InvalidInputError, ShapeError):
+        # A non-finite vector on an earlier record is reported first.
+        if vecs:
+            _check_finite(ids, np.array(vecs))
+        raise
 
-    n = len(survivors)
-    matrix = np.empty((dim, n), dtype=np.float64, order="F")
-    norms = np.empty(n, dtype=np.float64)
-    for j, (rec_id, _, vec) in enumerate(survivors):
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise InvalidInputError(f"record {rec_id!r} has a zero-norm vector")
-        matrix[:, j] = vec / norm
-        norms[j] = norm
+    rows = np.array(vecs)  # one survivor per row; its transpose is column-major
+    _check_finite(ids, rows)
+    # Batched dot products: bit-identical to per-vector np.linalg.norm,
+    # which einsum is not.
+    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(-1))
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise InvalidInputError(f"record {ids[zero[0]]!r} has a zero-norm vector")
+    rows /= norms[:, None]
     return Dictionary(
-        matrix=matrix,
-        ids=tuple(s[0] for s in survivors),
-        texts=tuple(s[1] for s in survivors),
+        matrix=rows.T,
+        ids=tuple(ids),
+        texts=tuple(texts),
         column_norms_original=norms,
     )
+
+
+def _check_finite(ids, rows):
+    """Reject the first of ``rows`` (one vector per id) with a non-finite value."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=-1))
+    if bad.size:
+        raise InvalidInputError(f"record {ids[bad[0]]!r}: non-finite vector")
 
 
 def _pack_str(s):

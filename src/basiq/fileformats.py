@@ -8,7 +8,12 @@ Two formats live here:
   binary variant carries the same logical fields with little-endian
   32-bit float payloads (see ``EMBEDDING_MAGIC`` below for the exact
   layout).  Both reject dimension mismatches, duplicate ids, and
-  non-finite values.
+  non-finite values.  The text reader checks each line's fields as it
+  goes and converts the values in blocks of ``_BLOCK_LINES`` lines,
+  each with one ``float()``-per-token pass into the rows of one
+  preallocated array; a block that fails is parsed again line by line,
+  so the error names the same line, with the same message, as a
+  per-line parse.
 
 * Matrix-section files hold named real matrices under the same
   header-plus-payload convention: ``sections=<N>`` followed by blocks of
@@ -16,6 +21,7 @@ Two formats live here:
   loadable-parameter paths of the encoder and the attention kernel.
 """
 
+import itertools
 import re
 import struct
 
@@ -25,6 +31,11 @@ from .errors import ParseError
 
 EMBEDDING_MAGIC = b"QEMB"
 EMBEDDING_VERSION = 1
+
+# Lines of text-format values converted in one step: enough to amortize
+# the per-call overhead, few enough that the token strings of the one
+# block alive at a time stay small.
+_BLOCK_LINES = 256
 
 _HEADER_RE = re.compile(r"^dim=(\d+) count=(\d+)$")
 _SECTIONS_RE = re.compile(r"^sections=(\d+)$")
@@ -45,8 +56,51 @@ def _parse_values(parts, dim, path, lineno):
     return vec
 
 
+def _record_fields(line, seen, path, lineno):
+    """Split one text record and check everything but its values."""
+    fields = line.split("\t")
+    if len(fields) != 3:
+        raise ParseError(
+            f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
+        )
+    rec_id, text, payload = fields
+    if not rec_id:
+        raise ParseError(f"{path}: line {lineno}: empty id")
+    if rec_id in seen:
+        raise ParseError(f"{path}: line {lineno}: duplicate id {rec_id!r}")
+    seen.add(rec_id)
+    if not text.strip():
+        raise ParseError(f"{path}: line {lineno}: empty text")
+    return rec_id, text, payload
+
+
+def _parse_block(payloads, out, dim, path, first_lineno):
+    """Parse value payloads into the rows of ``out`` in one conversion.
+
+    A block that fails any check is parsed again line by line, so the
+    error names the first bad line exactly as a per-line parse would.
+    """
+    rows = [p.split() for p in payloads]
+    try:
+        if all(len(r) == dim for r in rows):
+            out[:] = np.fromiter(
+                map(float, itertools.chain.from_iterable(rows)),
+                dtype=np.float64,
+                count=len(rows) * dim,
+            ).reshape(len(rows), dim)
+            if np.all(np.isfinite(out)):
+                return
+    except ValueError:
+        pass
+    for i, parts in enumerate(rows):
+        out[i] = _parse_values(parts, dim, path, first_lineno + i)
+
+
 def read_embeddings_text(path):
-    """Parse a text embedding file into a list of (id, text, vector) tuples."""
+    """Parse a text embedding file into a list of (id, text, vector) tuples.
+
+    The vectors are the rows of one ``(count, dim)`` float64 array.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -62,26 +116,23 @@ def read_embeddings_text(path):
         raise ParseError(
             f"{path}: header declares {count} records but file has {len(body)} lines"
         )
-    records = []
+    values = np.empty((count, dim), dtype=np.float64)
+    ids, texts = [], []
     seen = set()
-    for i, line in enumerate(body):
-        lineno = i + 2
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(
-                f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
-            )
-        rec_id, text, payload = fields
-        if not rec_id:
-            raise ParseError(f"{path}: line {lineno}: empty id")
-        if rec_id in seen:
-            raise ParseError(f"{path}: line {lineno}: duplicate id {rec_id!r}")
-        seen.add(rec_id)
-        if not text.strip():
-            raise ParseError(f"{path}: line {lineno}: empty text")
-        vec = _parse_values(payload.split(), dim, path, lineno)
-        records.append((rec_id, text, vec))
-    return records
+    for start in range(0, count, _BLOCK_LINES):
+        payloads = []
+        for lineno, line in enumerate(body[start : start + _BLOCK_LINES], start + 2):
+            try:
+                rec_id, text, payload = _record_fields(line, seen, path, lineno)
+            except ParseError:
+                # A bad value on an earlier line of the block is reported first.
+                _parse_block(payloads, values[start : start + len(payloads)], dim, path, start + 2)
+                raise
+            ids.append(rec_id)
+            texts.append(text)
+            payloads.append(payload)
+        _parse_block(payloads, values[start : start + len(payloads)], dim, path, start + 2)
+    return list(zip(ids, texts, values))
 
 
 def write_embeddings_text(path, records, dim):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fileformats
-from .errors import InvalidInputError, ParseError
+from .errors import BasiqError, InvalidInputError, ParseError
 from .solver import LassoConfig, solve_lasso
 
 SCORE_DECIMALS = 6
@@ -147,9 +147,10 @@ def emit_bqd_record(image_id, mq_text, bqs):
 def generate_batch(d, queries, config=None, k=3, exclude_exact=False, threads=1):
     """Generate one record per (image_id, mq_text, vector) query, in order.
 
-    Per-query failures are collected in the diagnostics with their ids
-    and the batch continues.  Output order always matches input order,
-    whatever the thread count.
+    Per-query failures (any ``BasiqError``) are collected in the
+    diagnostics with their ids and the batch continues; any other
+    exception is a fault in the program and propagates.  Output order
+    always matches input order, whatever the thread count.
     """
     queries = list(queries)
     if not queries:
@@ -175,7 +176,7 @@ def generate_batch(d, queries, config=None, k=3, exclude_exact=False, threads=1)
     for query, outcome in zip(queries, outcomes):
         try:
             record, clamped = outcome()
-        except Exception as exc:
+        except BasiqError as exc:
             diagnostics.errors.append((query[0], str(exc)))
             continue
         diagnostics.clamped += clamped

@@ -1,9 +1,12 @@
 """Dictionary construction: dedup, normalization, lookup, cache."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from basiq.dictionary import (
+    Dictionary,
     build_dictionary,
     load_dictionary_cache,
     normalize_question_text,
@@ -38,6 +41,16 @@ def test_three_four_five_normalization():
     d = build_dictionary([QuestionRecord("a", "ok?", np.array([3.0, 4.0]))])
     assert np.allclose(d.matrix[:, 0], [0.6, 0.8], atol=1e-15)
     assert d.column_norms_original[0] == 5.0
+
+
+@pytest.mark.parametrize("dim", [64, 300])
+def test_columns_match_per_record_normalization(rng, dim):
+    vectors = 10.0 ** rng.uniform(-3, 3, size=50) * rng.standard_normal((dim, 50))
+    d = build_dictionary(question_records(vectors))
+    for j, vec in enumerate(vectors.T):
+        norm = float(np.linalg.norm(vec))
+        assert d.column_norms_original[j] == norm
+        assert d.matrix[:, j].tobytes() == (vec / norm).tobytes()
 
 
 def test_matrix_shape_contract(rng):
@@ -96,6 +109,38 @@ def test_zero_norm_vector_names_record():
     ]
     with pytest.raises(InvalidInputError, match="bad"):
         build_dictionary(records)
+
+
+@pytest.mark.parametrize("where", ["kept", "dropped duplicate"])
+def test_non_finite_vector_names_record(where):
+    records = [
+        QuestionRecord("good", "fine?", np.array([1.0, 0.0])),
+        QuestionRecord("bad", "FINE?" if where == "dropped duplicate" else "broken?",
+                       np.array([np.nan, 1.0])),
+        QuestionRecord("good", "later?", np.array([0.0, 1.0])),  # duplicate id, reported second
+    ]
+    with pytest.raises(InvalidInputError, match="'bad': non-finite"):
+        build_dictionary(records)
+
+
+def test_nan_column_rejected():
+    m = np.eye(3)
+    m[:, 1] = np.nan
+    with pytest.raises(InvalidInputError, match="column 1 has norm nan"):
+        Dictionary(matrix=m, ids=("a", "b", "c"), texts=("a?", "b?", "c?"),
+                   column_norms_original=np.ones(3))
+
+
+def test_cache_with_nan_column_rejected(tmp_path):
+    d = build_dictionary(question_records(np.eye(3)))
+    path = tmp_path / "dict.bin"
+    save_dictionary_cache(d, path)
+    blob = bytearray(path.read_bytes())
+    column_1 = len(blob) - 8 * 3 * 3 + 8 * 3  # column-major float64 payload ends the file
+    blob[column_1 : column_1 + 8] = struct.pack("<d", np.nan)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(InvalidInputError, match="column 1 has norm nan"):
+        load_dictionary_cache(path)
 
 
 def test_empty_input_rejected():

@@ -19,13 +19,14 @@ def _sample_records(dim=16, count=3, seed=5):
 
 def test_text_round_trip_exact(tmp_path):
     path = tmp_path / "emb.txt"
-    records = _sample_records()
-    fileformats.write_embeddings_text(path, records, 16)
-    loaded = fileformats.read_embeddings_text(path)
-    assert len(loaded) == 3
-    for (wid, wtext, wvec), (rid, rtext, rvec) in zip(records, loaded):
-        assert (wid, wtext) == (rid, rtext)
-        assert np.array_equal(np.asarray(wvec), rvec)
+    for count in (3, 600):  # 600 lines span several parse blocks
+        records = _sample_records(count=count)
+        fileformats.write_embeddings_text(path, records, 16)
+        loaded = fileformats.read_embeddings_text(path)
+        assert len(loaded) == count
+        for (wid, wtext, wvec), (rid, rtext, rvec) in zip(records, loaded):
+            assert (wid, wtext) == (rid, rtext)
+            assert np.asarray(wvec).tobytes() == rvec.tobytes()
 
 
 def test_text_reader_shapes(tmp_path):
@@ -74,6 +75,39 @@ def test_text_non_finite_rejected(tmp_path):
     path = tmp_path / "inf.txt"
     path.write_text("dim=2 count=1\nq0\ta?\t1 inf\n", encoding="utf-8")
     with pytest.raises(ParseError):
+        fileformats.read_embeddings_text(path)
+
+
+_BAD_PAYLOADS = {
+    "bad token": ("0.5 " * 15 + "0.5x", "could not convert string to float: '0.5x'"),
+    "nan": ("0.5 " * 15 + "nan", "non-finite value"),
+    "short line": ("0.5 " * 14 + "0.5", "expected 16 values, got 15"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_PAYLOADS))
+def test_text_bad_value_in_later_block_names_its_line(tmp_path, kind):
+    records = _sample_records(count=600)
+    bad = fileformats._BLOCK_LINES + 17  # body index, in the second parse block
+    lines = [f"{rid}\t{text}\t{' '.join(map(repr, vec.tolist()))}" for rid, text, vec in records]
+    payload, message = _BAD_PAYLOADS[kind]
+    lines[bad] = f"q{bad}\tis it broken?\t{payload}"
+    if kind == "short line":
+        # a long line right after must not make up the short one's missing value
+        lines[bad + 1] = f"q{bad + 1}\tis it long?\t{'0.5 ' * 16}0.5"
+    path = tmp_path / "bad.txt"
+    path.write_text("dim=16 count=600\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        fileformats.read_embeddings_text(path)
+    assert str(info.value) == f"{path}: line {bad + 2}: {message}"
+
+
+def test_text_bad_value_reported_before_later_field_error(tmp_path):
+    # Values are converted a block at a time; an error in the fields of
+    # a later line of the same block must not hide an earlier bad value.
+    path = tmp_path / "two_faults.txt"
+    path.write_text("dim=1 count=3\nq0\ta?\t1\nq1\tb?\tinf\nq0\tc?\t2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 3: non-finite value"):
         fileformats.read_embeddings_text(path)
 
 

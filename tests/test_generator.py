@@ -170,6 +170,16 @@ def test_batch_collects_per_query_errors(rng):
     assert result.diagnostics.errors[0][0] == "bad"
 
 
+def test_batch_propagates_program_errors(rng, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not a per-query failure")
+
+    monkeypatch.setattr("basiq.generator.solve_lasso", broken)
+    d = build_dictionary(question_records(unit_columns(rng, 6, 9)))
+    with pytest.raises(TypeError, match="not a per-query failure"):
+        generate_batch(d, [("q", "fine?", rng.standard_normal(6))])
+
+
 def test_batch_deterministic_reruns(rng, tmp_path):
     d = build_dictionary(question_records(unit_columns(rng, 8, 20)))
     queries = [(f"img{i}", f"query {i}?", rng.standard_normal(8)) for i in range(5)]

@@ -272,6 +272,20 @@ def test_overcomplete_dictionary_at_default_config():
     assert kkt_violation(a, b, lam, sol.coefficients) <= 1e-6
 
 
+def test_long_path_certifies():
+    # About a hundred path steps: the correlations carried from step to
+    # step must not drift far enough to misplace an event.
+    rng = np.random.default_rng(7)
+    a = unit_columns(rng, 64, 512)
+    b = rng.standard_normal(64)
+    config = LassoConfig.relative(1e-3)
+    sol = solve_lasso(a, b, config)
+    lam = config.resolve_lambda(lambda_max(a, b))
+    assert sol.sweeps_used > 64
+    assert sol.converged and sol.duality_gap <= 1e-6
+    assert kkt_violation(a, b, lam, sol.coefficients) <= 1e-6
+
+
 def test_determinism_bit_identical(rng):
     a = unit_columns(rng, 14, 50)
     b = rng.standard_normal(14)
