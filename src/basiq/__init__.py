@@ -66,7 +66,6 @@ from .solver import (
     SparseSolution,
     duality_gap,
     lambda_max,
-    lasso_cd,
     soft_threshold,
     solve_lasso,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "generate_batch",
     "gru_step",
     "lambda_max",
-    "lasso_cd",
     "load_answer_records",
     "load_dictionary_cache",
     "normalize_answer",

@@ -11,6 +11,7 @@ record-level failures were skipped under ``--keep-going``.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -58,25 +59,11 @@ def _policy_from_args(args):
 
 
 def _lasso_config_from_args(args):
+    knobs = dict(tol=args.tol, max_sweeps=args.max_sweeps, nonnegative=args.nonneg)
     if args.lambda_abs is not None:
-        return LassoConfig.absolute(
-            args.lambda_abs, tol=args.tol, max_sweeps=args.max_sweeps,
-            nonnegative=args.nonneg,
-        )
+        return LassoConfig.absolute(args.lambda_abs, **knobs)
     rel = DEFAULT_LAMBDA_REL if args.lambda_rel is None else args.lambda_rel
-    return LassoConfig.relative(
-        rel, tol=args.tol, max_sweeps=args.max_sweeps, nonnegative=args.nonneg,
-    )
-
-
-def _config_dict(config):
-    return {
-        "lambda_abs": config.lambda_abs,
-        "lambda_rel": config.lambda_rel,
-        "tol": config.tol,
-        "max_sweeps": config.max_sweeps,
-        "nonnegative": config.nonnegative,
-    }
+    return LassoConfig.relative(rel, **knobs)
 
 
 def cmd_build_dict(args):
@@ -94,10 +81,7 @@ def cmd_gen_bq(args):
     d = load_dictionary_cache(args.dict)
     queries = [(rec.id, rec.text, rec.vector) for rec in load_embeddings(args.queries)]
     config = _lasso_config_from_args(args)
-    result = generate_batch(
-        d, queries, config=config, exclude_exact=args.exclude_exact,
-        threads=args.threads,
-    )
+    result = generate_batch(d, queries, config=config, exclude_exact=args.exclude_exact)
     errors = result.diagnostics.errors
     for image_id, message in errors:
         print(f"error: query {image_id!r}: {message}", file=sys.stderr)
@@ -110,8 +94,8 @@ def cmd_gen_bq(args):
     _write_manifest(
         args.out, "gen-bq",
         {"dict": str(args.dict), "queries": str(args.queries)},
-        dict(_config_dict(config), exclude_exact=args.exclude_exact,
-             threads=args.threads, keep_going=args.keep_going),
+        dict(dataclasses.asdict(config), exclude_exact=args.exclude_exact,
+             keep_going=args.keep_going),
     )
     clamped = result.diagnostics.clamped
     print(f"wrote {len(result.records)} records to {args.out}"
@@ -248,8 +232,6 @@ def build_parser():
                    help="constrain coefficients to be nonnegative")
     p.add_argument("--exclude-exact", action="store_true",
                    help="skip dictionary questions whose text equals the query text")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (output order is input order)")
     p.add_argument("--keep-going", action="store_true",
                    help="write successful records even if some queries fail")
     p.set_defaults(func=cmd_gen_bq)

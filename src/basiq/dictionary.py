@@ -14,6 +14,7 @@ import numpy as np
 
 from .encoder import QuestionRecord
 from .errors import InvalidInputError, ParseError, ShapeError
+from .fileformats import BinaryReader, pack_string
 
 __all__ = [
     "QuestionRecord",
@@ -165,11 +166,6 @@ def _check_finite(ids, rows):
         raise InvalidInputError(f"record {ids[bad[0]]!r}: non-finite vector")
 
 
-def _pack_str(s):
-    b = s.encode("utf-8")
-    return struct.pack("<I", len(b)) + b
-
-
 def save_dictionary_cache(d, path):
     """Serialize a dictionary to a binary cache file.
 
@@ -180,46 +176,32 @@ def save_dictionary_cache(d, path):
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<HII", CACHE_VERSION, d.dim, d.n_columns))
         for rec_id, text in zip(d.ids, d.texts):
-            fh.write(_pack_str(rec_id))
-            fh.write(_pack_str(text))
+            fh.write(pack_string(rec_id))
+            fh.write(pack_string(text))
         fh.write(np.asarray(d.column_norms_original, dtype="<f8").tobytes())
         fh.write(np.asarray(d.matrix, dtype="<f8").tobytes(order="F"))
 
 
 def load_dictionary_cache(path):
     """Load a dictionary cache written by ``save_dictionary_cache``."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    pos = 0
-
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise ParseError(f"{path}: truncated while reading {what}")
-        out = blob[pos : pos + n]
-        pos += n
-        return out
-
-    if take(len(CACHE_MAGIC), "magic") != CACHE_MAGIC:
+    r = BinaryReader(path)
+    if r.take(len(CACHE_MAGIC), "magic") != CACHE_MAGIC:
         raise ParseError(f"{path}: bad magic, not a dictionary cache")
-    version, dim, n = struct.unpack("<HII", take(10, "header"))
+    version, dim, n = r.unpack("<HII", "header")
     if version != CACHE_VERSION:
         raise ParseError(f"{path}: unsupported cache version {version}")
     ids = []
     texts = []
     for i in range(n):
-        (id_len,) = struct.unpack("<I", take(4, f"column {i}: id length"))
-        ids.append(take(id_len, f"column {i}: id").decode("utf-8"))
-        (text_len,) = struct.unpack("<I", take(4, f"column {i}: text length"))
-        texts.append(take(text_len, f"column {i}: text").decode("utf-8"))
-    norms = np.frombuffer(take(8 * n, "norms"), dtype="<f8").copy()
+        ids.append(r.string(f"column {i}: id"))
+        texts.append(r.string(f"column {i}: text"))
+    norms = np.frombuffer(r.take(8 * n, "norms"), dtype="<f8").copy()
     matrix = (
-        np.frombuffer(take(8 * dim * n, "matrix"), dtype="<f8")
+        np.frombuffer(r.take(8 * dim * n, "matrix"), dtype="<f8")
         .reshape((dim, n), order="F")
         .copy(order="F")
     )
-    if pos != len(blob):
-        raise ParseError(f"{path}: {len(blob) - pos} trailing bytes")
+    r.finish()
     return Dictionary(
         matrix=matrix, ids=tuple(ids), texts=tuple(texts), column_norms_original=norms
     )

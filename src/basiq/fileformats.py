@@ -40,6 +40,51 @@ _BLOCK_LINES = 256
 _HEADER_RE = re.compile(r"^dim=(\d+) count=(\d+)$")
 _SECTIONS_RE = re.compile(r"^sections=(\d+)$")
 _SECTION_HEADER_RE = re.compile(r"^name=(\S+) rows=(\d+) cols=(\d+)$")
+_FIELD_BREAK_RE = re.compile(r"[\t\n\r]")
+
+
+class BinaryReader:
+    """Bounded reads over the bytes of one binary file.
+
+    A read past the end names the field it was reading; strings are
+    uint32-length-prefixed UTF-8, as ``pack_string`` writes them.
+    """
+
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            self.blob = fh.read()
+        self.path = path
+        self.pos = 0
+
+    def take(self, n, what):
+        end = self.pos + n
+        if end > len(self.blob):
+            raise ParseError(f"{self.path}: truncated while reading {what}")
+        out = self.blob[self.pos : end]
+        self.pos = end
+        return out
+
+    def unpack(self, fmt, what):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def string(self, what):
+        (n,) = struct.unpack("<I", self.take(4, f"{what} length"))
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{self.path}: {what}: {exc}") from None
+
+    def finish(self, suffix=""):
+        """Reject bytes left over after the last field."""
+        extra = len(self.blob) - self.pos
+        if extra:
+            raise ParseError(f"{self.path}: {extra} trailing bytes{suffix}")
+
+
+def pack_string(s):
+    """``s`` as ``BinaryReader.string`` reads it back."""
+    b = s.encode("utf-8")
+    return struct.pack("<I", len(b)) + b
 
 
 def _parse_values(parts, dim, path, lineno):
@@ -96,13 +141,25 @@ def _parse_block(payloads, out, dim, path, first_lineno):
         out[i] = _parse_values(parts, dim, path, first_lineno + i)
 
 
+def _read_lines(path):
+    r"""The lines of a UTF-8 text file, split at "\n" only, not at the
+    form feeds, ``\x85`` or ``\u2028`` that ``str.splitlines`` splits at."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def read_embeddings_text(path):
     """Parse a text embedding file into a list of (id, text, vector) tuples.
 
     The vectors are the rows of one ``(count, dim)`` float64 array.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty file, expected 'dim=<D> count=<N>' header")
     m = _HEADER_RE.match(lines[0])
@@ -142,6 +199,8 @@ def write_embeddings_text(path, records, dim):
         for rec_id, text, vec in records:
             if len(vec) != dim:
                 raise ValueError(f"record {rec_id!r}: vector length {len(vec)} != dim {dim}")
+            if _FIELD_BREAK_RE.search(rec_id) or _FIELD_BREAK_RE.search(text):
+                raise ValueError(f"record {rec_id!r}: tab or line break in id or text")
             payload = " ".join(repr(float(v)) for v in vec)
             fh.write(f"{rec_id}\t{text}\t{payload}\n")
 
@@ -154,34 +213,21 @@ def read_embeddings_binary(path):
     uint32-length-prefixed UTF-8 text, and dim little-endian float32
     values.  Vectors are widened to float64 on load.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    pos = 0
-
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise ParseError(f"{path}: truncated while reading {what}")
-        out = blob[pos : pos + n]
-        pos += n
-        return out
-
-    if take(4, "magic") != EMBEDDING_MAGIC:
+    r = BinaryReader(path)
+    if r.take(4, "magic") != EMBEDDING_MAGIC:
         raise ParseError(f"{path}: bad magic, not a binary embedding file")
-    (version,) = struct.unpack("<H", take(2, "version"))
+    (version,) = r.unpack("<H", "version")
     if version != EMBEDDING_VERSION:
         raise ParseError(f"{path}: unsupported version {version}")
-    dim, count = struct.unpack("<II", take(8, "header"))
+    dim, count = r.unpack("<II", "header")
     if dim < 1:
         raise ParseError(f"{path}: dim must be >= 1")
     records = []
     seen = set()
     for i in range(count):
-        (id_len,) = struct.unpack("<I", take(4, f"record {i}: id length"))
-        rec_id = take(id_len, f"record {i}: id").decode("utf-8")
-        (text_len,) = struct.unpack("<I", take(4, f"record {i}: text length"))
-        text = take(text_len, f"record {i}: text").decode("utf-8")
-        payload = take(4 * dim, f"record {i}: values")
+        rec_id = r.string(f"record {i}: id")
+        text = r.string(f"record {i}: text")
+        payload = r.take(4 * dim, f"record {i}: values")
         vec = np.frombuffer(payload, dtype="<f4").astype(np.float64)
         if not rec_id:
             raise ParseError(f"{path}: record {i}: empty id")
@@ -193,8 +239,7 @@ def read_embeddings_binary(path):
         if not np.all(np.isfinite(vec)):
             raise ParseError(f"{path}: record {i}: non-finite value")
         records.append((rec_id, text, vec))
-    if pos != len(blob):
-        raise ParseError(f"{path}: {len(blob) - pos} trailing bytes after last record")
+    r.finish(" after last record")
     return records
 
 
@@ -207,12 +252,8 @@ def write_embeddings_binary(path, records, dim):
         for rec_id, text, vec in records:
             if len(vec) != dim:
                 raise ValueError(f"record {rec_id!r}: vector length {len(vec)} != dim {dim}")
-            id_bytes = rec_id.encode("utf-8")
-            text_bytes = text.encode("utf-8")
-            fh.write(struct.pack("<I", len(id_bytes)))
-            fh.write(id_bytes)
-            fh.write(struct.pack("<I", len(text_bytes)))
-            fh.write(text_bytes)
+            fh.write(pack_string(rec_id))
+            fh.write(pack_string(text))
             fh.write(np.asarray(vec, dtype="<f4").tobytes())
 
 
@@ -227,8 +268,7 @@ def read_embeddings(path):
 
 def read_matrix_sections(path):
     """Parse a matrix-section file into an ordered dict of name -> 2-D array."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty file, expected 'sections=<N>' header")
     m = _SECTIONS_RE.match(lines[0])
@@ -285,8 +325,6 @@ def write_jsonl(path, lines):
 
 def read_jsonl(path):
     """Yield (line_number, raw_line) pairs for non-empty lines of a JSON-lines file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line:
-                yield i, line
+    for i, line in enumerate(_read_lines(path), start=1):
+        if line:
+            yield i, line

@@ -12,7 +12,6 @@ counted and surfaced in batch diagnostics rather than hidden.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,8 +76,7 @@ class BatchResult:
     diagnostics: GenerationDiagnostics
 
 
-def generate_basic_questions(d, mq, k=3, config=None, exclude_text=None,
-                             return_diagnostics=False):
+def generate_basic_questions(d, mq, k=3, config=None, exclude_text=None):
     """Solve for the query and return the k best-scoring dictionary questions.
 
     Coefficients are ranked in descending signed value with ties broken
@@ -88,6 +86,11 @@ def generate_basic_questions(d, mq, k=3, config=None, exclude_text=None,
     ``exclude_text`` set, columns whose text equals it are skipped
     entirely (self-match exclusion).
     """
+    return _ranked_entries(d, mq, k, config, exclude_text)[0]
+
+
+def _ranked_entries(d, mq, k, config, exclude_text):
+    """``generate_basic_questions`` plus how many of its scores were clamped to 1."""
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     if d.n_columns < k:
@@ -131,9 +134,7 @@ def generate_basic_questions(d, mq, k=3, config=None, exclude_text=None,
             continue
         entries.append(ScoredBasicQuestion(text=d.texts[pad_j], score=0.0, column_index=pad_j))
         pad_j += 1
-    if return_diagnostics:
-        return entries, clamped
-    return entries
+    return entries, clamped
 
 
 def emit_bqd_record(image_id, mq_text, bqs):
@@ -144,43 +145,28 @@ def emit_bqd_record(image_id, mq_text, bqs):
     return BqdRecord(image_id=image_id, mq_text=mq_text, basic_questions=tuple(bqs))
 
 
-def generate_batch(d, queries, config=None, k=3, exclude_exact=False, threads=1):
+def generate_batch(d, queries, config=None, k=3, exclude_exact=False):
     """Generate one record per (image_id, mq_text, vector) query, in order.
 
     Per-query failures (any ``BasiqError``) are collected in the
     diagnostics with their ids and the batch continues; any other
-    exception is a fault in the program and propagates.  Output order
-    always matches input order, whatever the thread count.
+    exception is a fault in the program and propagates.
     """
     queries = list(queries)
     if not queries:
         raise InvalidInputError("query batch is empty")
-
-    def one(query):
-        image_id, mq_text, vec = query
-        exclude = mq_text if exclude_exact else None
-        entries, clamped = generate_basic_questions(
-            d, vec, k=k, config=config, exclude_text=exclude, return_diagnostics=True
-        )
-        return emit_bqd_record(image_id, mq_text, entries), clamped
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(one, q) for q in queries]
-        outcomes = [f.result for f in futures]
-    else:
-        outcomes = [(lambda q=q: one(q)) for q in queries]
-
     diagnostics = GenerationDiagnostics()
     records = []
-    for query, outcome in zip(queries, outcomes):
+    for image_id, mq_text, vec in queries:
+        exclude = mq_text if exclude_exact else None
         try:
-            record, clamped = outcome()
+            entries, clamped = _ranked_entries(d, vec, k, config, exclude)
+            record = emit_bqd_record(image_id, mq_text, entries)
         except BasiqError as exc:
-            diagnostics.errors.append((query[0], str(exc)))
-            continue
-        diagnostics.clamped += clamped
-        records.append(record)
+            diagnostics.errors.append((image_id, str(exc)))
+        else:
+            diagnostics.clamped += clamped
+            records.append(record)
     return BatchResult(records=tuple(records), diagnostics=diagnostics)
 
 
@@ -206,12 +192,23 @@ def record_from_json(line, where="<string>"):
         raise ParseError(f"{where}: {exc}") from None
     try:
         bqs = tuple(
-            ScoredBasicQuestion(text=bq["text"], score=float(bq["score"]), column_index=-1)
+            ScoredBasicQuestion(
+                text=_string(bq, "text"), score=float(bq["score"]), column_index=-1
+            )
             for bq in obj["bqs"]
         )
-        return BqdRecord(image_id=obj["image_id"], mq_text=obj["mq"], basic_questions=bqs)
-    except (KeyError, TypeError) as exc:
+        return BqdRecord(
+            image_id=_string(obj, "image_id"), mq_text=_string(obj, "mq"), basic_questions=bqs
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: malformed record: {exc}") from None
+
+
+def _string(obj, key):
+    value = obj[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key!r} must be a string, got {type(value).__name__}")
+    return value
 
 
 def write_bqd(path, records):

@@ -11,9 +11,7 @@ exactly, and the duality gap at the returned coefficients certifies the
 result; it is the gap, not the path, that callers rely on.
 
 Events are resolved in a fixed order, with ties going to the lowest
-column index, so identical inputs give bit-identical solutions.  A
-single solve is single-threaded; many solves may run in parallel against
-one shared immutable dictionary.
+column index, so identical inputs give bit-identical solutions.
 """
 
 import bisect
@@ -101,11 +99,14 @@ class SparseSolution:
 
 
 def _as_matrix(dict_or_matrix):
+    """The design as a float array; a Dictionary's unit columns are finite already."""
     if isinstance(dict_or_matrix, Dictionary):
         return dict_or_matrix.matrix
     a = np.asarray(dict_or_matrix, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"design must be 2-D, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError("design matrix contains non-finite values")
     return a
 
 
@@ -180,43 +181,8 @@ def _entry_times(num, den, free):
     return t
 
 
-def lasso_cd(a, b, lam, tol=DEFAULT_TOL, max_sweeps=DEFAULT_MAX_SWEEPS, nonnegative=False):
-    """Core solve on a raw design matrix, along the exact homotopy path.
-
-    The path starts at the critical penalty with ``x = 0`` and lowers the
-    penalty to ``lam``.  Each step solves the Gram system of the active
-    set for the direction and moves to the first event: an inactive
-    column enters, an active coefficient reaches zero and drops, or the
-    penalty reaches ``lam``; ties go to the lowest column index.  At
-    ``lam`` the KKT system on the final support is solved exactly.
-
-    ``max_sweeps`` caps the number of path steps and ``sweeps_used``
-    counts them; ``objective_history`` holds the objective at ``lam``
-    after each step, which never increases along the path.  The
-    returned gap is always evaluated at the returned coefficients.
-
-    The correlations ``A^T r`` are linear in the step length along a
-    path segment, so after each step they are updated by ``t * slope``
-    (the running correlation of LARS, Efron et al. 2004) instead of
-    being recomputed: one full ``A^T v`` product per step, not two.
-    Rounding drift in them can only move event times, never the
-    result: the returned coefficients come from the exact KKT solve on
-    the final support, and the gap from a fresh ``A^T r``.
-
-    Returns a SparseSolution.  ``lam`` must be strictly positive; a zero
-    penalty is a different problem and is rejected.
-    """
-    a = _as_matrix(a)
-    b = _check_query(a, b)
-    return _lasso_path(a, b, a.T @ b, lam, tol, max_sweeps, nonnegative)
-
-
-def _lasso_path(a, b, atb, lam, tol, max_sweeps, nonnegative):
-    """``lasso_cd`` on a checked design and query, given ``atb = A^T b``."""
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("design matrix contains non-finite values")
-    if lam < 0:
-        raise InvalidInputError("lambda must be nonnegative")
+def _lasso_path(a, b, atb, lam, config):
+    """``solve_lasso`` on a checked design and query, given ``atb = A^T b``."""
     if lam == 0:
         raise UnsupportedConfigError(
             "lambda = 0 is rejected: unpenalized least squares is out of scope"
@@ -224,7 +190,7 @@ def _lasso_path(a, b, atb, lam, tol, max_sweeps, nonnegative):
     n = a.shape[1]
     x = np.zeros(n)
     corr = atb
-    lam_cur = float(np.max(corr)) if nonnegative else float(np.max(np.abs(corr)))
+    lam_cur = float(np.max(corr)) if config.nonnegative else float(np.max(np.abs(corr)))
     active = []  # ascending column indices, so drop ties go to the lowest
     sign = np.zeros(n)  # +-1 on the active set
     left, left_sign = -1, 0.0  # the coordinate that just dropped, and its sign
@@ -232,7 +198,7 @@ def _lasso_path(a, b, atb, lam, tol, max_sweeps, nonnegative):
     r = b
     history = []
     steps = 0
-    while steps < max_sweeps:
+    while steps < config.max_sweeps:
         steps += 1
         cols = a[:, active]
         signs = sign[active]
@@ -247,7 +213,7 @@ def _lasso_path(a, b, atb, lam, tol, max_sweeps, nonnegative):
         free = np.ones(n, dtype=bool)
         free[active] = False
         t_up = _entry_times(lam_cur - corr, 1.0 - slope, free)
-        if nonnegative:
+        if config.nonnegative:
             t_down = np.full(n, np.inf)
         else:
             t_down = _entry_times(lam_cur + corr, 1.0 + slope, free)
@@ -295,25 +261,49 @@ def _lasso_path(a, b, atb, lam, tol, max_sweeps, nonnegative):
 
     r_norm2 = float(r @ r)
     l1 = float(np.sum(np.abs(x)))
-    gap = _gap_from_residual(a, b, lam, r, r_norm2, l1, nonnegative)
+    gap = _gap_from_residual(a, b, lam, r, r_norm2, l1, config.nonnegative)
     return SparseSolution(
         coefficients=x,
         duality_gap=float(gap),
         sweeps_used=steps,
         objective=0.5 * r_norm2 + lam * l1,
-        converged=gap <= tol,
+        converged=gap <= config.tol,
         objective_history=np.array(history),
     )
 
 
 def solve_lasso(d, b, config=None):
-    """Solve against a Dictionary, resolving the penalty per the config."""
+    """Solve against a Dictionary or raw design, along the exact homotopy path.
+
+    The penalty is resolved per the config (``LassoConfig()`` if None).
+    The path starts at the critical penalty with ``x = 0`` and lowers the
+    penalty to ``lam``.  Each step solves the Gram system of the active
+    set for the direction and moves to the first event: an inactive
+    column enters, an active coefficient reaches zero and drops, or the
+    penalty reaches ``lam``; ties go to the lowest column index.  At
+    ``lam`` the KKT system on the final support is solved exactly.
+
+    ``config.max_sweeps`` caps the number of path steps and
+    ``sweeps_used`` counts them; ``objective_history`` holds the
+    objective at ``lam`` after each step, which never increases along
+    the path.  The returned gap is always evaluated at the returned
+    coefficients, and ``converged`` says it is at most ``config.tol``.
+
+    The correlations ``A^T r`` are linear in the step length along a
+    path segment, so after each step they are updated by ``t * slope``
+    (the running correlation of LARS, Efron et al. 2004) instead of
+    being recomputed: one full ``A^T v`` product per step, not two.
+    Rounding drift in them can only move event times, never the
+    result: the returned coefficients come from the exact KKT solve on
+    the final support, and the gap from a fresh ``A^T r``.
+
+    Returns a SparseSolution.  The resolved penalty must be strictly
+    positive; a zero penalty is a different problem and is rejected.
+    """
     if config is None:
         config = LassoConfig()
     a = _as_matrix(d)
     b = _check_query(a, b)
     atb = a.T @ b
     lam = config.resolve_lambda(float(np.max(np.abs(atb))))
-    return _lasso_path(
-        a, b, atb, lam, config.tol, config.max_sweeps, config.nonnegative
-    )
+    return _lasso_path(a, b, atb, lam, config)

@@ -86,6 +86,8 @@ def _parse_jsonl_objects(path, required_keys):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}: line {lineno}: expected a JSON object")
         missing = [k for k in required_keys if k not in obj]
         if missing:
             raise ParseError(f"{path}: line {lineno}: missing keys {missing}")

@@ -22,7 +22,7 @@ from basiq.policy import (
     partition_counts,
     score_statistics,
 )
-from basiq.solver import LassoConfig, lambda_max, lasso_cd, solve_lasso
+from basiq.solver import LassoConfig, lambda_max, solve_lasso
 from basiq.synthetic import make_corpus, make_queries
 from basiq.vqa_metric import AnswerRecord, evaluate
 
@@ -55,7 +55,7 @@ def test_criterion_1_certificate_suite():
         a = unit_columns(rng, 32, 128)
         b = rng.standard_normal(32)
         lam = 0.1 * lambda_max(a, b)
-        sol = lasso_cd(a, b, lam, tol=1e-6)
+        sol = solve_lasso(a, b, LassoConfig.absolute(lam, tol=1e-6))
         if not sol.converged or sol.duality_gap > 1e-6:
             failures.append(f"seed {seed}: gap {sol.duality_gap:.3e} not certified")
         kkt = kkt_residual(a, b, lam, sol.coefficients)
@@ -74,7 +74,7 @@ def test_criterion_2_zero_solution_law():
         rng = np.random.default_rng(2000 + seed)
         a = unit_columns(rng, 16, 48)
         b = rng.standard_normal(16)
-        sol = lasso_cd(a, b, 1.0001 * lambda_max(a, b))
+        sol = solve_lasso(a, b, LassoConfig.absolute(1.0001 * lambda_max(a, b)))
         if not np.all(sol.coefficients == 0.0):
             failures.append(f"seed {seed}: nonzero coefficients returned")
     _verdict(2, "50 instances above the critical penalty return exactly zero",
@@ -88,7 +88,7 @@ def test_criterion_3_orthonormal_closed_form():
         a = np.asfortranarray(np.eye(n))
         b = rng.standard_normal(n)
         lam = 0.3 * float(np.max(np.abs(b)))
-        sol = lasso_cd(a, b, lam)
+        sol = solve_lasso(a, b, LassoConfig.absolute(lam))
         expected = np.sign(b) * np.maximum(np.abs(b) - lam, 0.0)
         err = float(np.max(np.abs(sol.coefficients - expected)))
         if err > 1e-9:

@@ -121,15 +121,6 @@ def test_gen_bq_exclude_exact_changes_top(tmp_path, rng):
     assert top_excl != "is item 2 in the frame?"
 
 
-def test_gen_bq_threads_match_sequential(tmp_path, corpus_file, query_file):
-    cache = _build(tmp_path, corpus_file)
-    seq, par = tmp_path / "seq.jsonl", tmp_path / "par.jsonl"
-    assert run(["gen-bq", "--dict", cache, "--queries", query_file, "--out", seq]) == EXIT_OK
-    assert run(["gen-bq", "--dict", cache, "--queries", query_file, "--out", par,
-                "--threads", "4"]) == EXIT_OK
-    assert seq.read_bytes() == par.read_bytes()
-
-
 def _query_file_with_zero_vector(tmp_path, rng):
     path = tmp_path / "mixed.txt"
     vectors = unit_columns(rng, 8, 2)
@@ -268,3 +259,72 @@ def test_usage_error_exits_with_fail_code(tmp_path, corpus_file, query_file, cap
     assert "--lambda" in capsys.readouterr().err
     code = run(["gen-bq", "--dict", cache])  # missing required flags
     assert code == EXIT_FAIL
+
+
+def test_gen_bq_cache_with_invalid_utf8_id_fails_cleanly(tmp_path, corpus_file, query_file,
+                                                         capsys):
+    cache = _build(tmp_path, corpus_file)
+    raw = bytearray(cache.read_bytes())
+    raw[6 + 10 + 4] = 0xFF  # first byte of column 0's id, after magic, header, length
+    cache.write_bytes(bytes(raw))
+    code = run(["gen-bq", "--dict", cache, "--queries", query_file,
+                "--out", tmp_path / "x.jsonl"])
+    assert code == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "column 0: id" in err and "dict.bin" in err
+
+
+def test_build_dict_invalid_utf8_corpus_fails_cleanly(tmp_path, corpus_file, capsys):
+    corpus_file.write_bytes(corpus_file.read_bytes().replace(b"item 3", b"item \xff"))
+    code = run(["build-dict", corpus_file, "--out", tmp_path / "d.bin"])
+    assert code == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "corpus.txt" in err
+
+
+def test_stats_invalid_utf8_bqd_fails_cleanly(tmp_path, capsys):
+    bqd = _bqd_fixture(tmp_path, [(0.4, 0.2, 0.1)])
+    bqd.write_bytes(bqd.read_bytes().replace(b"main 0", b"main \xff"))
+    assert run(["stats", "--bqd", bqd]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "fixture.jsonl" in err
+
+
+_GOOD_BQS = [{"text": "a?", "score": 0.5}, {"text": "b?", "score": 0.2},
+             {"text": "c?", "score": 0.1}]
+_MALFORMED_BQD_LINES = {
+    "score not a number": {"image_id": "i", "mq": "m?",
+                           "bqs": [{"text": "a?", "score": "abc"}] + _GOOD_BQS[1:]},
+    "numeric mq": {"image_id": "i", "mq": 7, "bqs": _GOOD_BQS},
+    "numeric bq text": {"image_id": "i", "mq": "m?",
+                        "bqs": [{"text": 5, "score": 0.5}] + _GOOD_BQS[1:]},
+    "numeric image_id": {"image_id": 12, "mq": "m?", "bqs": _GOOD_BQS},
+    "score too large for a float": {"image_id": "i", "mq": "m?",
+                                    "bqs": [{"text": "a?", "score": 10**400}] + _GOOD_BQS[1:]},
+    "not an object": [1, 2, 3],
+    "bare number": 4,
+}
+
+
+@pytest.mark.parametrize("command", ["concat", "stats"])
+@pytest.mark.parametrize("kind", sorted(_MALFORMED_BQD_LINES))
+def test_malformed_bqd_record_fails_naming_line(tmp_path, capsys, command, kind):
+    bqd = tmp_path / "bad.jsonl"
+    good = {"image_id": "ok", "mq": "fine?", "bqs": _GOOD_BQS}
+    bqd.write_text(json.dumps(good) + "\n" + json.dumps(_MALFORMED_BQD_LINES[kind]) + "\n",
+                   encoding="utf-8")
+    argv = [command, "--bqd", bqd]
+    if command == "concat":
+        argv += ["--out", tmp_path / "o.jsonl"]
+    assert run(argv) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{bqd}:2: malformed record" in err
+
+
+def test_eval_line_not_an_object_fails_cleanly(tmp_path, capsys):
+    pred, anno = tmp_path / "pred.jsonl", tmp_path / "anno.jsonl"
+    pred.write_text('{"question_id": "q1", "answer": "red"}\n', encoding="utf-8")
+    anno.write_text('{"question_id": "q1", "answers": ["red"]}\n17\n', encoding="utf-8")
+    assert run(["eval", "--predictions", pred, "--annotations", anno]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 2: expected a JSON object" in err

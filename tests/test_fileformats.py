@@ -29,6 +29,28 @@ def test_text_round_trip_exact(tmp_path):
             assert np.asarray(wvec).tobytes() == rvec.tobytes()
 
 
+def test_text_round_trip_keeps_unicode_line_separators(tmp_path):
+    path = tmp_path / "emb.txt"
+    records = _sample_records(count=3)
+    records = [(rid, text + sep, vec) for (rid, text, vec), sep
+               in zip(records, ("\x0c page", "\x85 next", "\u2028 line"))]
+    fileformats.write_embeddings_text(path, records, 16)
+    loaded = fileformats.read_embeddings_text(path)
+    assert [(r[0], r[1]) for r in loaded] == [(r[0], r[1]) for r in records]
+
+
+@pytest.mark.parametrize("field", ["id", "text"])
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+def test_text_writer_rejects_field_breaks(tmp_path, field, char):
+    rid, text, vec = _sample_records(count=1)[0]
+    if field == "id":
+        rid = "q" + char + "0"
+    else:
+        text = "is it" + char + "ready?"
+    with pytest.raises(ValueError, match="tab or line break"):
+        fileformats.write_embeddings_text(tmp_path / "emb.txt", [(rid, text, vec)], 16)
+
+
 def test_text_reader_shapes(tmp_path):
     path = tmp_path / "emb.txt"
     fileformats.write_embeddings_text(path, _sample_records(dim=16), 16)
@@ -136,6 +158,16 @@ def test_binary_trailing_bytes_rejected(tmp_path):
     fileformats.write_embeddings_binary(path, _sample_records(), 16)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ParseError, match="trailing"):
+        fileformats.read_embeddings_binary(path)
+
+
+def test_binary_invalid_utf8_id_names_field(tmp_path):
+    path = tmp_path / "utf8.bin"
+    fileformats.write_embeddings_binary(path, _sample_records(), 16)
+    raw = bytearray(path.read_bytes())
+    raw[4 + 2 + 8 + 4] = 0xFF  # first byte of record 0's id
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match="record 0: id: 'utf-8' codec"):
         fileformats.read_embeddings_binary(path)
 
 

@@ -62,11 +62,9 @@ def test_negative_coefficients_never_selected():
 def test_clamping_counts_reported():
     d = orthogonal_dictionary(8, 4, seed=4)
     b = 2.0 * d.matrix[:, 2]  # coefficient 2 - lambda, clamped to 1
-    bqs, clamped = generate_basic_questions(
-        d, b, config=LassoConfig.relative(0.024), return_diagnostics=True
-    )
-    assert clamped == 1
-    assert bqs[0].score == 1.0
+    result = generate_batch(d, [("img", "main?", b)], config=LassoConfig.relative(0.024))
+    assert result.diagnostics.clamped == 1
+    assert result.records[0].scores[0] == 1.0
 
 
 def test_exclude_text_skips_self_match():
@@ -141,14 +139,6 @@ def test_batch_matches_per_query_oracle(rng):
         assert record.basic_questions == tuple(expected)
         s1, s2, s3 = record.scores
         assert s1 >= s2 >= s3
-
-
-def test_batch_threads_do_not_change_output(rng):
-    d = build_dictionary(question_records(unit_columns(rng, 10, 32)))
-    queries = [(f"img{i}", f"query {i}?", rng.standard_normal(10)) for i in range(12)]
-    seq = generate_batch(d, queries, threads=1)
-    par = generate_batch(d, queries, threads=4)
-    assert seq.records == par.records
 
 
 def test_batch_empty_rejected(rng):

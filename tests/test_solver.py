@@ -10,7 +10,6 @@ from basiq.solver import (
     LassoConfig,
     duality_gap,
     lambda_max,
-    lasso_cd,
     soft_threshold,
     solve_lasso,
 )
@@ -81,7 +80,7 @@ def test_lambda_max_matches_dense_oracle(rng):
 def test_identity_design_closed_form():
     a = np.asfortranarray(np.eye(3))
     b = np.array([1.0, 0.5, 0.1])
-    sol = lasso_cd(a, b, 0.2)
+    sol = solve_lasso(a, b, LassoConfig.absolute(0.2))
     assert np.allclose(sol.coefficients, [0.8, 0.3, 0.0], atol=1e-12)
     assert sol.converged
 
@@ -93,7 +92,7 @@ def test_identity_design_matches_soft_threshold(rng):
         lam = 0.3 * float(np.max(np.abs(b)))
         if lam == 0.0:
             continue
-        sol = lasso_cd(a, b, lam)
+        sol = solve_lasso(a, b, LassoConfig.absolute(lam))
         expected = np.sign(b) * np.maximum(np.abs(b) - lam, 0.0)
         assert np.max(np.abs(sol.coefficients - expected)) <= 1e-9
 
@@ -103,7 +102,7 @@ def test_zero_solution_law_exact(rng):
         a = unit_columns(rng, 10, 25)
         b = rng.standard_normal(10)
         lam = 1.0001 * lambda_max(a, b)
-        sol = lasso_cd(a, b, lam)
+        sol = solve_lasso(a, b, LassoConfig.absolute(lam))
         assert np.all(sol.coefficients == 0.0)
         assert sol.converged and sol.duality_gap == 0.0
 
@@ -111,7 +110,7 @@ def test_zero_solution_law_exact(rng):
 def test_lambda_exactly_at_max_gives_zero(rng):
     a = unit_columns(rng, 6, 12)
     b = rng.standard_normal(6)
-    sol = lasso_cd(a, b, lambda_max(a, b))
+    sol = solve_lasso(a, b, LassoConfig.absolute(lambda_max(a, b)))
     assert np.all(sol.coefficients == 0.0)
 
 
@@ -119,7 +118,7 @@ def test_random_instance_kkt(rng):
     a = unit_columns(rng, 32, 128)
     b = rng.standard_normal(32)
     lam = 0.1 * lambda_max(a, b)
-    sol = lasso_cd(a, b, lam, tol=1e-6)
+    sol = solve_lasso(a, b, LassoConfig.absolute(lam, tol=1e-6))
     assert sol.converged and sol.duality_gap <= 1e-6
     assert kkt_violation(a, b, lam, sol.coefficients) <= 1e-6
 
@@ -128,7 +127,7 @@ def test_objective_matches_recompute(rng):
     a = unit_columns(rng, 16, 40)
     b = rng.standard_normal(16)
     lam = 0.2 * lambda_max(a, b)
-    sol = lasso_cd(a, b, lam)
+    sol = solve_lasso(a, b, LassoConfig.absolute(lam))
     direct = primal_objective(a, b, lam, sol.coefficients)
     assert sol.objective == pytest.approx(direct, rel=1e-10)
 
@@ -138,7 +137,7 @@ def test_objective_history_nonincreasing(rng):
         a = unit_columns(rng, 12, 48)
         b = rng.standard_normal(12)
         lam = 0.05 * lambda_max(a, b)
-        sol = lasso_cd(a, b, lam)
+        sol = solve_lasso(a, b, LassoConfig.absolute(lam))
         history = sol.objective_history
         assert np.all(np.diff(history) <= 1e-12)
 
@@ -188,7 +187,7 @@ def test_duality_gap_rejects_zero_lambda():
 def test_solver_rejects_zero_lambda():
     a = np.asfortranarray(np.eye(2))
     with pytest.raises(UnsupportedConfigError):
-        lasso_cd(a, np.ones(2), 0.0)
+        solve_lasso(a, np.ones(2), LassoConfig.absolute(0.0))
 
 
 def test_config_requires_exactly_one_lambda():
@@ -212,7 +211,7 @@ def test_nonnegative_mode(rng):
         a = unit_columns(rng, 10, 30)
         b = rng.standard_normal(10)
         lam = 0.1 * lambda_max(a, b)
-        sol = lasso_cd(a, b, lam, nonnegative=True)
+        sol = solve_lasso(a, b, LassoConfig.absolute(lam, nonnegative=True))
         x = sol.coefficients
         assert np.all(x >= 0.0)
         assert kkt_violation(a, b, lam, x, nonnegative=True) <= 1e-6
@@ -243,7 +242,7 @@ def test_degenerate_design_certifies(rng, kind):
         for nonnegative in (False, True):
             for frac in (0.02, 0.1, 0.5):
                 lam = frac * lambda_max(a, b)
-                sol = lasso_cd(a, b, lam, nonnegative=nonnegative)
+                sol = solve_lasso(a, b, LassoConfig.absolute(lam, nonnegative=nonnegative))
                 assert sol.converged and sol.duality_gap <= 1e-6
                 assert kkt_violation(a, b, lam, sol.coefficients, nonnegative) <= 1e-6
 
@@ -256,7 +255,7 @@ def test_dropped_coefficient_may_reenter_with_opposite_sign():
         a = unit_columns(rng, 64, 20)
         b = rng.standard_normal(64)
         lam = 1e-3 * lambda_max(a, b)
-        sol = lasso_cd(a, b, lam)
+        sol = solve_lasso(a, b, LassoConfig.absolute(lam))
         assert sol.converged and sol.duality_gap <= 1e-6
         assert kkt_violation(a, b, lam, sol.coefficients) <= 1e-6
 
@@ -290,8 +289,8 @@ def test_determinism_bit_identical(rng):
     a = unit_columns(rng, 14, 50)
     b = rng.standard_normal(14)
     lam = 0.15 * lambda_max(a, b)
-    first = lasso_cd(a, b, lam)
-    second = lasso_cd(a, b, lam)
+    first = solve_lasso(a, b, LassoConfig.absolute(lam))
+    second = solve_lasso(a, b, LassoConfig.absolute(lam))
     assert np.array_equal(first.coefficients, second.coefficients)
     assert first.duality_gap == second.duality_gap
     assert first.sweeps_used == second.sweeps_used
@@ -316,21 +315,34 @@ def test_solve_lasso_absolute_lambda(rng):
 def test_shape_mismatch_rejected(rng):
     a = unit_columns(rng, 6, 9)
     with pytest.raises(ShapeError):
-        lasso_cd(a, np.zeros(5), 0.1)
+        solve_lasso(a, np.zeros(5), LassoConfig.absolute(0.1))
 
 
 def test_non_finite_query_rejected(rng):
     a = unit_columns(rng, 4, 7)
     b = np.array([1.0, np.nan, 0.0, 0.0])
     with pytest.raises(InvalidInputError):
-        lasso_cd(a, b, 0.1)
+        solve_lasso(a, b, LassoConfig.absolute(0.1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_design_rejected(rng, bad):
+    a = unit_columns(rng, 4, 7)
+    a[2, 5] = bad
+    b = rng.standard_normal(4)
+    with pytest.raises(InvalidInputError, match="design matrix contains non-finite"):
+        solve_lasso(a, b, LassoConfig.absolute(0.1))
+    with pytest.raises(InvalidInputError, match="design matrix contains non-finite"):
+        lambda_max(a, b)
+    with pytest.raises(InvalidInputError, match="design matrix contains non-finite"):
+        duality_gap(a, b, 0.1, np.zeros(7))
 
 
 def test_max_sweeps_reports_honest_gap(rng):
     a = unit_columns(rng, 24, 96)
     b = rng.standard_normal(24)
     lam = 0.01 * lambda_max(a, b)
-    sol = lasso_cd(a, b, lam, tol=1e-14, max_sweeps=2)
+    sol = solve_lasso(a, b, LassoConfig.absolute(lam, tol=1e-14, max_sweeps=2))
     assert not sol.converged
     assert sol.sweeps_used == 2
     # reported certificate must describe the returned coefficients
