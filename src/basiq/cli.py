@@ -18,7 +18,7 @@ import sys
 from . import fileformats
 from .dictionary import build_dictionary, load_dictionary_cache, save_dictionary_cache
 from .encoder import load_embeddings
-from .errors import BasiqError
+from .errors import BasiqError, ParseError
 from .generator import generate_batch, read_bqd, record_to_json
 from .policy import (
     DEFAULT_THRESHOLDS,
@@ -160,14 +160,23 @@ def cmd_partition(args):
     return EXIT_OK
 
 
+def _load_type_map(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            type_map = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    if not isinstance(type_map, dict):
+        raise ParseError(f"{path}: expected a JSON object mapping question ids to types")
+    return {str(k): str(v) for k, v in type_map.items()}
+
+
 def cmd_eval(args):
     records = load_answer_records(args.predictions, args.annotations)
     report = evaluate(records, normalize=not args.raw)
     per_type = None
     if args.per_type:
-        with open(args.per_type, encoding="utf-8") as fh:
-            type_map = {str(k): str(v) for k, v in json.load(fh).items()}
-        per_type = aggregate_by_type(report, type_map)
+        per_type = aggregate_by_type(report, _load_type_map(args.per_type))
     print(f"accuracy: {report.mean:.6f} over {report.n} questions")
     if per_type:
         for label, entry in per_type.items():

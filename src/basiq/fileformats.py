@@ -8,22 +8,24 @@ Two formats live here:
   binary variant carries the same logical fields with little-endian
   32-bit float payloads (see ``EMBEDDING_MAGIC`` below for the exact
   layout).  Both reject dimension mismatches, duplicate ids, and
-  non-finite values.  The text reader checks each line's fields as it
-  goes and converts the values in blocks of ``_BLOCK_LINES`` lines,
-  each with one ``float()``-per-token pass into the rows of one
-  preallocated array; a block that fails is parsed again line by line,
-  so the error names the same line, with the same message, as a
-  per-line parse.
+  non-finite values.
 
 * Matrix-section files hold named real matrices under the same
   header-plus-payload convention: ``sections=<N>`` followed by blocks of
   ``name=<s> rows=<R> cols=<C>`` and R lines of C values.  They back the
   loadable-parameter paths of the encoder and the attention kernel.
+
+Both text formats convert their values with one ``np.loadtxt`` call per
+file or section.  Rows it rejects or reads as non-finite are parsed
+again one line at a time with ``float()``, which accepts every token
+``loadtxt`` does (with the same bits) and a few more, such as ``1_0``;
+so the values, and the first bad line an error names, are those of a
+line-by-line parse.
 """
 
-import itertools
 import re
 import struct
+import warnings
 
 import numpy as np
 
@@ -31,11 +33,6 @@ from .errors import ParseError
 
 EMBEDDING_MAGIC = b"QEMB"
 EMBEDDING_VERSION = 1
-
-# Lines of text-format values converted in one step: enough to amortize
-# the per-call overhead, few enough that the token strings of the one
-# block alive at a time stay small.
-_BLOCK_LINES = 256
 
 _HEADER_RE = re.compile(r"^dim=(\d+) count=(\d+)$")
 _SECTIONS_RE = re.compile(r"^sections=(\d+)$")
@@ -101,6 +98,41 @@ def _parse_values(parts, dim, path, lineno):
     return vec
 
 
+def _parse_rows(rows, dim, path, first_lineno):
+    """The whitespace-separated values of ``rows`` as a ``(len(rows), dim)`` array.
+
+    One ``np.loadtxt`` call does the work; if it fails, finds the wrong
+    shape or reads a non-finite value, the rows are parsed again one at
+    a time, which raises the error of the first bad line (line numbers
+    start at ``first_lineno``) or returns the values of tokens only
+    ``float()`` accepts.
+    """
+    try:
+        with warnings.catch_warnings():
+            # "input contained no data": blank rows are a value-count error.
+            warnings.simplefilter("error", UserWarning)
+            out = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+        if out.shape == (len(rows), dim) and np.all(np.isfinite(out)):
+            return out
+    except (ValueError, UserWarning):
+        pass
+    out = np.empty((len(rows), dim), dtype=np.float64)
+    for i, row in enumerate(rows):
+        out[i] = _parse_values(row.split(), dim, path, first_lineno + i)
+    return out
+
+
+def _check_record(rec_id, text, seen, where):
+    """The id and text rules shared by both embedding formats."""
+    if not rec_id:
+        raise ParseError(f"{where}: empty id")
+    if rec_id in seen:
+        raise ParseError(f"{where}: duplicate id {rec_id!r}")
+    seen.add(rec_id)
+    if not text.strip():
+        raise ParseError(f"{where}: empty text")
+
+
 def _record_fields(line, seen, path, lineno):
     """Split one text record and check everything but its values."""
     fields = line.split("\t")
@@ -108,37 +140,8 @@ def _record_fields(line, seen, path, lineno):
         raise ParseError(
             f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
         )
-    rec_id, text, payload = fields
-    if not rec_id:
-        raise ParseError(f"{path}: line {lineno}: empty id")
-    if rec_id in seen:
-        raise ParseError(f"{path}: line {lineno}: duplicate id {rec_id!r}")
-    seen.add(rec_id)
-    if not text.strip():
-        raise ParseError(f"{path}: line {lineno}: empty text")
-    return rec_id, text, payload
-
-
-def _parse_block(payloads, out, dim, path, first_lineno):
-    """Parse value payloads into the rows of ``out`` in one conversion.
-
-    A block that fails any check is parsed again line by line, so the
-    error names the first bad line exactly as a per-line parse would.
-    """
-    rows = [p.split() for p in payloads]
-    try:
-        if all(len(r) == dim for r in rows):
-            out[:] = np.fromiter(
-                map(float, itertools.chain.from_iterable(rows)),
-                dtype=np.float64,
-                count=len(rows) * dim,
-            ).reshape(len(rows), dim)
-            if np.all(np.isfinite(out)):
-                return
-    except ValueError:
-        pass
-    for i, parts in enumerate(rows):
-        out[i] = _parse_values(parts, dim, path, first_lineno + i)
+    _check_record(fields[0], fields[1], seen, f"{path}: line {lineno}")
+    return fields
 
 
 def _read_lines(path):
@@ -168,27 +171,22 @@ def read_embeddings_text(path):
     dim, count = int(m.group(1)), int(m.group(2))
     if dim < 1:
         raise ParseError(f"{path}: line 1: dim must be >= 1")
-    body = lines[1:]
-    if len(body) != count:
+    if len(lines) - 1 != count:
         raise ParseError(
-            f"{path}: header declares {count} records but file has {len(body)} lines"
+            f"{path}: header declares {count} records but file has {len(lines) - 1} lines"
         )
-    values = np.empty((count, dim), dtype=np.float64)
     ids, texts = [], []
     seen = set()
-    for start in range(0, count, _BLOCK_LINES):
-        payloads = []
-        for lineno, line in enumerate(body[start : start + _BLOCK_LINES], start + 2):
-            try:
-                rec_id, text, payload = _record_fields(line, seen, path, lineno)
-            except ParseError:
-                # A bad value on an earlier line of the block is reported first.
-                _parse_block(payloads, values[start : start + len(payloads)], dim, path, start + 2)
-                raise
-            ids.append(rec_id)
-            texts.append(text)
-            payloads.append(payload)
-        _parse_block(payloads, values[start : start + len(payloads)], dim, path, start + 2)
+    for i in range(1, len(lines)):
+        try:
+            rec_id, text, lines[i] = _record_fields(lines[i], seen, path, i + 1)
+        except ParseError:
+            # A bad value on an earlier line is reported first.
+            _parse_rows(lines[1:i], dim, path, 2)
+            raise
+        ids.append(rec_id)
+        texts.append(text)
+    values = _parse_rows(lines[1:], dim, path, 2)
     return list(zip(ids, texts, values))
 
 
@@ -229,13 +227,7 @@ def read_embeddings_binary(path):
         text = r.string(f"record {i}: text")
         payload = r.take(4 * dim, f"record {i}: values")
         vec = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        if not rec_id:
-            raise ParseError(f"{path}: record {i}: empty id")
-        if rec_id in seen:
-            raise ParseError(f"{path}: record {i}: duplicate id {rec_id!r}")
-        seen.add(rec_id)
-        if not text.strip():
-            raise ParseError(f"{path}: record {i}: empty text")
+        _check_record(rec_id, text, seen, f"{path}: record {i}")
         if not np.all(np.isfinite(vec)):
             raise ParseError(f"{path}: record {i}: non-finite value")
         records.append((rec_id, text, vec))
@@ -294,11 +286,8 @@ def read_matrix_sections(path):
         pos += 1
         if pos + rows > len(lines):
             raise ParseError(f"{path}: section {name!r}: truncated payload")
-        data = np.empty((rows, cols), dtype=np.float64)
-        for r in range(rows):
-            data[r] = _parse_values(lines[pos + r].split(), cols, path, pos + r + 1)
+        sections[name] = _parse_rows(lines[pos : pos + rows], cols, path, pos + 1)
         pos += rows
-        sections[name] = data
     if pos != len(lines):
         raise ParseError(f"{path}: {len(lines) - pos} extra lines after last section")
     return sections

@@ -193,7 +193,7 @@ def record_from_json(line, where="<string>"):
     try:
         bqs = tuple(
             ScoredBasicQuestion(
-                text=_string(bq, "text"), score=float(bq["score"]), column_index=-1
+                text=_string(bq, "text"), score=_number(bq, "score"), column_index=-1
             )
             for bq in obj["bqs"]
         )
@@ -209,6 +209,13 @@ def _string(obj, key):
     if not isinstance(value, str):
         raise TypeError(f"{key!r} must be a string, got {type(value).__name__}")
     return value
+
+
+def _number(obj, key):
+    value = obj[key]
+    if type(value) not in (int, float):  # a JSON true or false is a bool, not a number
+        raise TypeError(f"{key!r} must be a number, got {type(value).__name__}")
+    return float(value)
 
 
 def write_bqd(path, records):

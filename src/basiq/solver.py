@@ -181,15 +181,46 @@ def _entry_times(num, den, free):
     return t
 
 
-def _lasso_path(a, b, atb, lam, config):
-    """``solve_lasso`` on a checked design and query, given ``atb = A^T b``."""
+def solve_lasso(d, b, config=None):
+    """Solve against a Dictionary or raw design, along the exact homotopy path.
+
+    The penalty is resolved per the config (``LassoConfig()`` if None).
+    The path starts at the critical penalty with ``x = 0`` and lowers the
+    penalty to ``lam``.  Each step solves the Gram system of the active
+    set for the direction and moves to the first event: an inactive
+    column enters, an active coefficient reaches zero and drops, or the
+    penalty reaches ``lam``; ties go to the lowest column index.  At
+    ``lam`` the KKT system on the final support is solved exactly.
+
+    ``config.max_sweeps`` caps the number of path steps and
+    ``sweeps_used`` counts them; ``objective_history`` holds the
+    objective at ``lam`` after each step, which never increases along
+    the path.  The returned gap is always evaluated at the returned
+    coefficients, and ``converged`` says it is at most ``config.tol``.
+
+    The correlations ``A^T r`` are linear in the step length along a
+    path segment, so after each step they are updated by ``t * slope``
+    (the running correlation of LARS, Efron et al. 2004) instead of
+    being recomputed: one full ``A^T v`` product per step, not two.
+    Rounding drift in them can only move event times, never the
+    result: the returned coefficients come from the exact KKT solve on
+    the final support, and the gap from a fresh ``A^T r``.
+
+    Returns a SparseSolution.  The resolved penalty must be strictly
+    positive; a zero penalty is a different problem and is rejected.
+    """
+    if config is None:
+        config = LassoConfig()
+    a = _as_matrix(d)
+    b = _check_query(a, b)
+    corr = a.T @ b
+    lam = config.resolve_lambda(float(np.max(np.abs(corr))))
     if lam == 0:
         raise UnsupportedConfigError(
             "lambda = 0 is rejected: unpenalized least squares is out of scope"
         )
     n = a.shape[1]
     x = np.zeros(n)
-    corr = atb
     lam_cur = float(np.max(corr)) if config.nonnegative else float(np.max(np.abs(corr)))
     active = []  # ascending column indices, so drop ties go to the lowest
     sign = np.zeros(n)  # +-1 on the active set
@@ -270,40 +301,3 @@ def _lasso_path(a, b, atb, lam, config):
         converged=gap <= config.tol,
         objective_history=np.array(history),
     )
-
-
-def solve_lasso(d, b, config=None):
-    """Solve against a Dictionary or raw design, along the exact homotopy path.
-
-    The penalty is resolved per the config (``LassoConfig()`` if None).
-    The path starts at the critical penalty with ``x = 0`` and lowers the
-    penalty to ``lam``.  Each step solves the Gram system of the active
-    set for the direction and moves to the first event: an inactive
-    column enters, an active coefficient reaches zero and drops, or the
-    penalty reaches ``lam``; ties go to the lowest column index.  At
-    ``lam`` the KKT system on the final support is solved exactly.
-
-    ``config.max_sweeps`` caps the number of path steps and
-    ``sweeps_used`` counts them; ``objective_history`` holds the
-    objective at ``lam`` after each step, which never increases along
-    the path.  The returned gap is always evaluated at the returned
-    coefficients, and ``converged`` says it is at most ``config.tol``.
-
-    The correlations ``A^T r`` are linear in the step length along a
-    path segment, so after each step they are updated by ``t * slope``
-    (the running correlation of LARS, Efron et al. 2004) instead of
-    being recomputed: one full ``A^T v`` product per step, not two.
-    Rounding drift in them can only move event times, never the
-    result: the returned coefficients come from the exact KKT solve on
-    the final support, and the gap from a fresh ``A^T r``.
-
-    Returns a SparseSolution.  The resolved penalty must be strictly
-    positive; a zero penalty is a different problem and is rejected.
-    """
-    if config is None:
-        config = LassoConfig()
-    a = _as_matrix(d)
-    b = _check_query(a, b)
-    atb = a.T @ b
-    lam = config.resolve_lambda(float(np.max(np.abs(atb))))
-    return _lasso_path(a, b, atb, lam, config)

@@ -242,6 +242,21 @@ def test_eval_per_type(tmp_path, capsys):
     assert "color: 1.000000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("content", ['{"q1": "col', '["q1", "color"]'],
+                         ids=["truncated", "list"])
+def test_eval_malformed_type_map_fails_cleanly(tmp_path, capsys, content):
+    pred = tmp_path / "pred.jsonl"
+    anno = tmp_path / "anno.jsonl"
+    types = tmp_path / "types.json"
+    pred.write_text('{"question_id": "q1", "answer": "red"}\n', encoding="utf-8")
+    anno.write_text('{"question_id": "q1", "answers": ["red"]}\n', encoding="utf-8")
+    types.write_text(content, encoding="utf-8")
+    assert run(["eval", "--predictions", pred, "--annotations", anno,
+                "--per-type", types]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "types.json" in err
+
+
 def test_stats_candidates_flag(tmp_path, capsys):
     bqd = _bqd_fixture(tmp_path, [(0.4, 0.2, 0.1), (0.6, 0.3, 0.15)])
     assert run(["stats", "--bqd", bqd, "--candidates"]) == EXIT_OK
@@ -295,6 +310,10 @@ _GOOD_BQS = [{"text": "a?", "score": 0.5}, {"text": "b?", "score": 0.2},
 _MALFORMED_BQD_LINES = {
     "score not a number": {"image_id": "i", "mq": "m?",
                            "bqs": [{"text": "a?", "score": "abc"}] + _GOOD_BQS[1:]},
+    "score a numeric string": {"image_id": "i", "mq": "m?",
+                               "bqs": [{"text": "a?", "score": "0.5"}] + _GOOD_BQS[1:]},
+    "score a boolean": {"image_id": "i", "mq": "m?",
+                        "bqs": [{"text": "a?", "score": True}] + _GOOD_BQS[1:]},
     "numeric mq": {"image_id": "i", "mq": 7, "bqs": _GOOD_BQS},
     "numeric bq text": {"image_id": "i", "mq": "m?",
                         "bqs": [{"text": 5, "score": 0.5}] + _GOOD_BQS[1:]},

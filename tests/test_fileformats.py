@@ -1,6 +1,7 @@
 """Embedding, matrix-section, and JSON-lines file format contracts."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ def _sample_records(dim=16, count=3, seed=5):
 
 def test_text_round_trip_exact(tmp_path):
     path = tmp_path / "emb.txt"
-    for count in (3, 600):  # 600 lines span several parse blocks
+    for count in (3, 600):  # a few lines and a corpus-sized file
         records = _sample_records(count=count)
         fileformats.write_embeddings_text(path, records, 16)
         loaded = fileformats.read_embeddings_text(path)
@@ -110,7 +111,7 @@ _BAD_PAYLOADS = {
 @pytest.mark.parametrize("kind", sorted(_BAD_PAYLOADS))
 def test_text_bad_value_in_later_block_names_its_line(tmp_path, kind):
     records = _sample_records(count=600)
-    bad = fileformats._BLOCK_LINES + 17  # body index, in the second parse block
+    bad = 273  # body index, far past the first lines
     lines = [f"{rid}\t{text}\t{' '.join(map(repr, vec.tolist()))}" for rid, text, vec in records]
     payload, message = _BAD_PAYLOADS[kind]
     lines[bad] = f"q{bad}\tis it broken?\t{payload}"
@@ -125,12 +126,40 @@ def test_text_bad_value_in_later_block_names_its_line(tmp_path, kind):
 
 
 def test_text_bad_value_reported_before_later_field_error(tmp_path):
-    # Values are converted a block at a time; an error in the fields of
-    # a later line of the same block must not hide an earlier bad value.
+    # Values are converted after every line's fields are checked; an
+    # error in the fields of a later line must not hide an earlier bad value.
     path = tmp_path / "two_faults.txt"
     path.write_text("dim=1 count=3\nq0\ta?\t1\nq1\tb?\tinf\nq0\tc?\t2\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 3: non-finite value"):
         fileformats.read_embeddings_text(path)
+
+
+def test_text_hash_is_a_value_not_a_comment(tmp_path):
+    path = tmp_path / "hash.txt"
+    path.write_text("dim=2 count=1\nq0\ta?\t1 2 #3\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        fileformats.read_embeddings_text(path)
+    assert str(info.value) == f"{path}: line 2: expected 2 values, got 3"
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_text_blank_values_field_is_a_count_error(tmp_path, action):
+    path = tmp_path / "blank.txt"
+    path.write_text("dim=2 count=1\nq0\ta?\t \n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        with pytest.raises(ParseError) as info:
+            fileformats.read_embeddings_text(path)
+    assert str(info.value) == f"{path}: line 2: expected 2 values, got 0"
+    assert caught == []
+
+
+def test_text_tokens_only_float_accepts_are_read(tmp_path):
+    path = tmp_path / "tokens.txt"
+    path.write_text("dim=2 count=2\nq0\ta?\t0.25 -3\nq1\tb?\t1_0 \u0661\u0662\n",
+                    encoding="utf-8")
+    vectors = [vec for _, _, vec in fileformats.read_embeddings_text(path)]
+    assert np.array_equal(vectors, [[0.25, -3.0], [float("1_0"), float("\u0661\u0662")]])
 
 
 def test_binary_round_trip(tmp_path):
@@ -217,6 +246,15 @@ def test_matrix_sections_shape_enforced(tmp_path):
     path.write_text("sections=1\nname=w rows=2 cols=2\n1 2\n3\n", encoding="utf-8")
     with pytest.raises(ParseError):
         fileformats.read_matrix_sections(path)
+
+
+def test_matrix_sections_bad_value_names_its_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("sections=2\nname=a rows=1 cols=2\n1 2\nname=b rows=2 cols=2\n3 4\n5 x\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        fileformats.read_matrix_sections(path)
+    assert str(info.value) == f"{path}: line 6: could not convert string to float: 'x'"
 
 
 def test_jsonl_round_trip(tmp_path):
