@@ -7,7 +7,7 @@ derives data-driven threshold candidates from the statistics.
 
 import numpy as np
 
-from basiq.generator import ScoredBasicQuestion, emit_bqd_record
+from basiq.generator import BqdRecord, ScoredBasicQuestion
 from basiq.policy import (
     ConcatenationPolicy,
     partition_counts,
@@ -23,7 +23,7 @@ for i in range(400):
     s3 = s2 * float(rng.beta(3, 2))
     entries = [ScoredBasicQuestion(f"q{i}.{j}?", s, j)
                for j, s in enumerate((s1, s2, s3))]
-    records.append(emit_bqd_record(f"img{i}", f"main {i}?", entries))
+    records.append(BqdRecord(f"img{i}", f"main {i}?", entries))
 
 print("first threshold sweep (second 0.82, third 0.53):")
 print("  s1     0 BQ   1 BQ   2 BQ   3 BQ")

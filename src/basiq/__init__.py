@@ -35,13 +35,13 @@ from .errors import (
     InvalidInputError,
     ParseError,
     ShapeError,
+    UncertifiedSolveError,
     UnsupportedConfigError,
 )
 from .generator import (
     BatchResult,
     BqdRecord,
     ScoredBasicQuestion,
-    emit_bqd_record,
     generate_basic_questions,
     generate_batch,
     read_bqd,
@@ -66,7 +66,6 @@ from .solver import (
     SparseSolution,
     duality_gap,
     lambda_max,
-    soft_threshold,
     solve_lasso,
 )
 from .vqa_metric import (
@@ -103,6 +102,7 @@ __all__ = [
     "ShapeError",
     "SparseSolution",
     "TokenEmbeddingTable",
+    "UncertifiedSolveError",
     "UnsupportedConfigError",
     "alternating_coattention",
     "attention_op",
@@ -110,7 +110,6 @@ __all__ = [
     "concatenate",
     "decide_appends",
     "duality_gap",
-    "emit_bqd_record",
     "encode_question",
     "evaluate",
     "generate_basic_questions",
@@ -128,7 +127,6 @@ __all__ = [
     "record_to_json",
     "save_dictionary_cache",
     "score_statistics",
-    "soft_threshold",
     "softmax",
     "solve_lasso",
     "threshold_candidates",

@@ -19,7 +19,7 @@ from . import fileformats
 from .dictionary import build_dictionary, load_dictionary_cache, save_dictionary_cache
 from .encoder import load_embeddings
 from .errors import BasiqError, ParseError
-from .generator import generate_batch, read_bqd, record_to_json
+from .generator import generate_batch, read_bqd, write_bqd
 from .policy import (
     DEFAULT_THRESHOLDS,
     ConcatenationPolicy,
@@ -28,30 +28,32 @@ from .policy import (
     format_partition_table,
     format_stats_table,
     partition_counts,
-    partition_to_json,
     score_statistics,
-    stats_to_json,
     threshold_candidates,
 )
 from .solver import DEFAULT_LAMBDA_REL, DEFAULT_MAX_SWEEPS, DEFAULT_TOL, LassoConfig
-from .vqa_metric import aggregate_by_type, evaluate, load_answer_records, report_to_json
+from .vqa_metric import aggregate_by_type, evaluate, load_answer_records
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARTIAL = 2
 
 
+def _write_json(path, payload):
+    """The one JSON layout of reports and manifests: sorted keys, indent 2."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True))
+        fh.write("\n")
+
+
 def _write_manifest(out_path, command, inputs, config):
     """Auditable record of one run: inputs, output, resolved knobs."""
-    manifest = {
+    _write_json(f"{out_path}.manifest.json", {
         "command": command,
         "inputs": inputs,
         "output": str(out_path),
         "config": config,
-    }
-    with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True))
-        fh.write("\n")
+    })
 
 
 def _policy_from_args(args):
@@ -90,7 +92,7 @@ def cmd_gen_bq(args):
               "to write the successful records)", file=sys.stderr)
         return EXIT_FAIL
 
-    fileformats.write_jsonl(args.out, (record_to_json(r) for r in result.records))
+    write_bqd(args.out, result.records)
     _write_manifest(
         args.out, "gen-bq",
         {"dict": str(args.dict), "queries": str(args.queries)},
@@ -118,8 +120,7 @@ def cmd_concat(args):
     fileformats.write_jsonl(args.out, lines)
     _write_manifest(
         args.out, "concat", {"bqd": str(args.bqd)},
-        {"s1": policy.s1, "s2": policy.s2, "s3": policy.s3,
-         "separator": args.separator},
+        dict(dataclasses.asdict(policy), separator=args.separator),
     )
     print(f"wrote {len(lines)} concatenated questions to {args.out}")
     return EXIT_OK
@@ -129,18 +130,14 @@ def cmd_stats(args):
     records = read_bqd(args.bqd)
     stats = score_statistics(records)
     print(format_stats_table(stats))
-    candidates = threshold_candidates(stats) if args.candidates else None
+    payload = stats.as_dict()
     if args.candidates:
-        for channel, grid in candidates.items():
+        payload["candidates"] = threshold_candidates(stats)
+        for channel, grid in payload["candidates"].items():
             print(f"{channel}: " + "  ".join(
                 f"{k}={v:.4f}" for k, v in grid.items()))
     if args.out:
-        payload = json.loads(stats_to_json(stats))
-        if candidates is not None:
-            payload["candidates"] = candidates
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True))
-            fh.write("\n")
+        _write_json(args.out, payload)
         _write_manifest(args.out, "stats", {"bqd": str(args.bqd)},
                         {"candidates": args.candidates})
     return EXIT_OK
@@ -152,11 +149,9 @@ def cmd_partition(args):
     counts = partition_counts(records, policy)
     print(format_partition_table(counts))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(partition_to_json(counts))
-            fh.write("\n")
+        _write_json(args.out, counts.as_dict())
         _write_manifest(args.out, "partition", {"bqd": str(args.bqd)},
-                        {"s1": policy.s1, "s2": policy.s2, "s3": policy.s3})
+                        dataclasses.asdict(policy))
     return EXIT_OK
 
 
@@ -174,17 +169,17 @@ def _load_type_map(path):
 def cmd_eval(args):
     records = load_answer_records(args.predictions, args.annotations)
     report = evaluate(records, normalize=not args.raw)
-    per_type = None
+    per_type = {}
     if args.per_type:
         per_type = aggregate_by_type(report, _load_type_map(args.per_type))
     print(f"accuracy: {report.mean:.6f} over {report.n} questions")
-    if per_type:
-        for label, entry in per_type.items():
-            print(f"  {label}: {entry['mean']:.6f} over {entry['n']}")
+    for label, entry in per_type.items():
+        print(f"  {label}: {entry['mean']:.6f} over {entry['n']}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(report, per_type=per_type))
-            fh.write("\n")
+        payload = report.as_dict()
+        if args.per_type:
+            payload["per_type"] = per_type
+        _write_json(args.out, payload)
         _write_manifest(
             args.out, "eval",
             {"predictions": str(args.predictions),

@@ -75,17 +75,16 @@ class AttentionParameters:
         )
 
     @classmethod
-    def from_file(cls, path, prefix=""):
+    def from_file(cls, path):
         sections = fileformats.read_matrix_sections(path)
-        names = [prefix + n for n in ATTENTION_SECTION_NAMES]
-        missing = [n for n in names if n not in sections]
+        missing = [n for n in ATTENTION_SECTION_NAMES if n not in sections]
         if missing:
             raise ParseError(f"{path}: missing sections {missing}")
-        return cls(w_x=sections[names[0]], w_g=sections[names[1]], w_hx=sections[names[2]])
+        return cls(**{n: sections[n] for n in ATTENTION_SECTION_NAMES})
 
-    def to_file(self, path, prefix=""):
+    def to_file(self, path):
         fileformats.write_matrix_sections(
-            path, {prefix + n: getattr(self, n) for n in ATTENTION_SECTION_NAMES}
+            path, {n: getattr(self, n) for n in ATTENTION_SECTION_NAMES}
         )
 
 

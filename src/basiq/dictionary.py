@@ -2,9 +2,9 @@
 
 Duplicate questions are collapsed before the matrix is built, each
 surviving embedding is scaled to unit L2 norm, and the original norms
-are kept for audit.  Columns are stored contiguously (column-major)
-because the solver iterates over them.  A built dictionary is immutable
-and safe to share across concurrent solves.
+are kept for audit.  The matrix is stored column-major, the layout the
+cache writes.  A built dictionary is immutable and safe to share across
+concurrent solves.
 """
 
 import struct
@@ -12,18 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import QuestionRecord
 from .errors import InvalidInputError, ParseError, ShapeError
 from .fileformats import BinaryReader, pack_string
-
-__all__ = [
-    "QuestionRecord",
-    "Dictionary",
-    "build_dictionary",
-    "normalize_question_text",
-    "save_dictionary_cache",
-    "load_dictionary_cache",
-]
 
 CACHE_MAGIC = b"BQDICT"
 CACHE_VERSION = 1
@@ -52,8 +42,7 @@ class Dictionary:
         dim, n = m.shape
         if n < 1 or dim < 1:
             raise ShapeError("matrix must have at least one row and one column")
-        if not m.flags.f_contiguous:
-            m = np.asfortranarray(m)
+        m = np.asfortranarray(m)  # a no-op on a column-major matrix
         norms = np.sqrt(np.einsum("ij,ij->j", m, m))
         if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):  # NaN fails too
             worst = int(np.argmax(np.abs(norms - 1.0)))
@@ -84,13 +73,6 @@ class Dictionary:
     @property
     def n_columns(self):
         return self.matrix.shape[1]
-
-    def lookup(self, column_index):
-        """Return the (id, text, column vector) triple at a column index."""
-        n = self.n_columns
-        if not 0 <= column_index < n:
-            raise IndexError(f"column index {column_index} out of range [0, {n})")
-        return self.ids[column_index], self.texts[column_index], self.matrix[:, column_index]
 
 
 def build_dictionary(records, dedup="normalized"):
@@ -193,8 +175,8 @@ def load_dictionary_cache(path):
     ids = []
     texts = []
     for i in range(n):
-        ids.append(r.string(f"column {i}: id"))
-        texts.append(r.string(f"column {i}: text"))
+        ids.append(r.string("column %d: id", i))
+        texts.append(r.string("column %d: text", i))
     norms = np.frombuffer(r.take(8 * n, "norms"), dtype="<f8").copy()
     matrix = (
         np.frombuffer(r.take(8 * dim * n, "matrix"), dtype="<f8")

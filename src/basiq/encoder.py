@@ -142,15 +142,6 @@ class TokenEmbeddingTable:
     def vector(self, token):
         return self.vectors.get(token, self.unknown)
 
-    @classmethod
-    def from_embedding_file(cls, path):
-        """Build a table from an embedding file whose record ids are the tokens."""
-        records = fileformats.read_embeddings(path)
-        if not records:
-            raise InvalidInputError(f"{path}: token table is empty")
-        dim = len(records[0][2])
-        return cls(vectors={rec_id: vec for rec_id, _, vec in records}, input_dim=dim)
-
 
 def _sigmoid(x):
     out = np.empty_like(x)
@@ -192,10 +183,6 @@ def encode_question(params, table, tokens):
     """Run the recurrence over the token sequence from a zero initial state."""
     if not tokens:
         raise InvalidInputError("cannot encode an empty token sequence")
-    if table.input_dim != params.input_dim:
-        raise ShapeError(
-            f"table input_dim {table.input_dim} != parameter input_dim {params.input_dim}"
-        )
     h = np.zeros(params.hidden_dim)
     for tok in tokens:
         h = gru_step(params, h, table.vector(tok))

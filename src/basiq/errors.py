@@ -23,3 +23,7 @@ class ParseError(BasiqError, ValueError):
 
 class UnsupportedConfigError(BasiqError, ValueError):
     """A configuration value is rejected rather than silently reinterpreted."""
+
+
+class UncertifiedSolveError(BasiqError):
+    """A sparse solve stopped with its duality gap above the tolerance."""

@@ -38,13 +38,15 @@ _HEADER_RE = re.compile(r"^dim=(\d+) count=(\d+)$")
 _SECTIONS_RE = re.compile(r"^sections=(\d+)$")
 _SECTION_HEADER_RE = re.compile(r"^name=(\S+) rows=(\d+) cols=(\d+)$")
 _FIELD_BREAK_RE = re.compile(r"[\t\n\r]")
+_U32 = struct.Struct("<I")
 
 
 class BinaryReader:
     """Bounded reads over the bytes of one binary file.
 
-    A read past the end names the field it was reading; strings are
-    uint32-length-prefixed UTF-8, as ``pack_string`` writes them.
+    A read past the end names the field it was reading, ``what % args``,
+    formatted only then; strings are uint32-length-prefixed UTF-8, as
+    ``pack_string`` writes them.
     """
 
     def __init__(self, path):
@@ -53,10 +55,10 @@ class BinaryReader:
         self.path = path
         self.pos = 0
 
-    def take(self, n, what):
+    def take(self, n, what, *args):
         end = self.pos + n
         if end > len(self.blob):
-            raise ParseError(f"{self.path}: truncated while reading {what}")
+            raise ParseError(f"{self.path}: truncated while reading {what % args}")
         out = self.blob[self.pos : end]
         self.pos = end
         return out
@@ -64,12 +66,20 @@ class BinaryReader:
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
-    def string(self, what):
-        (n,) = struct.unpack("<I", self.take(4, f"{what} length"))
+    def string(self, what, *args):
+        blob, start = self.blob, self.pos + 4
         try:
-            return self.take(n, what).decode("utf-8")
+            (n,) = _U32.unpack_from(blob, self.pos)
+        except struct.error:
+            raise ParseError(f"{self.path}: truncated while reading {what % args} length") from None
+        end = start + n
+        if end > len(blob):
+            raise ParseError(f"{self.path}: truncated while reading {what % args}")
+        self.pos = end
+        try:
+            return blob[start:end].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{self.path}: {what}: {exc}") from None
+            raise ParseError(f"{self.path}: {what % args}: {exc}") from None
 
     def finish(self, suffix=""):
         """Reject bytes left over after the last field."""
@@ -223,9 +233,9 @@ def read_embeddings_binary(path):
     records = []
     seen = set()
     for i in range(count):
-        rec_id = r.string(f"record {i}: id")
-        text = r.string(f"record {i}: text")
-        payload = r.take(4 * dim, f"record {i}: values")
+        rec_id = r.string("record %d: id", i)
+        text = r.string("record %d: text", i)
+        payload = r.take(4 * dim, "record %d: values", i)
         vec = np.frombuffer(payload, dtype="<f4").astype(np.float64)
         _check_record(rec_id, text, seen, f"{path}: record {i}")
         if not np.all(np.isfinite(vec)):

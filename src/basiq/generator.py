@@ -1,8 +1,9 @@
 """Turning a sparse solve into ranked supporting questions and output records.
 
 Each query is solved against the dictionary, the coefficients are ranked
-by signed value, and the top k (default 3) become scored supporting
-questions.  A record always carries exactly three entries, padded with
+by signed value, and the top 3 become scored supporting questions.  A
+solve that misses its duality-gap certificate is an error, never a
+record.  A record always carries exactly three entries, padded with
 zero-score placeholders drawn from the smallest unused column indices
 when fewer than three coefficients are positive; a zero score never
 passes any concatenation threshold, so padding is inert downstream.
@@ -17,10 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fileformats
-from .errors import BasiqError, InvalidInputError, ParseError
+from .errors import BasiqError, InvalidInputError, ParseError, UncertifiedSolveError
 from .solver import LassoConfig, solve_lasso
 
 SCORE_DECIMALS = 6
+BQ_COUNT = 3  # supporting questions per record
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,8 @@ class BqdRecord:
 
     def __post_init__(self):
         bqs = tuple(self.basic_questions)
-        if len(bqs) != 3:
-            raise InvalidInputError(f"expected exactly 3 supporting questions, got {len(bqs)}")
+        if len(bqs) != BQ_COUNT:
+            raise InvalidInputError(f"expected exactly {BQ_COUNT} supporting questions, got {len(bqs)}")
         scores = [bq.score for bq in bqs]
         if not (scores[0] >= scores[1] >= scores[2]):
             raise InvalidInputError(f"scores must be nonincreasing, got {scores}")
@@ -76,45 +78,48 @@ class BatchResult:
     diagnostics: GenerationDiagnostics
 
 
-def generate_basic_questions(d, mq, k=3, config=None, exclude_text=None):
-    """Solve for the query and return the k best-scoring dictionary questions.
+def generate_basic_questions(d, mq, config=None, exclude_text=None):
+    """Solve for the query and return the top 3 dictionary questions.
 
     Coefficients are ranked in descending signed value with ties broken
     by ascending column index; only positive coefficients are eligible.
-    If fewer than k are positive, the remainder are zero-score entries
+    If fewer than 3 are positive, the remainder are zero-score entries
     taken from the smallest-index columns not already used.  With
     ``exclude_text`` set, columns whose text equals it are skipped
-    entirely (self-match exclusion).
+    entirely (self-match exclusion).  A solve whose duality gap exceeds
+    ``config.tol`` raises ``UncertifiedSolveError``.
     """
-    return _ranked_entries(d, mq, k, config, exclude_text)[0]
+    return _ranked_entries(d, mq, config, exclude_text)[0]
 
 
-def _ranked_entries(d, mq, k, config, exclude_text):
+def _ranked_entries(d, mq, config, exclude_text):
     """``generate_basic_questions`` plus how many of its scores were clamped to 1."""
-    if k < 1:
-        raise InvalidInputError("k must be >= 1")
-    if d.n_columns < k:
+    if d.n_columns < BQ_COUNT:
         raise InvalidInputError(
-            f"dictionary has {d.n_columns} columns, cannot return {k} distinct questions"
+            f"dictionary has {d.n_columns} columns, cannot return {BQ_COUNT} distinct questions"
         )
     if config is None:
         config = LassoConfig()
     solution = solve_lasso(d, mq, config)
+    if not solution.converged:
+        raise UncertifiedSolveError(
+            f"solve not certified: duality gap {solution.duality_gap!r} > tol {config.tol!r} "
+            f"after {solution.sweeps_used} path steps"
+        )
     coef = solution.coefficients
 
     if exclude_text is None:
         excluded = frozenset()
     else:
         excluded = frozenset(j for j, text in enumerate(d.texts) if text == exclude_text)
-    if d.n_columns - len(excluded) < k:
+    if d.n_columns - len(excluded) < BQ_COUNT:
         raise InvalidInputError("exclusion leaves fewer columns than requested questions")
 
     order = np.argsort(-coef, kind="stable")
     entries = []
-    used = set()
     clamped = 0
     for j in order:
-        if len(entries) == k:
+        if len(entries) == BQ_COUNT:
             break
         j = int(j)
         if coef[j] <= 0.0:
@@ -126,31 +131,22 @@ def _ranked_entries(d, mq, k, config, exclude_text):
             score = 1.0
             clamped += 1
         entries.append(ScoredBasicQuestion(text=d.texts[j], score=score, column_index=j))
-        used.add(j)
+    used = {bq.column_index for bq in entries}
     pad_j = 0
-    while len(entries) < k:
-        if pad_j in used or pad_j in excluded:
-            pad_j += 1
-            continue
-        entries.append(ScoredBasicQuestion(text=d.texts[pad_j], score=0.0, column_index=pad_j))
+    while len(entries) < BQ_COUNT:
+        if pad_j not in used and pad_j not in excluded:
+            entries.append(ScoredBasicQuestion(text=d.texts[pad_j], score=0.0, column_index=pad_j))
         pad_j += 1
     return entries, clamped
 
 
-def emit_bqd_record(image_id, mq_text, bqs):
-    """Validate and assemble one output record from 3 sorted entries."""
-    bqs = list(bqs)
-    if len(bqs) != 3:
-        raise InvalidInputError(f"expected 3 supporting questions, got {len(bqs)}")
-    return BqdRecord(image_id=image_id, mq_text=mq_text, basic_questions=tuple(bqs))
-
-
-def generate_batch(d, queries, config=None, k=3, exclude_exact=False):
+def generate_batch(d, queries, config=None, exclude_exact=False):
     """Generate one record per (image_id, mq_text, vector) query, in order.
 
-    Per-query failures (any ``BasiqError``) are collected in the
-    diagnostics with their ids and the batch continues; any other
-    exception is a fault in the program and propagates.
+    Per-query failures (any ``BasiqError``, an uncertified solve
+    included) are collected in the diagnostics with their ids and the
+    batch continues; any other exception is a fault in the program and
+    propagates.
     """
     queries = list(queries)
     if not queries:
@@ -160,8 +156,8 @@ def generate_batch(d, queries, config=None, k=3, exclude_exact=False):
     for image_id, mq_text, vec in queries:
         exclude = mq_text if exclude_exact else None
         try:
-            entries, clamped = _ranked_entries(d, vec, k, config, exclude)
-            record = emit_bqd_record(image_id, mq_text, entries)
+            entries, clamped = _ranked_entries(d, vec, config, exclude)
+            record = BqdRecord(image_id, mq_text, entries)
         except BasiqError as exc:
             diagnostics.errors.append((image_id, str(exc)))
         else:

@@ -15,10 +15,9 @@ that ratio's average (the exclusion is counted, not hidden).
 Also here: population statistics of the three score channels, the
 candidate threshold grid derived from them (avg, avg+std, avg-std per
 channel), partition accounting over a record set, and report rendering
-as both JSON and aligned text tables.
+as dicts and aligned text tables.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -60,10 +59,15 @@ class ScoreStats:
     score3_over_score2: StatEntry
     total: int
 
+    @property
+    def channels(self):
+        """The three entries, in ``STAT_CHANNELS`` order."""
+        return (self.score1, self.score2_over_score1, self.score3_over_score2)
+
     def as_dict(self):
         return {
             name: {"avg": entry.avg, "std": entry.std, "count": entry.count}
-            for name, entry in zip(STAT_CHANNELS, (self.score1, self.score2_over_score1, self.score3_over_score2))
+            for name, entry in zip(STAT_CHANNELS, self.channels)
         } | {"total": self.total}
 
 
@@ -161,9 +165,7 @@ def score_statistics(records):
 def threshold_candidates(stats):
     """Initial-guess grid per channel: avg, avg+std, avg-std (clipped to [0,1])."""
     out = {}
-    for name, entry in zip(
-        STAT_CHANNELS, (stats.score1, stats.score2_over_score1, stats.score3_over_score2)
-    ):
+    for name, entry in zip(STAT_CHANNELS, stats.channels):
         out[name] = {
             "avg": entry.avg,
             "avg_plus_std": min(entry.avg + entry.std, 1.0),
@@ -183,21 +185,18 @@ def partition_counts(records, policy):
     return PartitionCounts(by_appends=tuple(counts), total=len(records))
 
 
+def _align(rows):
+    """Rows of cells as left-aligned columns two spaces apart, right edges trimmed."""
+    widths = [max(len(cell) for cell in column) for column in zip(*rows)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+
+
 def format_stats_table(stats):
     """Aligned two-row table: avg and std per score channel."""
     headers = ["", "score1", "score2/score1", "score3/score2"]
-    avg_row = ["avg"] + [
-        f"{e.avg:.4f}" for e in (stats.score1, stats.score2_over_score1, stats.score3_over_score2)
-    ]
-    std_row = ["std"] + [
-        f"{e.std:.4f}" for e in (stats.score1, stats.score2_over_score1, stats.score3_over_score2)
-    ]
-    widths = [max(len(r[i]) for r in (headers, avg_row, std_row)) for i in range(4)]
-    lines = [
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in (headers, avg_row, std_row)
-    ]
-    return "\n".join(lines)
+    avg_row = ["avg"] + [f"{e.avg:.4f}" for e in stats.channels]
+    std_row = ["std"] + [f"{e.std:.4f}" for e in stats.channels]
+    return "\n".join(_align([headers, avg_row, std_row]))
 
 
 def format_partition_table(counts):
@@ -206,17 +205,4 @@ def format_partition_table(counts):
     headers = [""] + [f"{k} BQ" for k in range(4)]
     pct_row = [""] + [f"({100.0 * c / total:.2f}%)" for c in counts.by_appends]
     q_row = ["# Q"] + [str(c) for c in counts.by_appends]
-    widths = [max(len(r[i]) for r in (headers, pct_row, q_row)) for i in range(5)]
-    lines = [f"Total: {total} questions"] + [
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in (headers, pct_row, q_row)
-    ]
-    return "\n".join(lines)
-
-
-def stats_to_json(stats):
-    return json.dumps(stats.as_dict(), indent=2, sort_keys=True)
-
-
-def partition_to_json(counts):
-    return json.dumps(counts.as_dict(), indent=2, sort_keys=True)
+    return "\n".join([f"Total: {total} questions"] + _align([headers, pct_row, q_row]))

@@ -61,6 +61,10 @@ class LassoConfig:
             raise InvalidInputError("tol must be positive")
         if self.max_sweeps < 1:
             raise InvalidInputError("max_sweeps must be >= 1")
+        for name in ("lambda_abs", "lambda_rel", "tol"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
     @classmethod
     def absolute(cls, lam, **kwargs):
@@ -119,11 +123,6 @@ def _check_query(a, b):
     if not np.all(np.isfinite(b)):
         raise InvalidInputError("query contains non-finite values")
     return b
-
-
-def soft_threshold(v, t):
-    """sign(v) * max(|v| - t, 0), elementwise."""
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
 def lambda_max(dict_or_matrix, b):

@@ -7,7 +7,6 @@ is deterministic in its seed.
 
 import numpy as np
 
-from . import fileformats
 from .encoder import QuestionRecord
 
 _FORMS = (
@@ -94,9 +93,3 @@ def make_queries(corpus_records, dim, seed=11):
         ("img0008", "could anyone explain the scene?", 1.2 * noise()),
     ]
     return [QuestionRecord(id=i, text=t, vector=v) for i, t, v in specs]
-
-
-def write_corpus_file(path, records, dim):
-    fileformats.write_embeddings_text(
-        path, [(r.id, r.text, r.vector) for r in records], dim
-    )

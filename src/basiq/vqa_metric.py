@@ -55,8 +55,6 @@ class AccuracyReport:
 
 def question_score(record, normalize=True):
     """min(matches / 3, 1) over the record's annotator answers."""
-    if not record.annotator_answers:
-        raise InvalidInputError("annotator answer set is empty")
     norm = normalize_answer if normalize else (lambda s: s)
     predicted = norm(record.predicted)
     matches = sum(1 for ans in record.annotator_answers if norm(ans) == predicted)
@@ -140,10 +138,3 @@ def aggregate_by_type(report, type_map):
         label: {"n": len(scores), "mean": math.fsum(scores) / len(scores)}
         for label, scores in sorted(groups.items())
     }
-
-
-def report_to_json(report, per_type=None):
-    payload = report.as_dict()
-    if per_type is not None:
-        payload["per_type"] = per_type
-    return json.dumps(payload, indent=2, sort_keys=True)

@@ -7,7 +7,7 @@ import pytest
 
 from basiq import fileformats
 from basiq.cli import EXIT_FAIL, EXIT_OK, EXIT_PARTIAL, main
-from basiq.generator import ScoredBasicQuestion, emit_bqd_record, write_bqd
+from basiq.generator import BqdRecord, ScoredBasicQuestion, write_bqd
 
 from conftest import unit_columns
 
@@ -154,6 +154,53 @@ def test_gen_bq_keep_going_distinct_exit(tmp_path, corpus_file, rng, capsys):
     assert written == ["ok1", "ok2"]
 
 
+def _uncertified_inputs(tmp_path):
+    """A 16x200 cache and two queries: one whose solve needs more than two
+    path steps, then a planted column that certifies in two."""
+    rng = np.random.default_rng(0)
+    vectors = unit_columns(rng, 16, 200)
+    corpus = tmp_path / "corpus16.txt"
+    fileformats.write_embeddings_text(
+        corpus, [(f"q{j}", f"is item {j} in view?", vectors[:, j]) for j in range(200)], 16)
+    queries = tmp_path / "queries16.txt"
+    fileformats.write_embeddings_text(
+        queries, [("hard", "hard?", rng.standard_normal(16)), ("easy", "easy?", vectors[:, 5])], 16)
+    return _build(tmp_path, corpus), queries
+
+
+@pytest.mark.parametrize("keep_going", [False, True], ids=["fail", "keep-going"])
+def test_gen_bq_uncertified_solve_is_a_query_error(tmp_path, capsys, keep_going):
+    cache, queries = _uncertified_inputs(tmp_path)
+    out = tmp_path / "bqd.jsonl"
+    code = run(["gen-bq", "--dict", cache, "--queries", queries, "--out", out,
+                "--max-sweeps", "2"] + (["--keep-going"] if keep_going else []))
+    err = capsys.readouterr().err
+    assert "error: query 'hard': solve not certified" in err
+    assert "after 2 path steps" in err
+    if keep_going:
+        assert code == EXIT_PARTIAL
+        assert [json.loads(l)["image_id"] for l in out.read_text().splitlines()] == ["easy"]
+    else:
+        assert code == EXIT_FAIL
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--lambda-rel", "nan"], "lambda_rel"),
+    (["--lambda", "nan"], "lambda_abs"),
+    (["--lambda", "inf"], "lambda_abs"),
+    (["--tol", "inf"], "tol"),
+])
+def test_gen_bq_non_finite_flag_fails_cleanly(tmp_path, corpus_file, query_file, capsys,
+                                              flags, name):
+    cache = _build(tmp_path, corpus_file)
+    out = tmp_path / "bqd.jsonl"
+    assert run(["gen-bq", "--dict", cache, "--queries", query_file, "--out", out]
+               + flags) == EXIT_FAIL
+    assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
+    assert not out.exists()
+
+
 def test_gen_bq_manifest_records_config(tmp_path, corpus_file, query_file):
     cache = _build(tmp_path, corpus_file)
     out = tmp_path / "bqd.jsonl"
@@ -172,7 +219,7 @@ def _bqd_fixture(tmp_path, triples):
     for i, scores in enumerate(triples):
         entries = [ScoredBasicQuestion(f"basic {i}.{j}?", s, j)
                    for j, s in enumerate(scores)]
-        records.append(emit_bqd_record(f"img{i}", f"main {i}?", entries))
+        records.append(BqdRecord(f"img{i}", f"main {i}?", entries))
     write_bqd(path, records)
     return path
 

@@ -1,5 +1,6 @@
-"""Dictionary construction: dedup, normalization, lookup, cache."""
+"""Dictionary construction: dedup, normalization, cache."""
 
+import re
 import struct
 
 import numpy as np
@@ -85,21 +86,6 @@ def test_dedup_preserves_first_occurrence_order():
     ]
     d = build_dictionary(records)
     assert d.ids == ("a", "b", "d")
-
-
-def test_lookup_single_column():
-    d = build_dictionary([QuestionRecord("only", "is that a cat?", np.array([2.0, 0.0]))])
-    rec_id, text, column = d.lookup(0)
-    assert (rec_id, text) == ("only", "is that a cat?")
-    assert np.array_equal(column, np.array([1.0, 0.0]))
-
-
-def test_lookup_out_of_range():
-    d = build_dictionary([QuestionRecord("only", "ok?", np.array([1.0]))])
-    with pytest.raises(IndexError):
-        d.lookup(1)
-    with pytest.raises(IndexError):
-        d.lookup(-1)
 
 
 def test_zero_norm_vector_names_record():
@@ -198,6 +184,22 @@ def test_cache_truncation_rejected(tmp_path, rng):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(ParseError):
         load_dictionary_cache(path)
+
+
+def test_cache_truncation_names_the_field(tmp_path, rng):
+    d = build_dictionary(question_records(unit_columns(rng, 4, 2)))
+    path = tmp_path / "dict.bin"
+    save_dictionary_cache(d, path)
+    raw = path.read_bytes()
+    # magic, header, then column 0's id and text, each a uint32 length and UTF-8 bytes
+    start = 6 + 10 + 4 + len(d.ids[0].encode()) + 4 + len(d.texts[0].encode())
+    text_at = start + 4 + len(d.ids[1].encode())
+    for cut, field in [(start + 3, "column 1: id length"), (text_at - 1, "column 1: id"),
+                       (text_at + 2, "column 1: text length"), (text_at + 5, "column 1: text")]:
+        path.write_bytes(raw[:cut])
+        message = f"{path}: truncated while reading {field}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_dictionary_cache(path)
 
 
 def test_cache_bad_magic_rejected(tmp_path, rng):

@@ -5,11 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from basiq.errors import InvalidInputError
+from basiq.errors import InvalidInputError, UncertifiedSolveError
 from basiq.generator import (
     BqdRecord,
     ScoredBasicQuestion,
-    emit_bqd_record,
     generate_basic_questions,
     generate_batch,
     read_bqd,
@@ -79,7 +78,7 @@ def test_exclude_text_skips_self_match():
 def test_k_larger_than_dictionary_rejected():
     d = orthogonal_dictionary(4, 2, seed=6)
     with pytest.raises(InvalidInputError):
-        generate_basic_questions(d, d.matrix[:, 0], k=3)
+        generate_basic_questions(d, d.matrix[:, 0])
 
 
 def test_emit_record_validates_count_and_order():
@@ -88,12 +87,12 @@ def test_emit_record_validates_count_and_order():
         ScoredBasicQuestion("b?", 0.5, 1),
         ScoredBasicQuestion("c?", 0.2, 2),
     ]
-    record = emit_bqd_record("img1", "main?", entries)
+    record = BqdRecord("img1", "main?", entries)
     assert record.scores == (0.9, 0.5, 0.2)
     with pytest.raises(InvalidInputError):
-        emit_bqd_record("img1", "main?", entries[:2])
+        BqdRecord("img1", "main?", entries[:2])
     with pytest.raises(InvalidInputError):
-        emit_bqd_record("img1", "main?", list(reversed(entries)))
+        BqdRecord("img1", "main?", list(reversed(entries)))
 
 
 def test_score_out_of_range_rejected():
@@ -104,7 +103,7 @@ def test_score_out_of_range_rejected():
 
 
 def test_record_json_round_trip():
-    record = emit_bqd_record("img9", "what is it?", [
+    record = BqdRecord("img9", "what is it?", [
         ScoredBasicQuestion("first?", 0.976, 3),
         ScoredBasicQuestion("second?", 0.1234565, 7),
         ScoredBasicQuestion("third?", 0.0, 0),
@@ -115,7 +114,7 @@ def test_record_json_round_trip():
 
 
 def test_record_json_six_decimal_scores():
-    record = emit_bqd_record("img9", "why?", [
+    record = BqdRecord("img9", "why?", [
         ScoredBasicQuestion("a?", 0.5, 0),
         ScoredBasicQuestion("b?", 1.0 / 3.0, 1),
         ScoredBasicQuestion("c?", 0.0, 2),
@@ -158,6 +157,33 @@ def test_batch_collects_per_query_errors(rng):
     assert [r.image_id for r in result.records] == ["ok1", "ok2"]
     assert len(result.diagnostics.errors) == 1
     assert result.diagnostics.errors[0][0] == "bad"
+
+
+def uncertified_case():
+    """A 16x200 dictionary and a query whose solve stops two path steps in."""
+    rng = np.random.default_rng(0)
+    d = build_dictionary(question_records(unit_columns(rng, 16, 200)))
+    return d, rng.standard_normal(16), LassoConfig.relative(0.024, max_sweeps=2)
+
+
+def test_uncertified_solve_is_a_batch_error():
+    d, b, config = uncertified_case()
+    planted = d.matrix[:, 5].copy()  # certifies in two steps
+    result = generate_batch(d, [("img1", "main?", b), ("img2", "other?", planted)],
+                            config=config)
+    assert [r.image_id for r in result.records] == ["img2"]
+    [(image_id, message)] = result.diagnostics.errors
+    assert image_id == "img1"
+    assert "not certified" in message
+    assert "duality gap 7.7" in message
+    assert "tol 1e-06" in message
+    assert "after 2 path steps" in message
+
+
+def test_uncertified_solve_raises():
+    d, b, config = uncertified_case()
+    with pytest.raises(UncertifiedSolveError, match="after 2 path steps"):
+        generate_basic_questions(d, b, config=config)
 
 
 def test_batch_propagates_program_errors(rng, monkeypatch):

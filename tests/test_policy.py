@@ -3,7 +3,7 @@
 import pytest
 
 from basiq.errors import InvalidInputError
-from basiq.generator import ScoredBasicQuestion, emit_bqd_record
+from basiq.generator import BqdRecord, ScoredBasicQuestion
 from basiq.policy import (
     DEFAULT_THRESHOLDS,
     ConcatenationPolicy,
@@ -23,7 +23,7 @@ def make_record(scores, image_id="img", mq="main question?"):
     entries = [
         ScoredBasicQuestion(f"basic {i}?", s, i) for i, s in enumerate(scores)
     ]
-    return emit_bqd_record(image_id, mq, entries)
+    return BqdRecord(image_id, mq, entries)
 
 
 def test_hand_trace_all_three_append():

@@ -10,7 +10,6 @@ from basiq.solver import (
     LassoConfig,
     duality_gap,
     lambda_max,
-    soft_threshold,
     solve_lasso,
 )
 
@@ -52,13 +51,6 @@ def dual_objective(a, b, lam, x):
 def primal_objective(a, b, lam, x):
     r = a @ x - b
     return 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
-
-
-def test_soft_threshold_values():
-    assert soft_threshold(1.0, 0.2) == 0.8
-    assert soft_threshold(-1.0, 0.2) == -0.8
-    assert soft_threshold(0.15, 0.2) == 0.0
-    assert soft_threshold(-0.15, 0.2) == 0.0
 
 
 def test_lambda_max_identity_columns():
@@ -198,12 +190,30 @@ def test_config_requires_exactly_one_lambda():
 
 
 def test_config_validation():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^lambda_abs must be nonnegative$"):
         LassoConfig.absolute(-0.1)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^lambda_abs must be nonnegative$"):
+        LassoConfig.absolute(-np.inf)
+    with pytest.raises(InvalidInputError, match="^lambda_rel must be nonnegative$"):
+        LassoConfig.relative(-0.1)
+    with pytest.raises(InvalidInputError, match="^tol must be positive$"):
         LassoConfig.relative(0.1, tol=0.0)
+    with pytest.raises(InvalidInputError, match="^tol must be positive$"):
+        LassoConfig.relative(0.1, tol=np.nan)
     with pytest.raises(InvalidInputError):
         LassoConfig.relative(0.1, max_sweeps=0)
+
+
+@pytest.mark.parametrize("make, name, value", [
+    (lambda v: LassoConfig.absolute(v), "lambda_abs", np.nan),
+    (lambda v: LassoConfig.absolute(v), "lambda_abs", np.inf),
+    (lambda v: LassoConfig.relative(v), "lambda_rel", np.nan),
+    (lambda v: LassoConfig.relative(v), "lambda_rel", np.inf),
+    (lambda v: LassoConfig.relative(0.1, tol=v), "tol", np.inf),  # a NaN tol is not positive
+], ids=["lambda_abs-nan", "lambda_abs-inf", "lambda_rel-nan", "lambda_rel-inf", "tol-inf"])
+def test_config_rejects_non_finite(make, name, value):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be finite, got {value!r}$"):
+        make(value)
 
 
 def test_nonnegative_mode(rng):

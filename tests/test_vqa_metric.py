@@ -13,7 +13,6 @@ from basiq.vqa_metric import (
     load_answer_records,
     normalize_answer,
     question_score,
-    report_to_json,
 )
 
 
@@ -177,7 +176,7 @@ def test_aggregate_by_type():
 
 def test_report_json_shape():
     report = evaluate([make_record("q1", "red", ["red"] * 3)])
-    payload = json.loads(report_to_json(report))
+    payload = report.as_dict()
     assert payload["n"] == 1
     assert payload["mean"] == 1.0
     assert payload["per_question"] == [{"question_id": "q1", "score": 1.0}]
