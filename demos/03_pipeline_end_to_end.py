@@ -13,6 +13,7 @@ from basiq.generator import generate_batch
 from basiq.policy import (
     ConcatenationPolicy,
     concatenate,
+    decide_appends,
     format_partition_table,
     format_stats_table,
     partition_counts,
@@ -32,7 +33,8 @@ print(f"generated {len(result.records)} records "
 
 policy = ConcatenationPolicy(0.43, 0.82, 0.53)
 for record in result.records:
-    merged = concatenate(record.mq_text, record.basic_questions, policy)
+    n = decide_appends(record.scores, policy)
+    merged = concatenate(record.mq_text, record.basic_questions, n)
     marker = "=" if merged == record.mq_text else "+"
     print(f" {marker} {merged}")
 

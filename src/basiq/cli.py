@@ -108,15 +108,12 @@ def cmd_gen_bq(args):
 def cmd_concat(args):
     records = read_bqd(args.bqd)
     policy = _policy_from_args(args)
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     lines = []
     for rec in records:
         n = decide_appends(rec.scores, policy)
-        text = concatenate(rec.mq_text, rec.basic_questions, policy,
-                           separator=args.separator)
-        lines.append(json.dumps(
-            {"image_id": rec.image_id, "appended": n, "text": text},
-            ensure_ascii=False, sort_keys=True,
-        ))
+        text = concatenate(rec.mq_text, rec.basic_questions, n, separator=args.separator)
+        lines.append(encode({"image_id": rec.image_id, "appended": n, "text": text}))
     fileformats.write_jsonl(args.out, lines)
     _write_manifest(
         args.out, "concat", {"bqd": str(args.bqd)},

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fileformats
 from .errors import ParseError, ShapeError
-from .encoder import _as_readonly
+from .immutable import readonly_array
 
 ATTENTION_SECTION_NAMES = ("w_x", "w_g", "w_hx")
 
@@ -41,12 +41,12 @@ class AttentionParameters:
     w_hx: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "w_x", _as_readonly(self.w_x, "w_x", 2))
-        object.__setattr__(self, "w_g", _as_readonly(self.w_g, "w_g", 2))
+        object.__setattr__(self, "w_x", readonly_array(self.w_x, "w_x", 2))
+        object.__setattr__(self, "w_g", readonly_array(self.w_g, "w_g", 2))
         w_hx = np.asarray(self.w_hx, dtype=np.float64)
         if w_hx.ndim == 2 and w_hx.shape[0] == 1:
             w_hx = w_hx[0]
-        object.__setattr__(self, "w_hx", _as_readonly(w_hx, "w_hx", 1))
+        object.__setattr__(self, "w_hx", readonly_array(w_hx, "w_hx", 1))
         k = self.w_x.shape[0]
         if self.w_g.shape[0] != k:
             raise ShapeError(f"w_g has {self.w_g.shape[0]} rows, expected {k} to match w_x")

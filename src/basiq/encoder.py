@@ -19,6 +19,7 @@ import numpy as np
 
 from . import fileformats
 from .errors import InvalidInputError, ParseError, ShapeError
+from .immutable import readonly_array
 
 GRU_SECTION_NAMES = ("u_r", "u_z", "u", "w_r", "w_z", "w")
 
@@ -31,17 +32,6 @@ class QuestionRecord(NamedTuple):
     id: str
     text: str
     vector: np.ndarray
-
-
-def _as_readonly(arr, name, ndim):
-    a = np.asarray(arr, dtype=np.float64)
-    if a.ndim != ndim:
-        raise ShapeError(f"{name} must be {ndim}-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"{name} contains non-finite values")
-    a = a.copy()
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -62,7 +52,7 @@ class GruParameters:
 
     def __post_init__(self):
         for name in ("u_r", "u_z", "u", "w_r", "w_z", "w"):
-            object.__setattr__(self, name, _as_readonly(getattr(self, name), name, 2))
+            object.__setattr__(self, name, readonly_array(getattr(self, name), name, 2))
         h, h2 = self.u_r.shape
         if h != h2:
             raise ShapeError(f"u_r must be square, got {self.u_r.shape}")
@@ -126,7 +116,7 @@ class TokenEmbeddingTable:
             raise ShapeError("input_dim must be >= 1")
         clean = {}
         for tok, vec in self.vectors.items():
-            v = _as_readonly(vec, f"vector for token {tok!r}", 1)
+            v = readonly_array(vec, f"vector for token {tok!r}", 1)
             if v.shape != (self.input_dim,):
                 raise ShapeError(
                     f"vector for token {tok!r} has length {v.shape[0]}, expected {self.input_dim}"
@@ -134,7 +124,7 @@ class TokenEmbeddingTable:
             clean[tok] = v
         object.__setattr__(self, "vectors", clean)
         unk = self.unknown if self.unknown is not None else np.zeros(self.input_dim)
-        unk = _as_readonly(unk, "unknown-token vector", 1)
+        unk = readonly_array(unk, "unknown-token vector", 1)
         if unk.shape != (self.input_dim,):
             raise ShapeError("unknown-token vector length does not match input_dim")
         object.__setattr__(self, "unknown", unk)

@@ -132,15 +132,15 @@ def _parse_rows(rows, dim, path, first_lineno):
     return out
 
 
-def _check_record(rec_id, text, seen, where):
-    """The id and text rules shared by both embedding formats."""
+def _check_record(rec_id, text, seen, where, *args):
+    """The id and text rules of both embedding formats; errors name ``where % args``."""
     if not rec_id:
-        raise ParseError(f"{where}: empty id")
+        raise ParseError(f"{where % args}: empty id")
     if rec_id in seen:
-        raise ParseError(f"{where}: duplicate id {rec_id!r}")
+        raise ParseError(f"{where % args}: duplicate id {rec_id!r}")
     seen.add(rec_id)
     if not text.strip():
-        raise ParseError(f"{where}: empty text")
+        raise ParseError(f"{where % args}: empty text")
 
 
 def _record_fields(line, seen, path, lineno):
@@ -150,7 +150,7 @@ def _record_fields(line, seen, path, lineno):
         raise ParseError(
             f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
         )
-    _check_record(fields[0], fields[1], seen, f"{path}: line {lineno}")
+    _check_record(fields[0], fields[1], seen, "%s: line %d", path, lineno)
     return fields
 
 
@@ -237,7 +237,7 @@ def read_embeddings_binary(path):
         text = r.string("record %d: text", i)
         payload = r.take(4 * dim, "record %d: values", i)
         vec = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        _check_record(rec_id, text, seen, f"{path}: record {i}")
+        _check_record(rec_id, text, seen, "%s: record %d", path, i)
         if not np.all(np.isfinite(vec)):
             raise ParseError(f"{path}: record {i}: non-finite value")
         records.append((rec_id, text, vec))

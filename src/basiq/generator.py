@@ -3,13 +3,14 @@
 Each query is solved against the dictionary, the coefficients are ranked
 by signed value, and the top 3 become scored supporting questions.  A
 solve that misses its duality-gap certificate is an error, never a
-record.  A record always carries exactly three entries, padded with
-zero-score placeholders drawn from the smallest unused column indices
-when fewer than three coefficients are positive; a zero score never
-passes any concatenation threshold, so padding is inert downstream.
+record.  Scores are the raw coefficients clamped into [0, 1]; clamping
+events are counted in the batch diagnostics rather than hidden.
 
-Scores are the raw coefficients clamped into [0, 1]; clamping events are
-counted and surfaced in batch diagnostics rather than hidden.
+Records (``BqdRecord``) and their questions (``ScoredBasicQuestion``) are
+tuples that one constructor each checks, however they are built: three
+entries, scores in [0, 1] and nonincreasing.  Fewer than three positive
+coefficients are padded with zero-score entries from the smallest unused
+column indices; a zero score passes no concatenation threshold.
 """
 
 import json
@@ -19,49 +20,46 @@ import numpy as np
 
 from . import fileformats
 from .errors import BasiqError, InvalidInputError, ParseError, UncertifiedSolveError
+from .immutable import checked_tuple
 from .solver import LassoConfig, solve_lasso
 
 SCORE_DECIMALS = 6
 BQ_COUNT = 3  # supporting questions per record
+_KINDS = {"string": (str,), "number": (int, float)}  # a JSON true or false is a bool, not a number
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)  # JSONDecodeError is a ValueError
 
 
-@dataclass(frozen=True)
-class ScoredBasicQuestion:
+class ScoredBasicQuestion(checked_tuple("ScoredBasicQuestion", "text score column_index")):
     """One retrieved question with its similarity score and source column."""
 
-    text: str
-    score: float
-    column_index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise InvalidInputError(f"score {self.score!r} outside [0, 1]")
+    def __new__(cls, text, score, column_index):
+        if not 0.0 <= score <= 1.0:
+            raise InvalidInputError(f"score {score!r} outside [0, 1]")
+        return tuple.__new__(cls, (text, score, column_index))
 
 
-@dataclass(frozen=True)
-class BqdRecord:
+class BqdRecord(checked_tuple("BqdRecord", "image_id mq_text basic_questions")):
     """{image id, query text, exactly 3 scored supporting questions}."""
 
-    image_id: str
-    mq_text: str
-    basic_questions: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        bqs = tuple(self.basic_questions)
+    def __new__(cls, image_id, mq_text, basic_questions):
+        bqs = tuple(basic_questions)
         if len(bqs) != BQ_COUNT:
             raise InvalidInputError(f"expected exactly {BQ_COUNT} supporting questions, got {len(bqs)}")
-        scores = [bq.score for bq in bqs]
-        if not (scores[0] >= scores[1] >= scores[2]):
-            raise InvalidInputError(f"scores must be nonincreasing, got {scores}")
-        if not self.image_id:
+        if not (bqs[0].score >= bqs[1].score >= bqs[2].score):
+            raise InvalidInputError(f"scores must be nonincreasing, got {[bq.score for bq in bqs]}")
+        if not image_id:
             raise InvalidInputError("image_id must be nonempty")
-        if not self.mq_text.strip():
+        if not mq_text.strip():
             raise InvalidInputError("mq_text must be nonempty")
-        object.__setattr__(self, "basic_questions", bqs)
+        return tuple.__new__(cls, (image_id, mq_text, bqs))
 
     @property
     def scores(self):
-        return tuple(bq.score for bq in self.basic_questions)
+        return tuple([bq.score for bq in self.basic_questions])
 
 
 @dataclass
@@ -183,35 +181,25 @@ def record_to_json(record):
 def record_from_json(line, where="<string>"):
     """Parse one output line back into a record (column indices are not stored)."""
     try:
-        obj = json.loads(line)
+        return _parse_record(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}: {exc}") from None
-    try:
-        bqs = tuple(
-            ScoredBasicQuestion(
-                text=_string(bq, "text"), score=_number(bq, "score"), column_index=-1
-            )
-            for bq in obj["bqs"]
-        )
-        return BqdRecord(
-            image_id=_string(obj, "image_id"), mq_text=_string(obj, "mq"), basic_questions=bqs
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except _MALFORMED as exc:
         raise ParseError(f"{where}: malformed record: {exc}") from None
 
 
-def _string(obj, key):
+def _parse_record(line):
+    obj = json.loads(line)
+    bqs = [ScoredBasicQuestion(_typed(bq, "text", "string"), float(_typed(bq, "score", "number")), -1)
+           for bq in obj["bqs"]]
+    return BqdRecord(_typed(obj, "image_id", "string"), _typed(obj, "mq", "string"), bqs)
+
+
+def _typed(obj, key, kind):
     value = obj[key]
-    if not isinstance(value, str):
-        raise TypeError(f"{key!r} must be a string, got {type(value).__name__}")
+    if type(value) not in _KINDS[kind]:
+        raise TypeError(f"{key!r} must be a {kind}, got {type(value).__name__}")
     return value
-
-
-def _number(obj, key):
-    value = obj[key]
-    if type(value) not in (int, float):  # a JSON true or false is a bool, not a number
-        raise TypeError(f"{key!r} must be a number, got {type(value).__name__}")
-    return float(value)
 
 
 def write_bqd(path, records):
@@ -219,4 +207,11 @@ def write_bqd(path, records):
 
 
 def read_bqd(path):
-    return [record_from_json(line, where=f"{path}:{ln}") for ln, line in fileformats.read_jsonl(path)]
+    records = []
+    for ln, line in fileformats.read_jsonl(path):
+        try:
+            records.append(_parse_record(line))
+        except _MALFORMED:
+            # Parsed again to raise the error naming its line; good lines format none.
+            records.append(record_from_json(line, f"{path}:{ln}"))
+    return records

@@ -116,14 +116,12 @@ def decide_appends(scores, policy):
     return 3
 
 
-def concatenate(mq_text, bqs, policy, separator=" "):
-    """Query text followed by the appended questions, best score first."""
+def concatenate(mq_text, bqs, n, separator=" "):
+    """Query text followed by the first ``n`` of ``bqs``, best score first;
+    ``n`` is the count that ``decide_appends`` gives for their scores."""
     if not mq_text.strip():
         raise InvalidInputError("mq_text must be nonempty")
-    bqs = list(bqs)
-    n = decide_appends(tuple(bq.score for bq in bqs), policy)
-    parts = [mq_text] + [bq.text for bq in bqs[:n]]
-    return separator.join(parts)
+    return separator.join([mq_text] + [bq.text for bq in bqs[:n]])
 
 
 def _population_stats(values):

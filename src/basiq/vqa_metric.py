@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from . import fileformats
 from .errors import InvalidInputError, ParseError
+from .immutable import checked_tuple
 
 
 def normalize_answer(answer):
@@ -20,21 +21,16 @@ def normalize_answer(answer):
     return " ".join(answer.split()).casefold()
 
 
-@dataclass(frozen=True)
-class AnswerRecord:
+class AnswerRecord(checked_tuple("AnswerRecord", "question_id predicted annotator_answers")):
     """One evaluated question: the prediction plus the annotator answer set."""
 
-    question_id: str
-    predicted: str
-    annotator_answers: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        answers = tuple(self.annotator_answers)
+    def __new__(cls, question_id, predicted, annotator_answers):
+        answers = tuple(annotator_answers)
         if not answers:
-            raise InvalidInputError(
-                f"question {self.question_id!r}: annotator answer set is empty"
-            )
-        object.__setattr__(self, "annotator_answers", answers)
+            raise InvalidInputError(f"question {question_id!r}: annotator answer set is empty")
+        return tuple.__new__(cls, (question_id, predicted, answers))
 
 
 @dataclass(frozen=True)
@@ -109,7 +105,7 @@ def load_answer_records(predictions_path, annotations_path):
             )
         if qid in annotations:
             raise ParseError(f"{annotations_path}: line {lineno}: duplicate question_id {qid!r}")
-        annotations[qid] = tuple(str(a) for a in answers)
+        annotations[qid] = tuple(map(str, answers))
 
     records = []
     for lineno, obj in _parse_jsonl_objects(predictions_path, ("question_id", "answer")):
@@ -118,13 +114,7 @@ def load_answer_records(predictions_path, annotations_path):
             raise InvalidInputError(
                 f"{predictions_path}: line {lineno}: no annotations for question_id {qid!r}"
             )
-        records.append(
-            AnswerRecord(
-                question_id=qid,
-                predicted=str(obj["answer"]),
-                annotator_answers=annotations[qid],
-            )
-        )
+        records.append(AnswerRecord(qid, str(obj["answer"]), annotations[qid]))
     return records
 
 

@@ -369,6 +369,19 @@ _MALFORMED_BQD_LINES = {
                                     "bqs": [{"text": "a?", "score": 10**400}] + _GOOD_BQS[1:]},
     "not an object": [1, 2, 3],
     "bare number": 4,
+    "two bqs": {"image_id": "i", "mq": "m?", "bqs": _GOOD_BQS[:2]},
+    "four bqs": {"image_id": "i", "mq": "m?", "bqs": _GOOD_BQS + [{"text": "d?", "score": 0.0}]},
+    "unsorted scores": {"image_id": "i", "mq": "m?", "bqs": _GOOD_BQS[::-1]},
+    "score above 1": {"image_id": "i", "mq": "m?",
+                      "bqs": [{"text": "a?", "score": 1.5}] + _GOOD_BQS[1:]},
+    "negative score": {"image_id": "i", "mq": "m?",
+                       "bqs": _GOOD_BQS[:2] + [{"text": "c?", "score": -0.1}]},
+    "NaN score": {"image_id": "i", "mq": "m?",
+                  "bqs": [{"text": "a?", "score": float("nan")}] + _GOOD_BQS[1:]},
+    "blank mq": {"image_id": "i", "mq": "  ", "bqs": _GOOD_BQS},
+    "empty image_id": {"image_id": "", "mq": "m?", "bqs": _GOOD_BQS},
+    "bqs not a list": {"image_id": "i", "mq": "m?",
+                       "bqs": {str(k): bq for k, bq in enumerate(_GOOD_BQS)}},
 }
 
 
@@ -394,3 +407,34 @@ def test_eval_line_not_an_object_fails_cleanly(tmp_path, capsys):
     assert run(["eval", "--predictions", pred, "--annotations", anno]) == EXIT_FAIL
     err = capsys.readouterr().err
     assert err.startswith("error:") and "line 2: expected a JSON object" in err
+
+
+def _eval_files(tmp_path, predictions, annotations):
+    pred, anno = tmp_path / "pred.jsonl", tmp_path / "anno.jsonl"
+    pred.write_text(predictions, encoding="utf-8")
+    anno.write_text(annotations, encoding="utf-8")
+    return ["eval", "--predictions", pred, "--annotations", anno]
+
+
+def test_eval_prediction_json_error_wins_over_earlier_missing_annotation(tmp_path, capsys):
+    # Each file is parsed whole before the join, so a JSON error on a later
+    # line is reported before a question without annotations on an earlier one.
+    argv = _eval_files(
+        tmp_path,
+        '{"question_id": "q1", "answer": "red"}\n{"question_id": "q9", "answer": "red"}\n'
+        '{"question_id": "q3", "answer": \n',
+        '{"question_id": "q1", "answers": ["red"]}\n')
+    assert run(argv) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'pred.jsonl'}: line 3: Expecting value")
+
+
+def test_eval_annotation_json_error_wins_over_earlier_duplicate(tmp_path, capsys):
+    argv = _eval_files(
+        tmp_path,
+        '{"question_id": "q1", "answer": "red"}\n',
+        '{"question_id": "q1", "answers": ["red"]}\n{"question_id": "q1", "answers": ["red"]}\n'
+        '{"question_id": "q3", "answers": \n')
+    assert run(argv) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'anno.jsonl'}: line 3: Expecting value")

@@ -17,6 +17,7 @@ from basiq.generator import (
     write_bqd,
 )
 from basiq.solver import LassoConfig
+from basiq.vqa_metric import AnswerRecord
 
 from conftest import orthogonal_dictionary, question_records, unit_columns
 from basiq.dictionary import build_dictionary
@@ -100,6 +101,27 @@ def test_score_out_of_range_rejected():
         ScoredBasicQuestion("a?", 1.5, 0)
     with pytest.raises(InvalidInputError):
         ScoredBasicQuestion("a?", -0.1, 0)
+
+
+@pytest.mark.parametrize("make", ["_replace", "_make"])
+def test_records_rebuilt_from_fields_are_checked(make):
+    bq = ScoredBasicQuestion("a?", 0.5, 0)
+    entries = (bq, bq._replace(score=0.25), bq._replace(score=0.0))
+    record = BqdRecord("img1", "main?", entries)
+    answer = AnswerRecord("q1", "red", ("red",))
+    invalid = [
+        (bq, {"score": 5.0}),
+        (record, {"basic_questions": entries[:2]}),
+        (record, {"basic_questions": entries[::-1]}),
+        (record, {"image_id": ""}),
+        (answer, {"annotator_answers": ()}),
+    ]
+    for rec, change in invalid:
+        with pytest.raises(InvalidInputError):
+            if make == "_replace":
+                rec._replace(**change)
+            else:
+                type(rec)._make({**rec._asdict(), **change}.values())
 
 
 def test_record_json_round_trip():

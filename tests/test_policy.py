@@ -99,27 +99,28 @@ def test_prefix_rule_under_lowered_thresholds():
 
 def test_concatenate_zero_is_identity():
     record = make_record((0.1, 0.05, 0.0))
-    assert concatenate(record.mq_text, record.basic_questions, OPERATING_POINT) \
-        == record.mq_text
+    n = decide_appends(record.scores, OPERATING_POINT)
+    assert concatenate(record.mq_text, record.basic_questions, n) == record.mq_text
 
 
 def test_concatenate_two():
     record = make_record((0.9, 0.8, 0.1))
-    out = concatenate(record.mq_text, record.basic_questions, OPERATING_POINT)
+    n = decide_appends(record.scores, OPERATING_POINT)
+    out = concatenate(record.mq_text, record.basic_questions, n)
     assert out == "main question? basic 0? basic 1?"
 
 
 def test_concatenate_custom_separator():
     record = make_record((0.9, 0.8, 0.1))
-    out = concatenate(record.mq_text, record.basic_questions, OPERATING_POINT,
-                      separator=" | ")
+    n = decide_appends(record.scores, OPERATING_POINT)
+    out = concatenate(record.mq_text, record.basic_questions, n, separator=" | ")
     assert out == "main question? | basic 0? | basic 1?"
 
 
 def test_concatenate_empty_mq_rejected():
     record = make_record((0.9, 0.8, 0.1))
     with pytest.raises(InvalidInputError):
-        concatenate("", record.basic_questions, OPERATING_POINT)
+        concatenate("", record.basic_questions, decide_appends(record.scores, OPERATING_POINT))
 
 
 def test_statistics_two_record_hand_values():
