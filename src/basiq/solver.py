@@ -14,7 +14,6 @@ Events are resolved in a fixed order, with ties going to the lowest
 column index, so identical inputs give bit-identical solutions.
 """
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +35,10 @@ _SPAN_EPS = 1e-9
 class LassoConfig:
     """Solve configuration; exactly one of lambda_abs / lambda_rel is set.
 
-    ``lambda_rel`` scales the per-query critical penalty (the smallest
-    value at which the solution is identically zero), so the effective
-    penalty adapts to each query.  The default 0.024 makes a planted
-    self-match against an orthogonal remainder score 1 - 0.024 = 0.976.
+    ``lambda_rel`` scales ``max |A^T b|``, the critical penalty (smallest
+    with an all-zero solution) of the signed problem, even in nonnegative
+    mode, whose critical penalty is ``max(A^T b, 0)``.  The default 0.024
+    makes a planted self-match against an orthogonal remainder score 0.976.
     """
 
     lambda_abs: float | None = None
@@ -126,7 +125,7 @@ def _check_query(a, b):
 
 
 def lambda_max(dict_or_matrix, b):
-    """Smallest penalty at which the solution is exactly zero: max |A^T b|."""
+    """max |A^T b|: the smallest penalty with a zero solution, unless x >= 0."""
     a = _as_matrix(dict_or_matrix)
     b = _check_query(a, b)
     return float(np.max(np.abs(a.T @ b)))
@@ -167,19 +166,6 @@ def duality_gap(dict_or_matrix, b, lam, x, nonnegative=False):
     )
 
 
-def _entry_times(num, den, free):
-    """Penalty decrease at which each free column reaches one band edge.
-
-    Columns that are not free, or whose denominator is at most
-    ``_SPAN_EPS`` (moving along or away from the edge, or in the span of
-    the active set), never reach that edge and get infinity.  A negative
-    numerator (a column a rounding error past the edge) enters at once.
-    """
-    t = np.full(num.shape, np.inf)
-    np.divide(np.maximum(num, 0.0), den, out=t, where=free & (den > _SPAN_EPS))
-    return t
-
-
 def solve_lasso(d, b, config=None):
     """Solve against a Dictionary or raw design, along the exact homotopy path.
 
@@ -197,13 +183,17 @@ def solve_lasso(d, b, config=None):
     the path.  The returned gap is always evaluated at the returned
     coefficients, and ``converged`` says it is at most ``config.tol``.
 
-    The correlations ``A^T r`` are linear in the step length along a
-    path segment, so after each step they are updated by ``t * slope``
-    (the running correlation of LARS, Efron et al. 2004) instead of
-    being recomputed: one full ``A^T v`` product per step, not two.
-    Rounding drift in them can only move event times, never the
-    result: the returned coefficients come from the exact KKT solve on
-    the final support, and the gap from a fresh ``A^T r``.
+    The correlations ``A^T r`` are linear along a path segment, so each
+    step updates them by ``t * slope`` (the running correlation of LARS,
+    Efron et al. 2004) rather than recomputing them; drift in them can
+    only move event times, never the result, which comes from the exact
+    KKT solve and a fresh ``A^T r``.  One fused pass over ``(n, edges)``
+    buffers, the upper band edge in column 0 and (unless nonnegative) the
+    lower in column 1, gives every entry time, and one flat ``argmin``
+    takes the lowest column, then the upper edge.  The active columns are
+    gathered once per event, for the residual after it and the next
+    step's Gram matrix.  ``d`` is solved afresh each step: an updated
+    inverse costs as many small calls here and changes its bits.
 
     Returns a SparseSolution.  The resolved penalty must be strictly
     positive; a zero penalty is a different problem and is rejected.
@@ -219,47 +209,50 @@ def solve_lasso(d, b, config=None):
             "lambda = 0 is rejected: unpenalized least squares is out of scope"
         )
     n = a.shape[1]
-    x = np.zeros(n)
     lam_cur = float(np.max(corr)) if config.nonnegative else float(np.max(np.abs(corr)))
-    active = []  # ascending column indices, so drop ties go to the lowest
+    edges = 1 if config.nonnegative else 2
+    num, den, times = np.empty((3, n, edges))
+    mask = np.empty((n, edges), dtype=bool)
+    x = np.zeros(n)
     sign = np.zeros(n)  # +-1 on the active set
-    left, left_sign = -1, 0.0  # the coordinate that just dropped, and its sign
+    idx = sign.nonzero()[0]  # the active set, ascending, so drop ties go to the lowest
+    cols, signs = a[:, idx], sign[idx]
+    left = None  # the (column, edge) cell that just dropped
+    slope = np.zeros(n)  # until the first entry; a lone coefficient never drops
 
-    r = b
     history = []
     steps = 0
     while steps < config.max_sweeps:
         steps += 1
-        cols = a[:, active]
-        signs = sign[active]
-        gram = cols.T @ cols
-        d = np.linalg.solve(gram, signs) if active else signs
-        slope = a.T @ (cols @ d)
-
-        # Entry times, one per side of the penalty band.  The coordinate
-        # that just dropped sits on the edge it left, moving inward; a
-        # rounding error must not let it re-enter there at once.  It may
-        # still enter on the other edge, with the opposite sign.
-        free = np.ones(n, dtype=bool)
-        free[active] = False
-        t_up = _entry_times(lam_cur - corr, 1.0 - slope, free)
-        if config.nonnegative:
-            t_down = np.full(n, np.inf)
-        else:
-            t_down = _entry_times(lam_cur + corr, 1.0 + slope, free)
-        if left >= 0:
-            (t_up if left_sign > 0 else t_down)[left] = np.inf
-        t_enter = np.minimum(t_up, t_down)
-        j = int(np.argmin(t_enter))
-        t_in = float(t_enter[j])
-
         t_out, k = np.inf, -1
-        if active:
-            xs = x[active]
-            t_drop = np.full(len(active), np.inf)
+        if idx.size:
+            gram = cols.T @ cols
+            d = np.linalg.solve(gram, signs)
+            slope = a.T @ (cols @ d)
+            xs = x[idx]
+            t_drop = np.full(idx.size, np.inf)
             np.divide(-xs, d, out=t_drop, where=signs * d < 0)
-            i = int(np.argmin(t_drop))
-            t_out, k = float(t_drop[i]), active[i]
+            i = int(t_drop.argmin())
+            t_out, k = float(t_drop[i]), int(idx[i])
+
+        # Active columns and those with a denominator at most _SPAN_EPS (moving
+        # away, or in the active span) never enter; a negative numerator (past
+        # the edge by rounding) enters at once.  A coordinate that just dropped
+        # may re-enter at once only on the other edge, with the other sign.
+        np.subtract(lam_cur, corr, out=num.T[0])
+        np.add(lam_cur, corr, out=num.T[1:])  # empty when nonnegative
+        np.subtract(1.0, slope, out=den.T[0])
+        np.add(1.0, slope, out=den.T[1:])
+        np.greater(den, _SPAN_EPS, out=mask)
+        mask[idx] = False
+        if left is not None:
+            mask[left] = False
+        times.fill(np.inf)
+        np.maximum(num, 0.0, out=num)
+        np.divide(num, den, out=times, where=mask)
+        cell = int(times.argmin())
+        t_in = times.item(cell)
+        j, side = divmod(cell, edges)
 
         t_target = lam_cur - lam
         if t_target <= min(t_in, t_out):
@@ -268,26 +261,27 @@ def solve_lasso(d, b, config=None):
             event, t = "drop", t_out
         else:
             event, t = "enter", t_in
-        if active:
-            x[active] += t * d
+        if idx.size:
+            x[idx] = xs + t * d
         lam_cur -= t
 
         if event == "target":
-            if active:
-                x[active] = np.linalg.solve(gram, cols.T @ b - lam * signs)
-        elif event == "drop":
-            active.remove(k)
-            left, left_sign = k, sign[k]
-            sign[k] = x[k] = 0.0
+            if idx.size:
+                x[idx] = np.linalg.solve(gram, cols.T @ b - lam * signs)
         else:
-            bisect.insort(active, j)
-            sign[j] = 1.0 if t_up[j] == t_in else -1.0
-            left = -1
-        r = b - a[:, active] @ x[active]
-        history.append(0.5 * float(r @ r) + lam * float(np.sum(np.abs(x))))
+            if event == "drop":
+                left = (k, 0 if sign[k] > 0 else 1)
+                sign[k] = x[k] = 0.0
+            else:
+                sign[j] = 1.0 if side == 0 else -1.0
+                left = None
+            idx = sign.nonzero()[0]
+            cols, signs = a[:, idx], sign[idx]
+        r = b - cols @ x[idx]
+        history.append(0.5 * float(r @ r) + lam * float(np.abs(x).sum()))
         if event == "target":
             break
-        corr = corr - t * slope
+        corr -= t * slope
 
     r_norm2 = float(r @ r)
     l1 = float(np.sum(np.abs(x)))

@@ -7,6 +7,7 @@ Answers are normalized (lowercase, trim, collapse whitespace) before
 comparison unless raw matching is requested.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -49,12 +50,15 @@ class AccuracyReport:
         }
 
 
-def question_score(record, normalize=True):
-    """min(matches / 3, 1) over the record's annotator answers."""
-    norm = normalize_answer if normalize else (lambda s: s)
+def _consensus_score(record, norm):
     predicted = norm(record.predicted)
     matches = sum(1 for ans in record.annotator_answers if norm(ans) == predicted)
     return min(matches / 3.0, 1.0)
+
+
+def question_score(record, normalize=True):
+    """min(matches / 3, 1) over the record's annotator answers."""
+    return _consensus_score(record, normalize_answer if normalize else (lambda s: s))
 
 
 def evaluate(records, normalize=True):
@@ -62,13 +66,15 @@ def evaluate(records, normalize=True):
     records = list(records)
     if not records:
         raise InvalidInputError("cannot evaluate zero records")
+    # Annotator answers repeat heavily: normalize each distinct one once.
+    norm = functools.cache(normalize_answer) if normalize else (lambda s: s)
     seen = set()
     per_question = []
     for rec in records:
         if rec.question_id in seen:
             raise InvalidInputError(f"duplicate question_id {rec.question_id!r}")
         seen.add(rec.question_id)
-        per_question.append((rec.question_id, question_score(rec, normalize=normalize)))
+        per_question.append((rec.question_id, _consensus_score(rec, norm)))
     mean = math.fsum(score for _, score in per_question) / len(per_question)
     return AccuracyReport(n=len(per_question), per_question=tuple(per_question), mean=mean)
 

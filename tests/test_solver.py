@@ -7,7 +7,9 @@ import pytest
 
 from basiq.errors import InvalidInputError, ShapeError, UnsupportedConfigError
 from basiq.solver import (
+    _SPAN_EPS,
     LassoConfig,
+    _gap_from_residual,
     duality_gap,
     lambda_max,
     solve_lasso,
@@ -359,3 +361,155 @@ def test_max_sweeps_reports_honest_gap(rng):
     assert sol.duality_gap == pytest.approx(
         duality_gap(a, b, lam, sol.coefficients), rel=1e-12, abs=1e-15
     )
+
+
+def test_nonnegative_with_no_positive_correlation_exits_in_one_step():
+    # A^T b <= 0 everywhere: the nonnegative path starts below lam.
+    a = np.asfortranarray(np.eye(4))
+    b = -np.array([1.0, 0.5, 0.2, 0.1])
+    for config in (LassoConfig.relative(0.1, nonnegative=True),
+                   LassoConfig.absolute(0.1, nonnegative=True)):
+        sol = solve_lasso(a, b, config)
+        assert np.all(sol.coefficients == 0.0)
+        assert sol.sweeps_used == 1
+        assert sol.duality_gap == 0.0 and sol.converged
+
+
+@pytest.mark.parametrize("nonnegative", [False, True])
+def test_lambda_abs_above_lambda_max_exits_in_one_step(rng, nonnegative):
+    a = unit_columns(rng, 10, 25)
+    b = rng.standard_normal(10)
+    config = LassoConfig.absolute(1.5 * lambda_max(a, b), nonnegative=nonnegative)
+    sol = solve_lasso(a, b, config)
+    assert np.all(sol.coefficients == 0.0)
+    assert sol.sweeps_used == 1
+    assert sol.duality_gap == 0.0 and sol.converged
+
+
+def _reference_solve(a, b, config):
+    """The homotopy step loop written plainly, one pass per band edge.
+
+    An oracle for ``solve_lasso``: same events, same tie order (lowest
+    column, then the upper edge) and the same floating-point operations,
+    so every result must agree bit for bit.
+    """
+    def entry_times(num, den, free):
+        t = np.full(num.shape, np.inf)
+        np.divide(np.maximum(num, 0.0), den, out=t, where=free & (den > _SPAN_EPS))
+        return t
+
+    corr = a.T @ b
+    lam = config.resolve_lambda(float(np.max(np.abs(corr))))
+    n = a.shape[1]
+    x = np.zeros(n)
+    lam_cur = float(np.max(corr)) if config.nonnegative else float(np.max(np.abs(corr)))
+    active = []
+    sign = np.zeros(n)
+    left, left_sign = -1, 0.0
+    r = b
+    history = []
+    steps = 0
+    while steps < config.max_sweeps:
+        steps += 1
+        cols = a[:, active]
+        signs = sign[active]
+        gram = cols.T @ cols
+        d = np.linalg.solve(gram, signs) if active else signs
+        slope = a.T @ (cols @ d)
+
+        free = np.ones(n, dtype=bool)
+        free[active] = False
+        t_up = entry_times(lam_cur - corr, 1.0 - slope, free)
+        if config.nonnegative:
+            t_down = np.full(n, np.inf)
+        else:
+            t_down = entry_times(lam_cur + corr, 1.0 + slope, free)
+        if left >= 0:
+            (t_up if left_sign > 0 else t_down)[left] = np.inf
+        t_enter = np.minimum(t_up, t_down)
+        j = int(np.argmin(t_enter))
+        t_in = float(t_enter[j])
+
+        t_out, k = np.inf, -1
+        if active:
+            xs = x[active]
+            t_drop = np.full(len(active), np.inf)
+            np.divide(-xs, d, out=t_drop, where=signs * d < 0)
+            i = int(np.argmin(t_drop))
+            t_out, k = float(t_drop[i]), active[i]
+
+        t_target = lam_cur - lam
+        if t_target <= min(t_in, t_out):
+            event, t = "target", t_target
+        elif t_out < t_in or (t_out == t_in and k < j):
+            event, t = "drop", t_out
+        else:
+            event, t = "enter", t_in
+        if active:
+            x[active] += t * d
+        lam_cur -= t
+
+        if event == "target":
+            if active:
+                x[active] = np.linalg.solve(gram, cols.T @ b - lam * signs)
+        elif event == "drop":
+            active.remove(k)
+            left, left_sign = k, sign[k]
+            sign[k] = x[k] = 0.0
+        else:
+            active = sorted(active + [j])
+            sign[j] = 1.0 if t_up[j] == t_in else -1.0
+            left = -1
+        r = b - a[:, active] @ x[active]
+        history.append(0.5 * float(r @ r) + lam * float(np.sum(np.abs(x))))
+        if event == "target":
+            break
+        corr = corr - t * slope
+
+    r_norm2 = float(r @ r)
+    l1 = float(np.sum(np.abs(x)))
+    gap = _gap_from_residual(a, b, lam, r, r_norm2, l1, config.nonnegative)
+    return x, history, steps, gap <= config.tol, float(gap), 0.5 * r_norm2 + lam * l1
+
+
+def _reference_pool():
+    rng = np.random.default_rng(2024)
+    for _ in range(12):
+        a, b = unit_columns(rng, 32, 128), rng.standard_normal(32)
+        for nonnegative in (False, True):
+            yield a, b, LassoConfig.relative(0.1, nonnegative=nonnegative)
+    for _ in range(3):
+        yield unit_columns(rng, 64, 1024), rng.standard_normal(64), LassoConfig()
+    for kind in ("duplicate", "antipodal", "zero"):
+        for _ in range(3):
+            a, b = _degenerate_design(rng, kind), rng.standard_normal(12)
+            for nonnegative in (False, True):
+                for frac in (0.02, 0.1, 0.5):
+                    yield a, b, LassoConfig.relative(frac, nonnegative=nonnegative)
+    for seed in range(10):
+        reentry = np.random.default_rng(seed)
+        a, b = unit_columns(reentry, 64, 20), reentry.standard_normal(64)
+        yield a, b, LassoConfig.absolute(1e-3 * lambda_max(a, b))
+    # Near-duplicate pairs: on these seeds a dropped coordinate's slope
+    # rounds just below 1, so it would re-enter at once on the edge it
+    # left if that cell were not cleared.
+    for seed in (38, 80, 106):
+        near = np.random.default_rng(seed)
+        a = unit_columns(near, 8, 16)
+        a[:, 3] = a[:, 9] + 1e-8 * near.standard_normal(8)
+        a[:, 3] /= np.linalg.norm(a[:, 3])
+        b = near.standard_normal(8)
+        for nonnegative in (False, True):
+            yield a, b, LassoConfig.relative(0.02, nonnegative=nonnegative)
+
+
+def test_path_matches_reference_bit_for_bit():
+    for a, b, config in _reference_pool():
+        x, history, steps, converged, gap, objective = _reference_solve(a, b, config)
+        sol = solve_lasso(a, b, config)
+        assert np.array_equal(sol.coefficients, x)
+        assert np.array_equal(sol.objective_history, history)
+        assert sol.sweeps_used == steps
+        assert sol.converged == converged
+        assert sol.duality_gap == gap
+        assert sol.objective == objective
