@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from json.encoder import encode_basestring, encode_basestring_ascii
 
 from . import fileformats
 from .dictionary import build_dictionary, load_dictionary_cache, save_dictionary_cache
@@ -38,11 +39,24 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARTIAL = 2
 
+_ROW = '    {\n      "question_id": %s,\n      "score": %s\n    }'  # one eval per_question entry
+
 
 def _write_json(path, payload):
-    """The one JSON layout of reports and manifests: sorted keys, indent 2."""
+    """The one JSON layout of reports and manifests: sorted keys, indent 2.
+
+    ``indent`` turns off json's C encoder, so an eval report's ``per_question``
+    rows (a str id and a float score each) are filled into ``_ROW`` instead.
+    """
+    rows = payload.get("per_question")
+    text = json.dumps(payload | {"per_question": []} if rows else payload, indent=2, sort_keys=True)
+    if rows:
+        body = ",\n".join([_ROW % (encode_basestring_ascii(r["question_id"]),
+                                   float.__repr__(r["score"])) for r in rows])
+        # Only a top-level key follows a newline and exactly two spaces.
+        text = text.replace('\n  "per_question": []', f'\n  "per_question": [\n{body}\n  ]', 1)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -108,12 +122,12 @@ def cmd_gen_bq(args):
 def cmd_concat(args):
     records = read_bqd(args.bqd)
     policy = _policy_from_args(args)
-    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     lines = []
     for rec in records:
         n = decide_appends(rec.scores, policy)
         text = concatenate(rec.mq_text, rec.basic_questions, n, separator=args.separator)
-        lines.append(encode({"image_id": rec.image_id, "appended": n, "text": text}))
+        lines.append('{"appended": %d, "image_id": %s, "text": %s}'
+                     % (n, encode_basestring(rec.image_id), encode_basestring(text)))
     fileformats.write_jsonl(args.out, lines)
     _write_manifest(
         args.out, "concat", {"bqd": str(args.bqd)},

@@ -23,6 +23,7 @@ so the values, and the first bad line an error names, are those of a
 line-by-line parse.
 """
 
+import json
 import re
 import struct
 import warnings
@@ -39,6 +40,7 @@ _SECTIONS_RE = re.compile(r"^sections=(\d+)$")
 _SECTION_HEADER_RE = re.compile(r"^name=(\S+) rows=(\d+) cols=(\d+)$")
 _FIELD_BREAK_RE = re.compile(r"[\t\n\r]")
 _U32 = struct.Struct("<I")
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 class BinaryReader:
@@ -327,3 +329,15 @@ def read_jsonl(path):
     for i, line in enumerate(_read_lines(path), start=1):
         if line:
             yield i, line
+
+
+def decode_json_line(line):
+    """``json.loads(line)``, in one C scan when that reads the whole line; any
+    other line (a BOM, whitespace or data around the value) goes to ``json.loads``."""
+    try:
+        value, end = _raw_decode(line)
+        if end == len(line):
+            return value
+    except ValueError:
+        pass
+    return json.loads(line)

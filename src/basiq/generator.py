@@ -15,6 +15,7 @@ column indices; a zero score passes no concatenation threshold.
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .solver import LassoConfig, solve_lasso
 
 SCORE_DECIMALS = 6
 BQ_COUNT = 3  # supporting questions per record
-_KINDS = {"string": (str,), "number": (int, float)}  # a JSON true or false is a bool, not a number
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)  # JSONDecodeError is a ValueError
 
 
@@ -168,14 +168,11 @@ def record_to_json(record):
     """One output line; scores printed at fixed 6-decimal precision."""
     bq_parts = ", ".join(
         '{"text": %s, "score": %s}'
-        % (json.dumps(bq.text, ensure_ascii=False), format(bq.score, f".{SCORE_DECIMALS}f"))
+        % (encode_basestring(bq.text), format(bq.score, f".{SCORE_DECIMALS}f"))
         for bq in record.basic_questions
     )
     return '{"image_id": %s, "mq": %s, "bqs": [%s]}' % (
-        json.dumps(record.image_id, ensure_ascii=False),
-        json.dumps(record.mq_text, ensure_ascii=False),
-        bq_parts,
-    )
+        encode_basestring(record.image_id), encode_basestring(record.mq_text), bq_parts)
 
 
 def record_from_json(line, where="<string>"):
@@ -189,17 +186,20 @@ def record_from_json(line, where="<string>"):
 
 
 def _parse_record(line):
-    obj = json.loads(line)
-    bqs = [ScoredBasicQuestion(_typed(bq, "text", "string"), float(_typed(bq, "score", "number")), -1)
-           for bq in obj["bqs"]]
-    return BqdRecord(_typed(obj, "image_id", "string"), _typed(obj, "mq", "string"), bqs)
-
-
-def _typed(obj, key, kind):
-    value = obj[key]
-    if type(value) not in _KINDS[kind]:
-        raise TypeError(f"{key!r} must be a {kind}, got {type(value).__name__}")
-    return value
+    # Each field is read, then type-checked, in this order; a JSON true or false is not a number.
+    obj = fileformats.decode_json_line(line)
+    bqs = []
+    for bq in obj["bqs"]:
+        if type(text := bq["text"]) is not str:
+            raise TypeError(f"'text' must be a string, got {type(text).__name__}")
+        if type(score := bq["score"]) is not float and type(score) is not int:
+            raise TypeError(f"'score' must be a number, got {type(score).__name__}")
+        bqs.append(ScoredBasicQuestion(text, float(score), -1))
+    if type(image_id := obj["image_id"]) is not str:
+        raise TypeError(f"'image_id' must be a string, got {type(image_id).__name__}")
+    if type(mq := obj["mq"]) is not str:
+        raise TypeError(f"'mq' must be a string, got {type(mq).__name__}")
+    return BqdRecord(image_id, mq, bqs)
 
 
 def write_bqd(path, records):

@@ -78,14 +78,6 @@ class PartitionCounts:
     by_appends: tuple
     total: int
 
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.by_appends)
-        if len(counts) != 4:
-            raise InvalidInputError("by_appends must have exactly 4 entries")
-        if sum(counts) != self.total:
-            raise InvalidInputError("partition counts must sum to the total")
-        object.__setattr__(self, "by_appends", counts)
-
     def as_dict(self):
         return {
             "total": self.total,
@@ -93,7 +85,8 @@ class PartitionCounts:
         }
 
 
-def _check_scores(scores):
+def decide_appends(scores, policy):
+    """Number of questions (0..3) to append under the strict cascade."""
     if len(scores) != 3:
         raise InvalidInputError(f"expected 3 scores, got {len(scores)}")
     s1, s2, s3 = (float(s) for s in scores)
@@ -101,12 +94,6 @@ def _check_scores(scores):
         raise InvalidInputError(f"scores must be nonincreasing, got {scores}")
     if s3 < 0.0 or s1 > 1.0:
         raise InvalidInputError(f"scores must lie in [0, 1], got {scores}")
-    return s1, s2, s3
-
-
-def decide_appends(scores, policy):
-    """Number of questions (0..3) to append under the strict cascade."""
-    s1, s2, s3 = _check_scores(scores)
     if not s1 > policy.s1:
         return 0
     if s1 == 0.0 or not s2 / s1 > policy.s2:

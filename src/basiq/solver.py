@@ -195,8 +195,8 @@ def solve_lasso(d, b, config=None):
     step's Gram matrix.  ``d`` is solved afresh each step: an updated
     inverse costs as many small calls here and changes its bits.
 
-    Returns a SparseSolution.  The resolved penalty must be strictly
-    positive; a zero penalty is a different problem and is rejected.
+    Returns a SparseSolution.  A zero penalty, a different problem, and a
+    singular step (numerically collinear active columns) are rejected.
     """
     if config is None:
         config = LassoConfig()
@@ -227,7 +227,11 @@ def solve_lasso(d, b, config=None):
         t_out, k = np.inf, -1
         if idx.size:
             gram = cols.T @ cols
-            d = np.linalg.solve(gram, signs)
+            try:
+                d = np.linalg.solve(gram, signs)
+            except np.linalg.LinAlgError:
+                raise InvalidInputError(
+                    f"path step {steps}: the active columns are numerically collinear") from None
             slope = a.T @ (cols @ d)
             xs = x[idx]
             t_drop = np.full(idx.size, np.inf)

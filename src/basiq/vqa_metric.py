@@ -83,7 +83,7 @@ def _parse_jsonl_objects(path, required_keys):
     out = []
     for lineno, line in fileformats.read_jsonl(path):
         try:
-            obj = json.loads(line)
+            obj = fileformats.decode_json_line(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
         if not isinstance(obj, dict):

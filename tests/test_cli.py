@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from basiq import fileformats
-from basiq.cli import EXIT_FAIL, EXIT_OK, EXIT_PARTIAL, main
-from basiq.generator import BqdRecord, ScoredBasicQuestion, write_bqd
+from basiq.cli import EXIT_FAIL, EXIT_OK, EXIT_PARTIAL, _write_json, main
+from basiq.errors import ParseError
+from basiq.generator import BqdRecord, ScoredBasicQuestion, read_bqd, write_bqd
+from basiq.vqa_metric import AnswerRecord, aggregate_by_type, evaluate
 
-from conftest import unit_columns
+from conftest import near_duplicate_pairs, unit_columns
 
 
 @pytest.fixture
@@ -180,6 +182,28 @@ def test_gen_bq_uncertified_solve_is_a_query_error(tmp_path, capsys, keep_going)
     if keep_going:
         assert code == EXIT_PARTIAL
         assert [json.loads(l)["image_id"] for l in out.read_text().splitlines()] == ["easy"]
+    else:
+        assert code == EXIT_FAIL
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("keep_going", [False, True], ids=["fail", "keep-going"])
+def test_gen_bq_singular_gram_is_a_query_error(tmp_path, capsys, keep_going):
+    a, b = near_duplicate_pairs(116)
+    corpus = tmp_path / "near.txt"
+    fileformats.write_embeddings_text(
+        corpus, [(f"q{j}", f"is item {j} in view?", a[:, j]) for j in range(16)], 8)
+    queries = tmp_path / "queries.txt"
+    fileformats.write_embeddings_text(queries, [("bad", "bad?", b), ("ok", "ok?", a[:, 0])], 8)
+    cache, out = _build(tmp_path, corpus), tmp_path / "bqd.jsonl"
+    code = run(["gen-bq", "--dict", cache, "--queries", queries, "--out", out,
+                "--lambda-rel", "1e-3"] + (["--keep-going"] if keep_going else []))
+    err = capsys.readouterr().err
+    assert err.startswith("error: query 'bad': path step ")
+    assert "the active columns are numerically collinear\n" in err
+    if keep_going:
+        assert code == EXIT_PARTIAL
+        assert [json.loads(l)["image_id"] for l in out.read_text().splitlines()] == ["ok"]
     else:
         assert code == EXIT_FAIL
         assert not out.exists()
@@ -438,3 +462,103 @@ def test_eval_annotation_json_error_wins_over_earlier_duplicate(tmp_path, capsys
     assert run(argv) == EXIT_FAIL
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'anno.jsonl'}: line 3: Expecting value")
+
+
+# Lines that a single raw JSON scan reads differently from json.loads: the
+# readers must accept or reject each one as json.loads does, with its words.
+_GOOD_LINE = json.dumps({"image_id": "ok", "mq": "fine?", "bqs": _GOOD_BQS})
+_EXTRA = f"Extra data: line 1 column {len(_GOOD_LINE) + 2} (char {len(_GOOD_LINE) + 1})"
+_BQD_DECODE_CASES = {
+    "leading whitespace": (" \t" + _GOOD_LINE, None),
+    "trailing whitespace": (_GOOD_LINE + " \r", None),
+    "BOM": ("\ufeff" + _GOOD_LINE,
+            "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "trailing garbage": (_GOOD_LINE + " x", _EXTRA),
+    "NaN": (_GOOD_LINE.replace("0.5", "NaN"), "malformed record: score nan outside [0, 1]"),
+    "Infinity": (_GOOD_LINE.replace("0.5", "Infinity"),
+                 "malformed record: score inf outside [0, 1]"),
+    "not an object": ("[1, 2]",
+                      "malformed record: list indices must be integers or slices, not str"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BQD_DECODE_CASES))
+def test_bqd_decode_matches_json_loads(tmp_path, capsys, kind):
+    line, message = _BQD_DECODE_CASES[kind]
+    bqd, out = tmp_path / "in.jsonl", tmp_path / "o.jsonl"
+    bqd.write_text(f"{_GOOD_LINE}\n{line}\n", encoding="utf-8")
+    code = run(["concat", "--bqd", bqd, "--out", out])
+    if message is None:
+        assert code == EXIT_OK
+        first, second = out.read_text(encoding="utf-8").splitlines()
+        assert first == second
+        good, same = read_bqd(bqd)
+        assert good == same
+    else:
+        assert code == EXIT_FAIL
+        assert capsys.readouterr().err == f"error: {bqd}:2: {message}\n"
+        with pytest.raises(ParseError) as exc:
+            read_bqd(bqd)
+        assert str(exc.value) == f"{bqd}:2: {message}"
+
+
+_PRED = '{"question_id": "q1", "answer": "red"}'
+_ANNO = '{"question_id": "q1", "answers": ["red", "Red ", "red"]}'
+_EVAL_DECODE_CASES = {
+    "leading whitespace": (" " + _PRED, "\t" + _ANNO, None),
+    "trailing whitespace": (_PRED + " \r", _ANNO + "  ", None),
+    "NaN and Infinity": ('{"question_id": NaN, "answer": "inf"}',
+                         '{"question_id": NaN, "answers": [Infinity, "inf", " INF"]}', None),
+    "BOM": ("\ufeff" + _PRED, _ANNO, "pred.jsonl: line 1: Unexpected UTF-8 BOM "
+                                     "(decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "trailing garbage": (_PRED, _ANNO + " x",
+                         f"anno.jsonl: line 1: Extra data: line 1 column {len(_ANNO) + 2} "
+                         f"(char {len(_ANNO) + 1})"),
+    "not an object": (_PRED, '["q1", ["red"]]', "anno.jsonl: line 1: expected a JSON object"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_EVAL_DECODE_CASES))
+def test_eval_decode_matches_json_loads(tmp_path, capsys, kind):
+    pred, anno, message = _EVAL_DECODE_CASES[kind]
+    code = run(_eval_files(tmp_path, pred + "\n", anno + "\n"))
+    captured = capsys.readouterr()
+    if message is None:
+        assert code == EXIT_OK
+        assert captured.out == "accuracy: 1.000000 over 1 questions\n"
+    else:
+        assert code == EXIT_FAIL
+        assert captured.err == f"error: {tmp_path}/{message}\n"
+
+
+# Ids and texts with quotes, backslashes, control characters, non-ASCII
+# letters, an astral-plane character and the line separators JSON leaves raw.
+_AWKWARD = ['plain', 'say "hi"', "back\\slash", "tab\tnew\nline\x01\x1f\x7f", "café 中文",
+            "emoji \U0001f600", "line\u2028sep\u2029"]
+
+
+@pytest.mark.parametrize("per_type", [False, True], ids=["plain", "per-type"])
+def test_eval_report_layout_is_json_dumps(tmp_path, per_type):
+    records = [AnswerRecord(qid, "red", ["red"] * (i % 4 + 1) + ["blue"])
+               for i, qid in enumerate(_AWKWARD)]
+    report = evaluate(records)
+    payload = report.as_dict()
+    if per_type:
+        payload["per_type"] = aggregate_by_type(report, {q: f"type {q}" for q in _AWKWARD[::2]})
+    out = tmp_path / "report.json"
+    _write_json(out, payload)
+    assert out.read_text(encoding="utf-8") == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_concat_line_layout_is_the_json_encoder(tmp_path):
+    bqd, out = tmp_path / "in.jsonl", tmp_path / "o.jsonl"
+    write_bqd(bqd, [BqdRecord(f"img {t}", f"{t}?", [ScoredBasicQuestion(f"{t} {k}?", s, k)
+                                                   for k, s in enumerate((0.9, 0.85, 0.8))])
+                    for t in _AWKWARD])
+    assert run(["concat", "--bqd", bqd, "--out", out, "--separator", "\u2028"]) == EXIT_OK
+    lines = out.read_text(encoding="utf-8").split("\n")
+    assert lines.pop() == "" and len(lines) == len(_AWKWARD)
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+    for t, line in zip(_AWKWARD, lines):
+        text = "\u2028".join([f"{t}?"] + [f"{t} {k}?" for k in range(3)])
+        assert line == encode({"image_id": f"img {t}", "appended": 3, "text": text})

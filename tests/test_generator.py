@@ -19,7 +19,7 @@ from basiq.generator import (
 from basiq.solver import LassoConfig
 from basiq.vqa_metric import AnswerRecord
 
-from conftest import orthogonal_dictionary, question_records, unit_columns
+from conftest import near_duplicate_pairs, orthogonal_dictionary, question_records, unit_columns
 from basiq.dictionary import build_dictionary
 
 
@@ -206,6 +206,19 @@ def test_uncertified_solve_raises():
     d, b, config = uncertified_case()
     with pytest.raises(UncertifiedSolveError, match="after 2 path steps"):
         generate_basic_questions(d, b, config=config)
+
+
+@pytest.mark.parametrize("seed, nonnegative", [(116, False), (127, True)])
+def test_singular_gram_is_a_batch_error(seed, nonnegative):
+    a, b = near_duplicate_pairs(seed)
+    d = build_dictionary(question_records(a))
+    planted = d.matrix[:, 0].copy()
+    result = generate_batch(d, [("img1", "main?", b), ("img2", "other?", planted)],
+                            config=LassoConfig.relative(1e-3, nonnegative=nonnegative))
+    assert [r.image_id for r in result.records] == ["img2"]
+    [(image_id, message)] = result.diagnostics.errors
+    assert image_id == "img1"
+    assert message.endswith("the active columns are numerically collinear")
 
 
 def test_batch_propagates_program_errors(rng, monkeypatch):

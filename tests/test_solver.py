@@ -15,7 +15,7 @@ from basiq.solver import (
     solve_lasso,
 )
 
-from conftest import orthogonal_dictionary, unit_columns
+from conftest import near_duplicate_pairs, orthogonal_dictionary, unit_columns
 
 
 def kkt_violation(a, b, lam, x, nonnegative=False):
@@ -257,6 +257,16 @@ def test_degenerate_design_certifies(rng, kind):
                 sol = solve_lasso(a, b, LassoConfig.absolute(lam, nonnegative=nonnegative))
                 assert sol.converged and sol.duality_gap <= 1e-6
                 assert kkt_violation(a, b, lam, sol.coefficients, nonnegative) <= 1e-6
+
+
+@pytest.mark.parametrize("seed, nonnegative", [(116, False), (127, True)])
+def test_singular_gram_is_an_input_error(seed, nonnegative):
+    # Columns about 1e-8 apart pass the _SPAN_EPS entry test, then make the
+    # active Gram matrix singular; that is an error in the input, not a crash.
+    a, b = near_duplicate_pairs(seed)
+    with pytest.raises(InvalidInputError, match=r"^path step \d+: the active columns are "
+                                                r"numerically collinear$"):
+        solve_lasso(a, b, LassoConfig.relative(1e-3, nonnegative=nonnegative))
 
 
 def test_dropped_coefficient_may_reenter_with_opposite_sign():
