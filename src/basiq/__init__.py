@@ -73,7 +73,6 @@ from .vqa_metric import (
     AnswerRecord,
     evaluate,
     load_answer_records,
-    normalize_answer,
     question_score,
 )
 
@@ -118,7 +117,6 @@ __all__ = [
     "lambda_max",
     "load_answer_records",
     "load_dictionary_cache",
-    "normalize_answer",
     "normalize_question_text",
     "partition_counts",
     "question_score",

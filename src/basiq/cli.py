@@ -23,6 +23,7 @@ from .errors import BasiqError, ParseError
 from .generator import generate_batch, read_bqd, write_bqd
 from .policy import (
     DEFAULT_THRESHOLDS,
+    STAT_CHANNELS,
     ConcatenationPolicy,
     concatenate,
     decide_appends,
@@ -95,7 +96,7 @@ def cmd_build_dict(args):
 
 def cmd_gen_bq(args):
     d = load_dictionary_cache(args.dict)
-    queries = [(rec.id, rec.text, rec.vector) for rec in load_embeddings(args.queries)]
+    queries = load_embeddings(args.queries)
     config = _lasso_config_from_args(args)
     result = generate_batch(d, queries, config=config, exclude_exact=args.exclude_exact)
     errors = result.diagnostics.errors
@@ -148,6 +149,12 @@ def cmd_stats(args):
             print(f"{channel}: " + "  ".join(
                 f"{k}={v:.4f}" for k, v in grid.items()))
     if args.out:
+        # An empty channel's figures are NaN, which JSON has no word for: write null.
+        for name, entry in zip(STAT_CHANNELS, stats.channels):
+            if not entry.count:
+                payload[name].update(avg=None, std=None)
+                if args.candidates:
+                    payload["candidates"][name] = dict.fromkeys(payload["candidates"][name])
         _write_json(args.out, payload)
         _write_manifest(args.out, "stats", {"bqd": str(args.bqd)},
                         {"candidates": args.candidates})

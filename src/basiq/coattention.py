@@ -22,18 +22,16 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fileformats
-from .errors import ParseError, ShapeError
+from .errors import ShapeError
 from .immutable import readonly_array
-
-ATTENTION_SECTION_NAMES = ("w_x", "w_g", "w_hx")
 
 
 @dataclass(frozen=True)
-class AttentionParameters:
+class AttentionParameters(fileformats.MatrixSections):
     """Projection matrices into the k-dim attention space plus the scoring vector.
 
     w_x: (k x d) feature projection; w_g: (k x d_g) guider projection;
-    w_hx: (k,) scoring vector.
+    w_hx: (k,) scoring vector, stored as a one-row section.
     """
 
     w_x: np.ndarray
@@ -72,19 +70,6 @@ class AttentionParameters:
             w_x=scale * rng.standard_normal((attention_dim, feature_dim)),
             w_g=scale * rng.standard_normal((attention_dim, guider_dim)),
             w_hx=scale * rng.standard_normal(attention_dim),
-        )
-
-    @classmethod
-    def from_file(cls, path):
-        sections = fileformats.read_matrix_sections(path)
-        missing = [n for n in ATTENTION_SECTION_NAMES if n not in sections]
-        if missing:
-            raise ParseError(f"{path}: missing sections {missing}")
-        return cls(**{n: sections[n] for n in ATTENTION_SECTION_NAMES})
-
-    def to_file(self, path):
-        fileformats.write_matrix_sections(
-            path, {n: getattr(self, n) for n in ATTENTION_SECTION_NAMES}
         )
 
 

@@ -22,7 +22,8 @@ UNIT_NORM_TOL = 1e-9
 
 
 def normalize_question_text(text):
-    """Dedup key: trim, collapse whitespace runs, compare case-insensitively."""
+    """Trim, collapse whitespace runs, casefold: the dedup key of question
+    texts, and the answer normalization of ``vqa_metric``."""
     return " ".join(text.split()).casefold()
 
 

@@ -12,16 +12,14 @@ All operations here are pure functions over immutable inputs.
 """
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import fileformats
-from .errors import InvalidInputError, ParseError, ShapeError
+from .errors import InvalidInputError, ShapeError
 from .immutable import readonly_array
-
-GRU_SECTION_NAMES = ("u_r", "u_z", "u", "w_r", "w_z", "w")
 
 _PUNCT_TABLE = str.maketrans({ch: f" {ch} " for ch in string.punctuation})
 
@@ -35,12 +33,13 @@ class QuestionRecord(NamedTuple):
 
 
 @dataclass(frozen=True)
-class GruParameters:
+class GruParameters(fileformats.MatrixSections):
     """The six weight matrices of the recurrence.
 
     ``u_r``, ``u_z``, ``u`` act on the previous hidden state
     (hidden_dim x hidden_dim); ``w_r``, ``w_z``, ``w`` act on the input
-    token embedding (hidden_dim x input_dim).
+    token embedding (hidden_dim x input_dim).  ``from_file`` and
+    ``to_file`` keep one section per matrix, under these names.
     """
 
     u_r: np.ndarray
@@ -51,8 +50,8 @@ class GruParameters:
     w: np.ndarray
 
     def __post_init__(self):
-        for name in ("u_r", "u_z", "u", "w_r", "w_z", "w"):
-            object.__setattr__(self, name, readonly_array(getattr(self, name), name, 2))
+        for f in fields(self):
+            object.__setattr__(self, f.name, readonly_array(getattr(self, f.name), f.name, 2))
         h, h2 = self.u_r.shape
         if h != h2:
             raise ShapeError(f"u_r must be square, got {self.u_r.shape}")
@@ -86,20 +85,6 @@ class GruParameters:
             w_r=mk(hidden_dim, input_dim),
             w_z=mk(hidden_dim, input_dim),
             w=mk(hidden_dim, input_dim),
-        )
-
-    @classmethod
-    def from_file(cls, path):
-        """Load parameters from a matrix-section file with the six canonical names."""
-        sections = fileformats.read_matrix_sections(path)
-        missing = [n for n in GRU_SECTION_NAMES if n not in sections]
-        if missing:
-            raise ParseError(f"{path}: missing sections {missing}")
-        return cls(**{n: sections[n] for n in GRU_SECTION_NAMES})
-
-    def to_file(self, path):
-        fileformats.write_matrix_sections(
-            path, {n: getattr(self, n) for n in GRU_SECTION_NAMES}
         )
 
 

@@ -23,6 +23,7 @@ so the values, and the first bad line an error names, are those of a
 line-by-line parse.
 """
 
+import dataclasses
 import json
 import re
 import struct
@@ -314,6 +315,24 @@ def write_matrix_sections(path, sections):
             fh.write(f"name={name} rows={a.shape[0]} cols={a.shape[1]}\n")
             for row in a:
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+
+
+class MatrixSections:
+    """Mixin for a dataclass of arrays stored as a matrix-section file,
+    one section per field, named and ordered as the fields are."""
+
+    @classmethod
+    def from_file(cls, path):
+        sections = read_matrix_sections(path)
+        names = [f.name for f in dataclasses.fields(cls)]
+        missing = [n for n in names if n not in sections]
+        if missing:
+            raise ParseError(f"{path}: missing sections {missing}")
+        return cls(**{n: sections[n] for n in names})
+
+    def to_file(self, path):
+        write_matrix_sections(
+            path, {f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
 
 
 def write_jsonl(path, lines):

@@ -92,13 +92,11 @@ class SparseSolution:
     sweeps_used: int
     objective: float
     converged: bool
-    objective_history: np.ndarray
 
     def __post_init__(self):
-        for name in ("coefficients", "objective_history"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        arr = np.asarray(self.coefficients, dtype=np.float64)
+        arr.setflags(write=False)
+        object.__setattr__(self, "coefficients", arr)
 
 
 def _as_matrix(dict_or_matrix):
@@ -178,10 +176,10 @@ def solve_lasso(d, b, config=None):
     ``lam`` the KKT system on the final support is solved exactly.
 
     ``config.max_sweeps`` caps the number of path steps and
-    ``sweeps_used`` counts them; ``objective_history`` holds the
-    objective at ``lam`` after each step, which never increases along
-    the path.  The returned gap is always evaluated at the returned
-    coefficients, and ``converged`` says it is at most ``config.tol``.
+    ``sweeps_used`` counts them.  The returned gap is always evaluated
+    at the returned coefficients, and ``converged`` says it is at most
+    ``config.tol``.  A cell (column and band edge) that drops may not
+    re-enter until the penalty moves, so zero-length steps cannot cycle.
 
     The correlations ``A^T r`` are linear along a path segment, so each
     step updates them by ``t * slope`` (the running correlation of LARS,
@@ -191,9 +189,9 @@ def solve_lasso(d, b, config=None):
     buffers, the upper band edge in column 0 and (unless nonnegative) the
     lower in column 1, gives every entry time, and one flat ``argmin``
     takes the lowest column, then the upper edge.  The active columns are
-    gathered once per event, for the residual after it and the next
-    step's Gram matrix.  ``d`` is solved afresh each step: an updated
-    inverse costs as many small calls here and changes its bits.
+    gathered once per event, for the next step's Gram matrix and, after
+    the last step, the residual.  ``d`` is solved afresh each step: an
+    updated inverse costs as many small calls here and changes its bits.
 
     Returns a SparseSolution.  A zero penalty, a different problem, and a
     singular step (numerically collinear active columns) are rejected.
@@ -217,10 +215,9 @@ def solve_lasso(d, b, config=None):
     sign = np.zeros(n)  # +-1 on the active set
     idx = sign.nonzero()[0]  # the active set, ascending, so drop ties go to the lowest
     cols, signs = a[:, idx], sign[idx]
-    left = None  # the (column, edge) cell that just dropped
+    left = []  # the (column, edge) cells dropped since the penalty last moved
     slope = np.zeros(n)  # until the first entry; a lone coefficient never drops
 
-    history = []
     steps = 0
     while steps < config.max_sweeps:
         steps += 1
@@ -241,16 +238,16 @@ def solve_lasso(d, b, config=None):
 
         # Active columns and those with a denominator at most _SPAN_EPS (moving
         # away, or in the active span) never enter; a negative numerator (past
-        # the edge by rounding) enters at once.  A coordinate that just dropped
-        # may re-enter at once only on the other edge, with the other sign.
+        # the edge by rounding) enters at once.  A coordinate dropped at this
+        # penalty may re-enter only on the other edge, with the other sign.
         np.subtract(lam_cur, corr, out=num.T[0])
         np.add(lam_cur, corr, out=num.T[1:])  # empty when nonnegative
         np.subtract(1.0, slope, out=den.T[0])
         np.add(1.0, slope, out=den.T[1:])
         np.greater(den, _SPAN_EPS, out=mask)
         mask[idx] = False
-        if left is not None:
-            mask[left] = False
+        for dropped in left:
+            mask[dropped] = False
         times.fill(np.inf)
         np.maximum(num, 0.0, out=num)
         np.divide(num, den, out=times, where=mask)
@@ -268,25 +265,25 @@ def solve_lasso(d, b, config=None):
         if idx.size:
             x[idx] = xs + t * d
         lam_cur -= t
+        if t > 0:
+            left.clear()
 
         if event == "target":
             if idx.size:
                 x[idx] = np.linalg.solve(gram, cols.T @ b - lam * signs)
         else:
             if event == "drop":
-                left = (k, 0 if sign[k] > 0 else 1)
+                left.append((k, 0 if sign[k] > 0 else 1))
                 sign[k] = x[k] = 0.0
             else:
                 sign[j] = 1.0 if side == 0 else -1.0
-                left = None
             idx = sign.nonzero()[0]
             cols, signs = a[:, idx], sign[idx]
-        r = b - cols @ x[idx]
-        history.append(0.5 * float(r @ r) + lam * float(np.abs(x).sum()))
         if event == "target":
             break
         corr -= t * slope
 
+    r = b - cols @ x[idx]
     r_norm2 = float(r @ r)
     l1 = float(np.sum(np.abs(x)))
     gap = _gap_from_residual(a, b, lam, r, r_norm2, l1, config.nonnegative)
@@ -296,5 +293,4 @@ def solve_lasso(d, b, config=None):
         sweeps_used=steps,
         objective=0.5 * r_norm2 + lam * l1,
         converged=gap <= config.tol,
-        objective_history=np.array(history),
     )

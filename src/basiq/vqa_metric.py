@@ -3,8 +3,9 @@
 A predicted answer earns min(matches / 3, 1) where matches counts the
 annotator answers equal to it, so three agreeing annotators already
 mean full credit; the mean over all questions is the reported accuracy.
-Answers are normalized (lowercase, trim, collapse whitespace) before
-comparison unless raw matching is requested.
+Answers are normalized as the dictionary's dedup key normalizes question
+text (trim, collapse whitespace, casefold) before comparison unless raw
+matching is requested.
 """
 
 import functools
@@ -13,13 +14,9 @@ import math
 from dataclasses import dataclass
 
 from . import fileformats
+from .dictionary import normalize_question_text
 from .errors import InvalidInputError, ParseError
 from .immutable import checked_tuple
-
-
-def normalize_answer(answer):
-    """Lowercase, trim, and collapse internal whitespace."""
-    return " ".join(answer.split()).casefold()
 
 
 class AnswerRecord(checked_tuple("AnswerRecord", "question_id predicted annotator_answers")):
@@ -58,7 +55,7 @@ def _consensus_score(record, norm):
 
 def question_score(record, normalize=True):
     """min(matches / 3, 1) over the record's annotator answers."""
-    return _consensus_score(record, normalize_answer if normalize else (lambda s: s))
+    return _consensus_score(record, normalize_question_text if normalize else (lambda s: s))
 
 
 def evaluate(records, normalize=True):
@@ -67,7 +64,7 @@ def evaluate(records, normalize=True):
     if not records:
         raise InvalidInputError("cannot evaluate zero records")
     # Annotator answers repeat heavily: normalize each distinct one once.
-    norm = functools.cache(normalize_answer) if normalize else (lambda s: s)
+    norm = functools.cache(normalize_question_text) if normalize else (lambda s: s)
     seen = set()
     per_question = []
     for rec in records:

@@ -335,6 +335,26 @@ def test_stats_candidates_flag(tmp_path, capsys):
     assert "avg_plus_std=0.6000" in stdout
 
 
+def test_stats_out_writes_empty_channels_as_null(tmp_path, capsys):
+    # score1 == 0 everywhere leaves both ratio channels empty, with NaN
+    # figures; the printed tables show them, the JSON report writes null.
+    bqd = _bqd_fixture(tmp_path, [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0)])
+    out = tmp_path / "stats.json"
+    assert run(["stats", "--bqd", bqd, "--candidates", "--out", out]) == EXIT_OK
+    assert "score2_over_score1: avg=nan" in capsys.readouterr().out
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(out.read_text(), parse_constant=reject)
+    assert payload["score1"] == {"avg": 0.0, "std": 0.0, "count": 2}
+    assert payload["candidates"]["score1"]["avg"] == 0.0
+    for name in ("score2_over_score1", "score3_over_score2"):
+        assert payload[name] == {"avg": None, "std": None, "count": 0}
+        assert payload["candidates"][name] == {
+            "avg": None, "avg_plus_std": None, "avg_minus_std": None}
+
+
 def test_usage_error_exits_with_fail_code(tmp_path, corpus_file, query_file, capsys):
     # exit code 2 is reserved for partial batches, so usage errors map to 1
     cache = _build(tmp_path, corpus_file)

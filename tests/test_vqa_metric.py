@@ -5,13 +5,13 @@ import math
 
 import pytest
 
+from basiq.dictionary import normalize_question_text
 from basiq.errors import InvalidInputError, ParseError
 from basiq.vqa_metric import (
     AnswerRecord,
     aggregate_by_type,
     evaluate,
     load_answer_records,
-    normalize_answer,
     question_score,
 )
 
@@ -48,7 +48,7 @@ def test_normalization_folds_case_and_whitespace():
 
 
 def test_normalize_answer_rule():
-    assert normalize_answer("  Two   Dogs ") == "two dogs"
+    assert normalize_question_text("  Two   Dogs ") == "two dogs"
 
 
 def test_mean_of_two_records():
