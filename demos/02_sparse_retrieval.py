@@ -2,7 +2,7 @@
 
 Builds a small corpus, plants one query as an exact copy of a corpus
 question and another as a two-question mixture, then inspects the
-solver's certificate and the ranked scores.
+solver's certificate and the ranked columns and scores.
 """
 
 import numpy as np
@@ -27,8 +27,9 @@ print(f"coefficient on the planted column: {sol.coefficients[10]:.6f}")
 
 # a mixture splits its weight across its components
 mixture = 0.7 * d.matrix[:, 4] + 0.5 * d.matrix[:, 31]
-for bq in generate_basic_questions(d, mixture, config=config):
-    print(f"  score {bq.score:.6f}  {bq.text}")
+columns, scores = generate_basic_questions(d, mixture, config=config)
+for j, score in zip(columns, scores):
+    print(f"  score {score:.6f}  column {j:2d}  {d.texts[j]}")
 
 # cranking the penalty past the critical value empties the solution
 lam_crit = lambda_max(d, mixture)

@@ -34,7 +34,7 @@ print(f"generated {len(result.records)} records "
 policy = ConcatenationPolicy(0.43, 0.82, 0.53)
 for record in result.records:
     n = decide_appends(record.scores, policy)
-    merged = concatenate(record.mq_text, record.basic_questions, n)
+    merged = concatenate(record.mq_text, record.texts, n)
     marker = "=" if merged == record.mq_text else "+"
     print(f" {marker} {merged}")
 

@@ -7,7 +7,7 @@ derives data-driven threshold candidates from the statistics.
 
 import numpy as np
 
-from basiq.generator import BqdRecord, ScoredBasicQuestion
+from basiq.generator import BqdRecord
 from basiq.policy import (
     ConcatenationPolicy,
     partition_counts,
@@ -21,9 +21,8 @@ for i in range(400):
     s1 = float(rng.beta(4, 2))
     s2 = s1 * float(rng.beta(3, 2))
     s3 = s2 * float(rng.beta(3, 2))
-    entries = [ScoredBasicQuestion(f"q{i}.{j}?", s, j)
-               for j, s in enumerate((s1, s2, s3))]
-    records.append(BqdRecord(f"img{i}", f"main {i}?", entries))
+    texts = [f"q{i}.{j}?" for j in range(3)]
+    records.append(BqdRecord(f"img{i}", f"main {i}?", texts, (s1, s2, s3)))
 
 print("first threshold sweep (second 0.82, third 0.53):")
 print("  s1     0 BQ   1 BQ   2 BQ   3 BQ")

@@ -41,7 +41,6 @@ from .errors import (
 from .generator import (
     BatchResult,
     BqdRecord,
-    ScoredBasicQuestion,
     generate_basic_questions,
     generate_batch,
     read_bqd,
@@ -77,57 +76,3 @@ from .vqa_metric import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AccuracyReport",
-    "AnswerRecord",
-    "AttentionParameters",
-    "AttentionResult",
-    "BasiqError",
-    "BatchResult",
-    "BqdRecord",
-    "ConcatenationPolicy",
-    "DEFAULT_LAMBDA_REL",
-    "DEFAULT_THRESHOLDS",
-    "Dictionary",
-    "GruParameters",
-    "InvalidInputError",
-    "LassoConfig",
-    "ParseError",
-    "PartitionCounts",
-    "QuestionRecord",
-    "ScoreStats",
-    "ScoredBasicQuestion",
-    "ShapeError",
-    "SparseSolution",
-    "TokenEmbeddingTable",
-    "UncertifiedSolveError",
-    "UnsupportedConfigError",
-    "alternating_coattention",
-    "attention_op",
-    "build_dictionary",
-    "concatenate",
-    "decide_appends",
-    "duality_gap",
-    "encode_question",
-    "evaluate",
-    "generate_basic_questions",
-    "generate_batch",
-    "gru_step",
-    "lambda_max",
-    "load_answer_records",
-    "load_dictionary_cache",
-    "normalize_question_text",
-    "partition_counts",
-    "question_score",
-    "read_bqd",
-    "record_from_json",
-    "record_to_json",
-    "save_dictionary_cache",
-    "score_statistics",
-    "softmax",
-    "solve_lasso",
-    "threshold_candidates",
-    "tokenize",
-    "write_bqd",
-]

@@ -126,7 +126,7 @@ def cmd_concat(args):
     lines = []
     for rec in records:
         n = decide_appends(rec.scores, policy)
-        text = concatenate(rec.mq_text, rec.basic_questions, n, separator=args.separator)
+        text = concatenate(rec.mq_text, rec.texts, n, separator=args.separator)
         lines.append('{"appended": %d, "image_id": %s, "text": %s}'
                      % (n, encode_basestring(rec.image_id), encode_basestring(text)))
     fileformats.write_jsonl(args.out, lines)
@@ -181,7 +181,14 @@ def _load_type_map(path):
             raise ParseError(f"{path}: {exc}") from None
     if not isinstance(type_map, dict):
         raise ParseError(f"{path}: expected a JSON object mapping question ids to types")
-    return {str(k): str(v) for k, v in type_map.items()}
+    type_map = {str(k): str(v) for k, v in type_map.items()}
+    for label in type_map.values():
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            # A lone surrogate, from a JSON escape such as "\ud800", cannot be printed.
+            raise ParseError(f"{path}: type label {label!r} is not valid Unicode") from None
+    return type_map
 
 
 def cmd_eval(args):

@@ -31,7 +31,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidInputError, ParseError
 
 EMBEDDING_MAGIC = b"QEMB"
 EMBEDDING_VERSION = 1
@@ -336,11 +336,17 @@ class MatrixSections:
 
 
 def write_jsonl(path, lines):
-    """Write pre-serialized JSON lines, one per record, trailing newline."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+    """Write pre-serialized JSON lines, one per record, trailing newline.
+
+    The payload is encoded whole before the file is opened, so a string
+    UTF-8 cannot hold (a lone surrogate) leaves no file behind.
+    """
+    try:
+        data = "".join([line + "\n" for line in lines]).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def read_jsonl(path):

@@ -6,11 +6,12 @@ solve that misses its duality-gap certificate is an error, never a
 record.  Scores are the raw coefficients clamped into [0, 1]; clamping
 events are counted in the batch diagnostics rather than hidden.
 
-Records (``BqdRecord``) and their questions (``ScoredBasicQuestion``) are
-tuples that one constructor each checks, however they are built: three
-entries, scores in [0, 1] and nonincreasing.  Fewer than three positive
-coefficients are padded with zero-score entries from the smallest unused
-column indices; a zero score passes no concatenation threshold.
+A record (``BqdRecord``) is one flat tuple: image id, query text, and the
+supporting questions' texts and scores as two 3-tuples, best first.  Its
+one constructor checks it, however it is built: scores in [0, 1], three
+entries, nonincreasing.  Fewer than three positive coefficients are
+padded with zero-score entries from the smallest unused column indices;
+a zero score passes no concatenation threshold.
 """
 
 import json
@@ -29,37 +30,27 @@ BQ_COUNT = 3  # supporting questions per record
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)  # JSONDecodeError is a ValueError
 
 
-class ScoredBasicQuestion(checked_tuple("ScoredBasicQuestion", "text score column_index")):
-    """One retrieved question with its similarity score and source column."""
+class BqdRecord(checked_tuple("BqdRecord", "image_id mq_text texts scores")):
+    """{image id, query text, the 3 supporting questions' texts and scores, best first}."""
 
     __slots__ = ()
 
-    def __new__(cls, text, score, column_index):
-        if not 0.0 <= score <= 1.0:
-            raise InvalidInputError(f"score {score!r} outside [0, 1]")
-        return tuple.__new__(cls, (text, score, column_index))
-
-
-class BqdRecord(checked_tuple("BqdRecord", "image_id mq_text basic_questions")):
-    """{image id, query text, exactly 3 scored supporting questions}."""
-
-    __slots__ = ()
-
-    def __new__(cls, image_id, mq_text, basic_questions):
-        bqs = tuple(basic_questions)
-        if len(bqs) != BQ_COUNT:
-            raise InvalidInputError(f"expected exactly {BQ_COUNT} supporting questions, got {len(bqs)}")
-        if not (bqs[0].score >= bqs[1].score >= bqs[2].score):
-            raise InvalidInputError(f"scores must be nonincreasing, got {[bq.score for bq in bqs]}")
+    def __new__(cls, image_id, mq_text, texts, scores):
+        texts, scores = tuple(texts), tuple(scores)
+        for s in scores:
+            if not 0.0 <= s <= 1.0:
+                raise InvalidInputError(f"score {s!r} outside [0, 1]")
+        if len(scores) != BQ_COUNT:
+            raise InvalidInputError(f"expected exactly {BQ_COUNT} supporting questions, got {len(scores)}")
+        if len(texts) != BQ_COUNT:
+            raise InvalidInputError(f"expected {BQ_COUNT} texts, got {len(texts)}")
+        if not (scores[0] >= scores[1] >= scores[2]):
+            raise InvalidInputError(f"scores must be nonincreasing, got {list(scores)}")
         if not image_id:
             raise InvalidInputError("image_id must be nonempty")
         if not mq_text.strip():
             raise InvalidInputError("mq_text must be nonempty")
-        return tuple.__new__(cls, (image_id, mq_text, bqs))
-
-    @property
-    def scores(self):
-        return tuple([bq.score for bq in self.basic_questions])
+        return tuple.__new__(cls, (image_id, mq_text, texts, scores))
 
 
 @dataclass
@@ -77,7 +68,8 @@ class BatchResult:
 
 
 def generate_basic_questions(d, mq, config=None, exclude_text=None):
-    """Solve for the query and return the top 3 dictionary questions.
+    """Solve for the query and return the top 3 dictionary questions as
+    ``(columns, scores)``: their column indices and clamped scores, best first.
 
     Coefficients are ranked in descending signed value with ties broken
     by ascending column index; only positive coefficients are eligible.
@@ -87,7 +79,8 @@ def generate_basic_questions(d, mq, config=None, exclude_text=None):
     entirely (self-match exclusion).  A solve whose duality gap exceeds
     ``config.tol`` raises ``UncertifiedSolveError``.
     """
-    return _ranked_entries(d, mq, config, exclude_text)[0]
+    columns, scores, _ = _ranked_entries(d, mq, config, exclude_text)
+    return columns, scores
 
 
 def _ranked_entries(d, mq, config, exclude_text):
@@ -114,10 +107,10 @@ def _ranked_entries(d, mq, config, exclude_text):
         raise InvalidInputError("exclusion leaves fewer columns than requested questions")
 
     order = np.argsort(-coef, kind="stable")
-    entries = []
+    columns, scores = [], []
     clamped = 0
     for j in order:
-        if len(entries) == BQ_COUNT:
+        if len(columns) == BQ_COUNT:
             break
         j = int(j)
         if coef[j] <= 0.0:
@@ -128,14 +121,15 @@ def _ranked_entries(d, mq, config, exclude_text):
         if score > 1.0:
             score = 1.0
             clamped += 1
-        entries.append(ScoredBasicQuestion(text=d.texts[j], score=score, column_index=j))
-    used = {bq.column_index for bq in entries}
+        columns.append(j)
+        scores.append(score)
     pad_j = 0
-    while len(entries) < BQ_COUNT:
-        if pad_j not in used and pad_j not in excluded:
-            entries.append(ScoredBasicQuestion(text=d.texts[pad_j], score=0.0, column_index=pad_j))
+    while len(columns) < BQ_COUNT:
+        if pad_j not in columns and pad_j not in excluded:
+            columns.append(pad_j)
+            scores.append(0.0)
         pad_j += 1
-    return entries, clamped
+    return columns, scores, clamped
 
 
 def generate_batch(d, queries, config=None, exclude_exact=False):
@@ -154,8 +148,8 @@ def generate_batch(d, queries, config=None, exclude_exact=False):
     for image_id, mq_text, vec in queries:
         exclude = mq_text if exclude_exact else None
         try:
-            entries, clamped = _ranked_entries(d, vec, config, exclude)
-            record = BqdRecord(image_id, mq_text, entries)
+            columns, scores, clamped = _ranked_entries(d, vec, config, exclude)
+            record = BqdRecord(image_id, mq_text, [d.texts[j] for j in columns], scores)
         except BasiqError as exc:
             diagnostics.errors.append((image_id, str(exc)))
         else:
@@ -168,15 +162,15 @@ def record_to_json(record):
     """One output line; scores printed at fixed 6-decimal precision."""
     bq_parts = ", ".join(
         '{"text": %s, "score": %s}'
-        % (encode_basestring(bq.text), format(bq.score, f".{SCORE_DECIMALS}f"))
-        for bq in record.basic_questions
+        % (encode_basestring(text), format(score, f".{SCORE_DECIMALS}f"))
+        for text, score in zip(record.texts, record.scores)
     )
     return '{"image_id": %s, "mq": %s, "bqs": [%s]}' % (
         encode_basestring(record.image_id), encode_basestring(record.mq_text), bq_parts)
 
 
 def record_from_json(line, where="<string>"):
-    """Parse one output line back into a record (column indices are not stored)."""
+    """Parse one output line back into a record."""
     try:
         return _parse_record(line)
     except json.JSONDecodeError as exc:
@@ -188,18 +182,19 @@ def record_from_json(line, where="<string>"):
 def _parse_record(line):
     # Each field is read, then type-checked, in this order; a JSON true or false is not a number.
     obj = fileformats.decode_json_line(line)
-    bqs = []
+    texts, scores = [], []
     for bq in obj["bqs"]:
         if type(text := bq["text"]) is not str:
             raise TypeError(f"'text' must be a string, got {type(text).__name__}")
         if type(score := bq["score"]) is not float and type(score) is not int:
             raise TypeError(f"'score' must be a number, got {type(score).__name__}")
-        bqs.append(ScoredBasicQuestion(text, float(score), -1))
+        texts.append(text)
+        scores.append(float(score))
     if type(image_id := obj["image_id"]) is not str:
         raise TypeError(f"'image_id' must be a string, got {type(image_id).__name__}")
     if type(mq := obj["mq"]) is not str:
         raise TypeError(f"'mq' must be a string, got {type(mq).__name__}")
-    return BqdRecord(image_id, mq, bqs)
+    return BqdRecord(image_id, mq, texts, scores)
 
 
 def write_bqd(path, records):

@@ -103,12 +103,12 @@ def decide_appends(scores, policy):
     return 3
 
 
-def concatenate(mq_text, bqs, n, separator=" "):
-    """Query text followed by the first ``n`` of ``bqs``, best score first;
+def concatenate(mq_text, texts, n, separator=" "):
+    """Query text followed by the first ``n`` of ``texts``, best score first;
     ``n`` is the count that ``decide_appends`` gives for their scores."""
     if not mq_text.strip():
         raise InvalidInputError("mq_text must be nonempty")
-    return separator.join([mq_text] + [bq.text for bq in bqs[:n]])
+    return separator.join([mq_text, *texts[:n]])
 
 
 def _population_stats(values):

@@ -8,7 +8,7 @@ import pytest
 from basiq import fileformats
 from basiq.cli import EXIT_FAIL, EXIT_OK, EXIT_PARTIAL, _write_json, main
 from basiq.errors import ParseError
-from basiq.generator import BqdRecord, ScoredBasicQuestion, read_bqd, write_bqd
+from basiq.generator import BqdRecord, read_bqd, write_bqd
 from basiq.vqa_metric import AnswerRecord, aggregate_by_type, evaluate
 
 from conftest import near_duplicate_pairs, unit_columns
@@ -241,9 +241,8 @@ def _bqd_fixture(tmp_path, triples):
     path = tmp_path / "fixture.jsonl"
     records = []
     for i, scores in enumerate(triples):
-        entries = [ScoredBasicQuestion(f"basic {i}.{j}?", s, j)
-                   for j, s in enumerate(scores)]
-        records.append(BqdRecord(f"img{i}", f"main {i}?", entries))
+        texts = [f"basic {i}.{j}?" for j in range(len(scores))]
+        records.append(BqdRecord(f"img{i}", f"main {i}?", texts, scores))
     write_bqd(path, records)
     return path
 
@@ -328,6 +327,17 @@ def test_eval_malformed_type_map_fails_cleanly(tmp_path, capsys, content):
     assert err.startswith("error:") and "types.json" in err
 
 
+def test_eval_type_label_lone_surrogate_fails_cleanly(tmp_path, capsys):
+    argv = _eval_files(tmp_path, '{"question_id": "q1", "answer": "red"}\n',
+                       '{"question_id": "q1", "answers": ["red"]}\n')
+    types, out = tmp_path / "types.json", tmp_path / "report.json"
+    types.write_text('{"q1": "color \\ud800"}', encoding="utf-8")
+    assert run(argv + ["--per-type", types, "--out", out]) == EXIT_FAIL
+    assert capsys.readouterr().err == (
+        f"error: {types}: type label 'color \\ud800' is not valid Unicode\n")
+    assert not out.exists()
+
+
 def test_stats_candidates_flag(tmp_path, capsys):
     bqd = _bqd_fixture(tmp_path, [(0.4, 0.2, 0.1), (0.6, 0.3, 0.15)])
     assert run(["stats", "--bqd", bqd, "--candidates"]) == EXIT_OK
@@ -398,34 +408,55 @@ def test_stats_invalid_utf8_bqd_fails_cleanly(tmp_path, capsys):
 
 _GOOD_BQS = [{"text": "a?", "score": 0.5}, {"text": "b?", "score": 0.2},
              {"text": "c?", "score": 0.1}]
-_MALFORMED_BQD_LINES = {
-    "score not a number": {"image_id": "i", "mq": "m?",
-                           "bqs": [{"text": "a?", "score": "abc"}] + _GOOD_BQS[1:]},
-    "score a numeric string": {"image_id": "i", "mq": "m?",
-                               "bqs": [{"text": "a?", "score": "0.5"}] + _GOOD_BQS[1:]},
-    "score a boolean": {"image_id": "i", "mq": "m?",
-                        "bqs": [{"text": "a?", "score": True}] + _GOOD_BQS[1:]},
-    "numeric mq": {"image_id": "i", "mq": 7, "bqs": _GOOD_BQS},
-    "numeric bq text": {"image_id": "i", "mq": "m?",
-                        "bqs": [{"text": 5, "score": 0.5}] + _GOOD_BQS[1:]},
-    "numeric image_id": {"image_id": 12, "mq": "m?", "bqs": _GOOD_BQS},
-    "score too large for a float": {"image_id": "i", "mq": "m?",
-                                    "bqs": [{"text": "a?", "score": 10**400}] + _GOOD_BQS[1:]},
-    "not an object": [1, 2, 3],
-    "bare number": 4,
-    "two bqs": {"image_id": "i", "mq": "m?", "bqs": _GOOD_BQS[:2]},
-    "four bqs": {"image_id": "i", "mq": "m?", "bqs": _GOOD_BQS + [{"text": "d?", "score": 0.0}]},
-    "unsorted scores": {"image_id": "i", "mq": "m?", "bqs": _GOOD_BQS[::-1]},
-    "score above 1": {"image_id": "i", "mq": "m?",
-                      "bqs": [{"text": "a?", "score": 1.5}] + _GOOD_BQS[1:]},
-    "negative score": {"image_id": "i", "mq": "m?",
-                       "bqs": _GOOD_BQS[:2] + [{"text": "c?", "score": -0.1}]},
-    "NaN score": {"image_id": "i", "mq": "m?",
-                  "bqs": [{"text": "a?", "score": float("nan")}] + _GOOD_BQS[1:]},
-    "blank mq": {"image_id": "i", "mq": "  ", "bqs": _GOOD_BQS},
-    "empty image_id": {"image_id": "", "mq": "m?", "bqs": _GOOD_BQS},
-    "bqs not a list": {"image_id": "i", "mq": "m?",
-                       "bqs": {str(k): bq for k, bq in enumerate(_GOOD_BQS)}},
+_MALFORMED_BQD_LINES = {  # kind: (line, the start of its message)
+    "score not a number": ({"image_id": "i", "mq": "m?",
+                            "bqs": [{"text": "a?", "score": "abc"}] + _GOOD_BQS[1:]},
+                           "'score' must be a number, got str"),
+    "score a numeric string": ({"image_id": "i", "mq": "m?",
+                                "bqs": [{"text": "a?", "score": "0.5"}] + _GOOD_BQS[1:]},
+                               "'score' must be a number, got str"),
+    "score a boolean": ({"image_id": "i", "mq": "m?",
+                         "bqs": [{"text": "a?", "score": True}] + _GOOD_BQS[1:]},
+                        "'score' must be a number, got bool"),
+    "numeric mq": ({"image_id": "i", "mq": 7, "bqs": _GOOD_BQS}, "'mq' must be a string, got int"),
+    "numeric bq text": ({"image_id": "i", "mq": "m?",
+                         "bqs": [{"text": 5, "score": 0.5}] + _GOOD_BQS[1:]},
+                        "'text' must be a string, got int"),
+    "numeric image_id": ({"image_id": 12, "mq": "m?", "bqs": _GOOD_BQS},
+                         "'image_id' must be a string, got int"),
+    "score too large for a float": ({"image_id": "i", "mq": "m?",
+                                     "bqs": [{"text": "a?", "score": 10**400}] + _GOOD_BQS[1:]},
+                                    "int too large to convert to float"),
+    "not an object": ([1, 2, 3], "list indices must be integers or slices, not str"),
+    "bare number": (4, "'int' object is not subscriptable"),
+    "two bqs": ({"image_id": "i", "mq": "m?", "bqs": _GOOD_BQS[:2]},
+                "expected exactly 3 supporting questions, got 2"),
+    "four bqs": ({"image_id": "i", "mq": "m?", "bqs": _GOOD_BQS + [{"text": "d?", "score": 0.0}]},
+                 "expected exactly 3 supporting questions, got 4"),
+    # Scores are range-checked before the count and the order.
+    "four bqs, fourth score 7.0": ({"image_id": "i", "mq": "m?",
+                                    "bqs": _GOOD_BQS + [{"text": "d?", "score": 7.0}]},
+                                   "score 7.0 outside [0, 1]"),
+    "unsorted scores": ({"image_id": "i", "mq": "m?", "bqs": _GOOD_BQS[::-1]},
+                        "scores must be nonincreasing, got [0.1, 0.2, 0.5]"),
+    "score above 1": ({"image_id": "i", "mq": "m?",
+                       "bqs": [{"text": "a?", "score": 1.5}] + _GOOD_BQS[1:]},
+                      "score 1.5 outside [0, 1]"),
+    "negative score": ({"image_id": "i", "mq": "m?",
+                        "bqs": _GOOD_BQS[:2] + [{"text": "c?", "score": -0.1}]},
+                       "score -0.1 outside [0, 1]"),
+    "NaN score": ({"image_id": "i", "mq": "m?",
+                   "bqs": [{"text": "a?", "score": float("nan")}] + _GOOD_BQS[1:]},
+                  "score nan outside [0, 1]"),
+    "NaN last score": ({"image_id": "i", "mq": "m?",
+                        "bqs": _GOOD_BQS[:2] + [{"text": "c?", "score": float("nan")}]},
+                       "score nan outside [0, 1]"),
+    "blank mq": ({"image_id": "i", "mq": "  ", "bqs": _GOOD_BQS}, "mq_text must be nonempty"),
+    "empty image_id": ({"image_id": "", "mq": "m?", "bqs": _GOOD_BQS},
+                       "image_id must be nonempty"),
+    "bqs not a list": ({"image_id": "i", "mq": "m?",
+                        "bqs": {str(k): bq for k, bq in enumerate(_GOOD_BQS)}},
+                       "string indices must be integers"),
 }
 
 
@@ -434,14 +465,31 @@ _MALFORMED_BQD_LINES = {
 def test_malformed_bqd_record_fails_naming_line(tmp_path, capsys, command, kind):
     bqd = tmp_path / "bad.jsonl"
     good = {"image_id": "ok", "mq": "fine?", "bqs": _GOOD_BQS}
-    bqd.write_text(json.dumps(good) + "\n" + json.dumps(_MALFORMED_BQD_LINES[kind]) + "\n",
-                   encoding="utf-8")
+    line, message = _MALFORMED_BQD_LINES[kind]
+    bqd.write_text(json.dumps(good) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
     argv = [command, "--bqd", bqd]
     if command == "concat":
         argv += ["--out", tmp_path / "o.jsonl"]
     assert run(argv) == EXIT_FAIL
     err = capsys.readouterr().err
-    assert err.startswith("error:") and f"{bqd}:2: malformed record" in err
+    assert err.startswith(f"error: {bqd}:2: malformed record: {message}")
+
+
+@pytest.mark.parametrize("field", ["image_id", "mq", "text"])
+def test_concat_lone_surrogate_fails_cleanly(tmp_path, capsys, field):
+    # The JSON escape "\ud800" decodes to a string UTF-8 cannot hold.
+    bqs = [dict(bq) for bq in _GOOD_BQS]
+    line = {"image_id": "i", "mq": "m?", "bqs": bqs}
+    if field == "text":
+        bqs[0]["text"] = "a \ud800?"
+    else:
+        line[field] = "x \ud800?"
+    bqd, out = tmp_path / "in.jsonl", tmp_path / "o.jsonl"
+    bqd.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    assert run(["concat", "--bqd", bqd, "--out", out, "--s1", "0.1", "--s2", "0.1"]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and "surrogates not allowed" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
 
 def test_eval_line_not_an_object_fails_cleanly(tmp_path, capsys):
@@ -572,9 +620,8 @@ def test_eval_report_layout_is_json_dumps(tmp_path, per_type):
 
 def test_concat_line_layout_is_the_json_encoder(tmp_path):
     bqd, out = tmp_path / "in.jsonl", tmp_path / "o.jsonl"
-    write_bqd(bqd, [BqdRecord(f"img {t}", f"{t}?", [ScoredBasicQuestion(f"{t} {k}?", s, k)
-                                                   for k, s in enumerate((0.9, 0.85, 0.8))])
-                    for t in _AWKWARD])
+    write_bqd(bqd, [BqdRecord(f"img {t}", f"{t}?", [f"{t} {k}?" for k in range(3)],
+                              (0.9, 0.85, 0.8)) for t in _AWKWARD])
     assert run(["concat", "--bqd", bqd, "--out", out, "--separator", "\u2028"]) == EXIT_OK
     lines = out.read_text(encoding="utf-8").split("\n")
     assert lines.pop() == "" and len(lines) == len(_AWKWARD)

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in ``src``."""
+"""Every demo script, and the README's library-use example, runs to completion
+against the package in ``src``."""
 
 import os
 import subprocess
@@ -11,9 +12,25 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def run_script(path, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(path)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_script(demo, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_use_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    script = tmp_path / "library_use.py"
+    script.write_text(snippet, encoding="utf-8")
+    proc = run_script(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 and lines[0].endswith("question 3?")  # the query's main column

@@ -5,10 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from basiq.errors import InvalidInputError, UncertifiedSolveError
+from basiq.errors import InvalidInputError, ParseError, UncertifiedSolveError
 from basiq.generator import (
     BqdRecord,
-    ScoredBasicQuestion,
     generate_basic_questions,
     generate_batch,
     read_bqd,
@@ -26,27 +25,25 @@ from basiq.dictionary import build_dictionary
 def test_planted_query_top_score():
     d = orthogonal_dictionary(16, 10, seed=1)
     b = d.matrix[:, 4].copy()
-    bqs = generate_basic_questions(d, b, config=LassoConfig.relative(0.024))
-    assert bqs[0].column_index == 4
-    assert bqs[0].text == d.texts[4]
-    assert bqs[0].score == pytest.approx(0.976, abs=1e-6)
+    columns, scores = generate_basic_questions(d, b, config=LassoConfig.relative(0.024))
+    assert columns[0] == 4
+    assert scores[0] == pytest.approx(0.976, abs=1e-6)
 
 
 def test_single_positive_coefficient_pads_with_zeros():
     d = orthogonal_dictionary(8, 5, seed=2)
     b = d.matrix[:, 3].copy()
-    bqs = generate_basic_questions(d, b, config=LassoConfig.relative(0.024))
-    assert [bq.score for bq in bqs[1:]] == [0.0, 0.0]
+    columns, scores = generate_basic_questions(d, b, config=LassoConfig.relative(0.024))
+    assert scores[1:] == [0.0, 0.0]
     # padding comes from the smallest unused column indices
-    assert [bq.column_index for bq in bqs[1:]] == [0, 1]
+    assert columns[1:] == [0, 1]
 
 
 def test_scores_sorted_nonincreasing(rng):
     for trial in range(20):
         d = build_dictionary(question_records(unit_columns(rng, 10, 24)))
         b = rng.standard_normal(10)
-        bqs = generate_basic_questions(d, b)
-        scores = [bq.score for bq in bqs]
+        _, scores = generate_basic_questions(d, b)
         assert scores == sorted(scores, reverse=True)
         assert all(0.0 <= s <= 1.0 for s in scores)
 
@@ -54,9 +51,9 @@ def test_scores_sorted_nonincreasing(rng):
 def test_negative_coefficients_never_selected():
     d = orthogonal_dictionary(8, 5, seed=3)
     b = -d.matrix[:, 3]  # anti-aligned: its coefficient would be negative
-    bqs = generate_basic_questions(d, b, config=LassoConfig.relative(0.024))
-    assert all(bq.score == 0.0 for bq in bqs)
-    assert [bq.column_index for bq in bqs] == [0, 1, 2]
+    columns, scores = generate_basic_questions(d, b, config=LassoConfig.relative(0.024))
+    assert scores == [0.0, 0.0, 0.0]
+    assert columns == [0, 1, 2]
 
 
 def test_clamping_counts_reported():
@@ -70,10 +67,10 @@ def test_clamping_counts_reported():
 def test_exclude_text_skips_self_match():
     d = orthogonal_dictionary(12, 6, seed=5)
     b = d.matrix[:, 2].copy()
-    bqs = generate_basic_questions(
+    columns, _ = generate_basic_questions(
         d, b, config=LassoConfig.relative(0.024), exclude_text=d.texts[2]
     )
-    assert all(bq.text != d.texts[2] for bq in bqs)
+    assert 2 not in columns
 
 
 def test_k_larger_than_dictionary_rejected():
@@ -83,36 +80,34 @@ def test_k_larger_than_dictionary_rejected():
 
 
 def test_emit_record_validates_count_and_order():
-    entries = [
-        ScoredBasicQuestion("a?", 0.9, 0),
-        ScoredBasicQuestion("b?", 0.5, 1),
-        ScoredBasicQuestion("c?", 0.2, 2),
-    ]
-    record = BqdRecord("img1", "main?", entries)
+    texts, scores = ["a?", "b?", "c?"], [0.9, 0.5, 0.2]
+    record = BqdRecord("img1", "main?", texts, scores)
+    assert record.texts == ("a?", "b?", "c?")
     assert record.scores == (0.9, 0.5, 0.2)
-    with pytest.raises(InvalidInputError):
-        BqdRecord("img1", "main?", entries[:2])
-    with pytest.raises(InvalidInputError):
-        BqdRecord("img1", "main?", list(reversed(entries)))
+    with pytest.raises(InvalidInputError, match="got 2"):
+        BqdRecord("img1", "main?", texts[:2], scores[:2])
+    with pytest.raises(InvalidInputError, match="expected 3 texts, got 2"):
+        BqdRecord("img1", "main?", texts[:2], scores)
+    with pytest.raises(InvalidInputError, match="nonincreasing"):
+        BqdRecord("img1", "main?", texts, scores[::-1])
 
 
 def test_score_out_of_range_rejected():
-    with pytest.raises(InvalidInputError):
-        ScoredBasicQuestion("a?", 1.5, 0)
-    with pytest.raises(InvalidInputError):
-        ScoredBasicQuestion("a?", -0.1, 0)
+    with pytest.raises(InvalidInputError, match=r"score 1.5 outside \[0, 1\]"):
+        BqdRecord("img1", "main?", ["a?", "b?", "c?"], [1.5, 0.5, 0.0])
+    with pytest.raises(InvalidInputError, match=r"score -0.1 outside \[0, 1\]"):
+        BqdRecord("img1", "main?", ["a?", "b?", "c?"], [0.5, 0.0, -0.1])
 
 
 @pytest.mark.parametrize("make", ["_replace", "_make"])
 def test_records_rebuilt_from_fields_are_checked(make):
-    bq = ScoredBasicQuestion("a?", 0.5, 0)
-    entries = (bq, bq._replace(score=0.25), bq._replace(score=0.0))
-    record = BqdRecord("img1", "main?", entries)
+    record = BqdRecord("img1", "main?", ("a?", "b?", "c?"), (0.5, 0.25, 0.0))
     answer = AnswerRecord("q1", "red", ("red",))
     invalid = [
-        (bq, {"score": 5.0}),
-        (record, {"basic_questions": entries[:2]}),
-        (record, {"basic_questions": entries[::-1]}),
+        (record, {"scores": (5.0, 0.25, 0.0)}),
+        (record, {"scores": (0.5, 0.25)}),
+        (record, {"scores": (0.0, 0.25, 0.5)}),
+        (record, {"texts": ("a?", "b?")}),
         (record, {"image_id": ""}),
         (answer, {"annotator_answers": ()}),
     ]
@@ -125,22 +120,15 @@ def test_records_rebuilt_from_fields_are_checked(make):
 
 
 def test_record_json_round_trip():
-    record = BqdRecord("img9", "what is it?", [
-        ScoredBasicQuestion("first?", 0.976, 3),
-        ScoredBasicQuestion("second?", 0.1234565, 7),
-        ScoredBasicQuestion("third?", 0.0, 0),
-    ])
+    record = BqdRecord("img9", "what is it?", ["first?", "second?", "third?"],
+                       [0.976, 0.1234565, 0.0])
     line = record_to_json(record)
     again = record_to_json(record_from_json(line))
     assert line == again
 
 
 def test_record_json_six_decimal_scores():
-    record = BqdRecord("img9", "why?", [
-        ScoredBasicQuestion("a?", 0.5, 0),
-        ScoredBasicQuestion("b?", 1.0 / 3.0, 1),
-        ScoredBasicQuestion("c?", 0.0, 2),
-    ])
+    record = BqdRecord("img9", "why?", ["a?", "b?", "c?"], [0.5, 1.0 / 3.0, 0.0])
     obj = json.loads(record_to_json(record))
     assert obj["image_id"] == "img9"
     assert obj["mq"] == "why?"
@@ -154,10 +142,11 @@ def test_batch_matches_per_query_oracle(rng):
     result = generate_batch(d, queries)
     assert len(result.records) == 8
     for (image_id, mq_text, vec), record in zip(queries, result.records):
-        expected = generate_basic_questions(d, vec)
+        columns, scores = generate_basic_questions(d, vec)
         assert record.image_id == image_id
         assert record.mq_text == mq_text
-        assert record.basic_questions == tuple(expected)
+        assert record.texts == tuple(d.texts[j] for j in columns)
+        assert record.scores == tuple(scores)
         s1, s2, s3 = record.scores
         assert s1 >= s2 >= s3
 
@@ -254,10 +243,22 @@ def test_read_bqd_round_trip(tmp_path, rng):
 
 
 def test_bqd_record_enforces_score_ordering():
-    entries = (
-        ScoredBasicQuestion("a?", 0.1, 0),
-        ScoredBasicQuestion("b?", 0.5, 1),
-        ScoredBasicQuestion("c?", 0.2, 2),
-    )
     with pytest.raises(InvalidInputError):
-        BqdRecord(image_id="x", mq_text="y?", basic_questions=entries)
+        BqdRecord(image_id="x", mq_text="y?", texts=("a?", "b?", "c?"), scores=(0.1, 0.5, 0.2))
+
+
+_GOOD_BQS = [{"text": "a?", "score": 0.5}, {"text": "b?", "score": 0.2},
+             {"text": "c?", "score": 0.1}]
+
+
+# Scores are range-checked before the count and the order, so each of these
+# lines names its out-of-range score.
+@pytest.mark.parametrize("bqs, message", [
+    (_GOOD_BQS + [{"text": "d?", "score": 7.0}], "score 7.0 outside [0, 1]"),
+    (_GOOD_BQS[:2] + [{"text": "c?", "score": float("nan")}], "score nan outside [0, 1]"),
+], ids=["fourth score 7.0", "NaN last score"])
+def test_record_from_json_checks_scores_first(bqs, message):
+    line = json.dumps({"image_id": "i", "mq": "m?", "bqs": bqs})
+    with pytest.raises(ParseError) as exc:
+        record_from_json(line, "f.jsonl:2")
+    assert str(exc.value) == f"f.jsonl:2: malformed record: {message}"

@@ -3,7 +3,7 @@
 import pytest
 
 from basiq.errors import InvalidInputError
-from basiq.generator import BqdRecord, ScoredBasicQuestion
+from basiq.generator import BqdRecord
 from basiq.policy import (
     DEFAULT_THRESHOLDS,
     ConcatenationPolicy,
@@ -20,10 +20,7 @@ OPERATING_POINT = ConcatenationPolicy(0.43, 0.82, 0.53)
 
 
 def make_record(scores, image_id="img", mq="main question?"):
-    entries = [
-        ScoredBasicQuestion(f"basic {i}?", s, i) for i, s in enumerate(scores)
-    ]
-    return BqdRecord(image_id, mq, entries)
+    return BqdRecord(image_id, mq, [f"basic {i}?" for i in range(len(scores))], scores)
 
 
 def test_hand_trace_all_three_append():
@@ -100,27 +97,27 @@ def test_prefix_rule_under_lowered_thresholds():
 def test_concatenate_zero_is_identity():
     record = make_record((0.1, 0.05, 0.0))
     n = decide_appends(record.scores, OPERATING_POINT)
-    assert concatenate(record.mq_text, record.basic_questions, n) == record.mq_text
+    assert concatenate(record.mq_text, record.texts, n) == record.mq_text
 
 
 def test_concatenate_two():
     record = make_record((0.9, 0.8, 0.1))
     n = decide_appends(record.scores, OPERATING_POINT)
-    out = concatenate(record.mq_text, record.basic_questions, n)
+    out = concatenate(record.mq_text, record.texts, n)
     assert out == "main question? basic 0? basic 1?"
 
 
 def test_concatenate_custom_separator():
     record = make_record((0.9, 0.8, 0.1))
     n = decide_appends(record.scores, OPERATING_POINT)
-    out = concatenate(record.mq_text, record.basic_questions, n, separator=" | ")
+    out = concatenate(record.mq_text, record.texts, n, separator=" | ")
     assert out == "main question? | basic 0? | basic 1?"
 
 
 def test_concatenate_empty_mq_rejected():
     record = make_record((0.9, 0.8, 0.1))
     with pytest.raises(InvalidInputError):
-        concatenate("", record.basic_questions, decide_appends(record.scores, OPERATING_POINT))
+        concatenate("", record.texts, decide_appends(record.scores, OPERATING_POINT))
 
 
 def test_statistics_two_record_hand_values():
