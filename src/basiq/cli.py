@@ -43,17 +43,16 @@ EXIT_PARTIAL = 2
 _ROW = '    {\n      "question_id": %s,\n      "score": %s\n    }'  # one eval per_question entry
 
 
-def _write_json(path, payload):
+def _write_json(path, payload, rows=()):
     """The one JSON layout of reports and manifests: sorted keys, indent 2.
 
     ``indent`` turns off json's C encoder, so an eval report's ``per_question``
-    rows (a str id and a float score each) are filled into ``_ROW`` instead.
+    ``rows``, (str id, float score) pairs, come apart and are filled into ``_ROW``.
     """
-    rows = payload.get("per_question")
     text = json.dumps(payload | {"per_question": []} if rows else payload, indent=2, sort_keys=True)
     if rows:
-        body = ",\n".join([_ROW % (encode_basestring_ascii(r["question_id"]),
-                                   float.__repr__(r["score"])) for r in rows])
+        body = ",\n".join([_ROW % (encode_basestring_ascii(qid), float.__repr__(score))
+                           for qid, score in rows])
         # Only a top-level key follows a newline and exactly two spaces.
         text = text.replace('\n  "per_question": []', f'\n  "per_question": [\n{body}\n  ]', 1)
     with open(path, "w", encoding="utf-8") as fh:
@@ -201,10 +200,10 @@ def cmd_eval(args):
     for label, entry in per_type.items():
         print(f"  {label}: {entry['mean']:.6f} over {entry['n']}")
     if args.out:
-        payload = report.as_dict()
+        payload = {"n": report.n, "mean": report.mean}
         if args.per_type:
             payload["per_type"] = per_type
-        _write_json(args.out, payload)
+        _write_json(args.out, payload, report.per_question)
         _write_manifest(
             args.out, "eval",
             {"predictions": str(args.predictions),

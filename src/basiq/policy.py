@@ -89,7 +89,7 @@ def decide_appends(scores, policy):
     """Number of questions (0..3) to append under the strict cascade."""
     if len(scores) != 3:
         raise InvalidInputError(f"expected 3 scores, got {len(scores)}")
-    s1, s2, s3 = (float(s) for s in scores)
+    s1, s2, s3 = map(float, scores)
     if not (s1 >= s2 >= s3):
         raise InvalidInputError(f"scores must be nonincreasing, got {scores}")
     if s3 < 0.0 or s1 > 1.0:

@@ -48,8 +48,7 @@ class AccuracyReport:
 
 
 def _consensus_score(record, norm):
-    predicted = norm(record.predicted)
-    matches = sum(1 for ans in record.annotator_answers if norm(ans) == predicted)
+    matches = list(map(norm, record.annotator_answers)).count(norm(record.predicted))
     return min(matches / 3.0, 1.0)
 
 
@@ -65,8 +64,7 @@ def evaluate(records, normalize=True):
         raise InvalidInputError("cannot evaluate zero records")
     # Annotator answers repeat heavily: normalize each distinct one once.
     norm = functools.cache(normalize_question_text) if normalize else (lambda s: s)
-    seen = set()
-    per_question = []
+    seen, per_question = set(), []
     for rec in records:
         if rec.question_id in seen:
             raise InvalidInputError(f"duplicate question_id {rec.question_id!r}")
@@ -76,48 +74,66 @@ def evaluate(records, normalize=True):
     return AccuracyReport(n=len(per_question), per_question=tuple(per_question), mean=mean)
 
 
-def _parse_jsonl_objects(path, required_keys):
-    out = []
+def _jsonl_fields(path, value_key):
+    """(line number, str(question_id), value) per nonblank line, decoded and checked as read."""
     for lineno, line in fileformats.read_jsonl(path):
         try:
             obj = fileformats.decode_json_line(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
-        if not isinstance(obj, dict):
-            raise ParseError(f"{path}: line {lineno}: expected a JSON object")
-        missing = [k for k in required_keys if k not in obj]
-        if missing:
-            raise ParseError(f"{path}: line {lineno}: missing keys {missing}")
-        out.append((lineno, obj))
-    return out
+        try:
+            qid, value = obj["question_id"], obj[value_key]
+        except (KeyError, TypeError):
+            if not isinstance(obj, dict):
+                raise ParseError(f"{path}: line {lineno}: expected a JSON object") from None
+            missing = [k for k in ("question_id", value_key) if k not in obj]
+            raise ParseError(f"{path}: line {lineno}: missing keys {missing}") from None
+        yield lineno, str(qid), value
+
+
+def _raise_after(rows, fault):
+    """Decode the rest of ``rows``, then raise ``fault``: a malformed later line wins."""
+    for _ in rows:
+        pass
+    raise fault
 
 
 def load_answer_records(predictions_path, annotations_path):
-    """Join prediction and annotation files on question_id.
+    """Join prediction and annotation files on question_id, in one streaming pass each.
 
-    Every prediction must have an annotation record; annotations without
-    predictions are ignored.
+    Ids and answers compare as strings (``str()`` of other JSON values). Every
+    prediction needs an annotation; annotations without one are ignored. Faults
+    name ``path: line N``. A line that is not a JSON object with the required keys
+    wins over the other faults of its file (empty or non-list ``answers``, a
+    duplicate id, a prediction without annotations), of which the first is raised
+    once the file is decoded. Annotations are checked before predictions.
     """
     annotations = {}
-    for lineno, obj in _parse_jsonl_objects(annotations_path, ("question_id", "answers")):
-        qid = str(obj["question_id"])
-        answers = obj["answers"]
+    rows = _jsonl_fields(annotations_path, "answers")
+    for lineno, qid, answers in rows:
         if not isinstance(answers, list) or not answers:
-            raise ParseError(
-                f"{annotations_path}: line {lineno}: 'answers' must be a nonempty list"
-            )
+            _raise_after(rows, ParseError(
+                f"{annotations_path}: line {lineno}: 'answers' must be a nonempty list"))
         if qid in annotations:
-            raise ParseError(f"{annotations_path}: line {lineno}: duplicate question_id {qid!r}")
-        annotations[qid] = tuple(map(str, answers))
+            _raise_after(rows, ParseError(
+                f"{annotations_path}: line {lineno}: duplicate question_id {qid!r}"))
+        try:
+            "".join(answers)  # a TypeError unless every answer is already a str
+            annotations[qid] = tuple(answers)
+        except TypeError:
+            annotations[qid] = tuple(map(str, answers))
 
-    records = []
-    for lineno, obj in _parse_jsonl_objects(predictions_path, ("question_id", "answer")):
-        qid = str(obj["question_id"])
+    records, joined = [], set()
+    rows = _jsonl_fields(predictions_path, "answer")
+    for lineno, qid, answer in rows:
         if qid not in annotations:
-            raise InvalidInputError(
-                f"{predictions_path}: line {lineno}: no annotations for question_id {qid!r}"
-            )
-        records.append(AnswerRecord(qid, str(obj["answer"]), annotations[qid]))
+            _raise_after(rows, InvalidInputError(
+                f"{predictions_path}: line {lineno}: no annotations for question_id {qid!r}"))
+        if qid in joined:
+            _raise_after(rows, ParseError(
+                f"{predictions_path}: line {lineno}: duplicate question_id {qid!r}"))
+        joined.add(qid)
+        records.append(AnswerRecord(qid, str(answer), annotations[qid]))
     return records
 
 

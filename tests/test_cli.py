@@ -532,6 +532,45 @@ def test_eval_annotation_json_error_wins_over_earlier_duplicate(tmp_path, capsys
     assert err.startswith(f"error: {tmp_path / 'anno.jsonl'}: line 3: Expecting value")
 
 
+def test_eval_duplicate_prediction_names_file_and_line(tmp_path, capsys):
+    argv = _eval_files(
+        tmp_path,
+        '{"question_id": "q1", "answer": "red"}\n{"question_id": "q2", "answer": "red"}\n'
+        '{"question_id": "q1", "answer": "blue"}\n',
+        '{"question_id": "q1", "answers": ["red"]}\n{"question_id": "q2", "answers": ["red"]}\n')
+    assert run(argv) == EXIT_FAIL
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'pred.jsonl'}: line 3: duplicate question_id 'q1'\n")
+
+
+def test_eval_prediction_json_error_wins_over_earlier_duplicate(tmp_path, capsys):
+    argv = _eval_files(
+        tmp_path,
+        '{"question_id": "q1", "answer": "red"}\n{"question_id": "q1", "answer": "red"}\n'
+        '{"question_id": "q3", "answer": \n',
+        '{"question_id": "q1", "answers": ["red"]}\n')
+    assert run(argv) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'pred.jsonl'}: line 3: Expecting value")
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["normalized", "raw"])
+def test_eval_numeric_ids_and_answers_score_as_strings(tmp_path, capsys, raw):
+    argv = _eval_files(tmp_path, '{"question_id": 5, "answer": 2}\n',
+                       '{"question_id": "5", "answers": ["2", 2, "3"]}\n')
+    assert run(argv + ["--raw"] * raw) == EXIT_OK
+    assert capsys.readouterr().out == "accuracy: 0.666667 over 1 questions\n"
+
+
+def test_eval_raw_keeps_case(tmp_path, capsys):
+    argv = _eval_files(tmp_path, '{"question_id": "q1", "answer": "Red"}\n',
+                       '{"question_id": "q1", "answers": ["red", "red", "red"]}\n')
+    assert run(argv) == EXIT_OK
+    assert run(argv + ["--raw"]) == EXIT_OK
+    assert capsys.readouterr().out == ("accuracy: 1.000000 over 1 questions\n"
+                                       "accuracy: 0.000000 over 1 questions\n")
+
+
 # Lines that a single raw JSON scan reads differently from json.loads: the
 # readers must accept or reject each one as json.loads does, with its words.
 _GOOD_LINE = json.dumps({"image_id": "ok", "mq": "fine?", "bqs": _GOOD_BQS})
@@ -616,6 +655,20 @@ def test_eval_report_layout_is_json_dumps(tmp_path, per_type):
     out = tmp_path / "report.json"
     _write_json(out, payload)
     assert out.read_text(encoding="utf-8") == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("per_type", [False, True], ids=["plain", "per-type"])
+def test_eval_report_rows_layout_is_json_dumps(tmp_path, per_type):
+    records = [AnswerRecord(qid, "red", ["red"] * (i % 4 + 1) + ["blue"])
+               for i, qid in enumerate(_AWKWARD)]
+    report = evaluate(records)
+    payload = {"n": report.n, "mean": report.mean}
+    if per_type:
+        payload["per_type"] = aggregate_by_type(report, {q: f"type {q}" for q in _AWKWARD[::2]})
+    out = tmp_path / "report.json"
+    _write_json(out, payload, report.per_question)
+    expected = report.as_dict() | payload
+    assert out.read_text(encoding="utf-8") == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_concat_line_layout_is_the_json_encoder(tmp_path):

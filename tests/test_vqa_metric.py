@@ -1,12 +1,16 @@
 """Consensus accuracy metric and its file loaders."""
 
+import itertools
 import json
 import math
+import random
+import re
 
 import pytest
 
+from basiq import fileformats
 from basiq.dictionary import normalize_question_text
-from basiq.errors import InvalidInputError, ParseError
+from basiq.errors import BasiqError, InvalidInputError, ParseError
 from basiq.vqa_metric import (
     AnswerRecord,
     aggregate_by_type,
@@ -180,3 +184,182 @@ def test_report_json_shape():
     assert payload["n"] == 1
     assert payload["mean"] == 1.0
     assert payload["per_question"] == [{"question_id": "q1", "score": 1.0}]
+
+
+def test_numeric_ids_and_answers_join_and_score_as_strings(tmp_path):
+    pred, anno = tmp_path / "pred.jsonl", tmp_path / "anno.jsonl"
+    _write_jsonl(pred, [{"question_id": 5, "answer": 2}])
+    _write_jsonl(anno, [{"question_id": "5", "answers": ["2", 2, "3"]}])
+    records = load_answer_records(pred, anno)
+    assert records == [AnswerRecord("5", "2", ("2", "2", "3"))]
+    assert evaluate(records).mean == evaluate(records, normalize=False).mean == 2.0 / 3.0
+
+
+def test_raw_matching_keeps_case(tmp_path):
+    pred, anno = tmp_path / "pred.jsonl", tmp_path / "anno.jsonl"
+    _write_jsonl(pred, [{"question_id": "q1", "answer": "Red"}])
+    _write_jsonl(anno, [{"question_id": "q1", "answers": ["red", "red", "red"]}])
+    records = load_answer_records(pred, anno)
+    assert evaluate(records).mean == 1.0
+    assert evaluate(records, normalize=False).mean == 0.0
+
+
+def test_load_answer_records_duplicate_prediction_named(tmp_path):
+    pred, anno = tmp_path / "pred.jsonl", tmp_path / "anno.jsonl"
+    _write_jsonl(pred, [{"question_id": "q1", "answer": "red"},
+                        {"question_id": 1, "answer": "red"},
+                        {"question_id": "1", "answer": "red"}])
+    _write_jsonl(anno, [{"question_id": "q1", "answers": ["red"]},
+                        {"question_id": "1", "answers": ["red"]}])
+    with pytest.raises(ParseError) as exc:
+        load_answer_records(pred, anno)
+    assert str(exc.value) == f"{pred}: line 3: duplicate question_id '1'"
+
+
+def _reference_load_answer_records(predictions_path, annotations_path):
+    """The two-phase loader written plainly: each file is parsed whole, then joined.
+
+    An oracle for ``load_answer_records``: the same records, or the same
+    exception type and message, except that it lets a duplicate
+    prediction through.
+    """
+    def parse(path, required_keys):
+        out = []
+        for lineno, line in fileformats.read_jsonl(path):
+            try:
+                obj = fileformats.decode_json_line(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ParseError(f"{path}: line {lineno}: expected a JSON object")
+            missing = [k for k in required_keys if k not in obj]
+            if missing:
+                raise ParseError(f"{path}: line {lineno}: missing keys {missing}")
+            out.append((lineno, obj))
+        return out
+
+    annotations = {}
+    for lineno, obj in parse(annotations_path, ("question_id", "answers")):
+        qid = str(obj["question_id"])
+        answers = obj["answers"]
+        if not isinstance(answers, list) or not answers:
+            raise ParseError(
+                f"{annotations_path}: line {lineno}: 'answers' must be a nonempty list"
+            )
+        if qid in annotations:
+            raise ParseError(f"{annotations_path}: line {lineno}: duplicate question_id {qid!r}")
+        annotations[qid] = tuple(map(str, answers))
+
+    records = []
+    for lineno, obj in parse(predictions_path, ("question_id", "answer")):
+        qid = str(obj["question_id"])
+        if qid not in annotations:
+            raise InvalidInputError(
+                f"{predictions_path}: line {lineno}: no annotations for question_id {qid!r}"
+            )
+        records.append(AnswerRecord(qid, str(obj["answer"]), annotations[qid]))
+    return records
+
+
+_ANSWER_POOL = ["red", " Red", "2", 2, 2.5, True, None, "yes"]
+_FAULTS = ("syntax", "not an object", "missing key", "empty answers", "non-list answers",
+           "duplicate annotation", "missing annotation", "duplicate prediction")
+_VARIANTS = ("numeric", "blank lines")
+
+
+def _answer_files(rng, kinds):
+    """Seeded prediction and annotation lines, with each of ``kinds`` injected."""
+    n = rng.randrange(2, 7)
+    numeric = "numeric" in kinds
+
+    def qid(i):
+        return i if numeric and rng.random() < 0.5 else str(i)
+
+    def answer():
+        return rng.choice(_ANSWER_POOL if numeric else _ANSWER_POOL[:3])
+
+    anno = [{"question_id": qid(i), "answers": [answer() for _ in range(rng.randrange(1, 5))]}
+            for i in range(n + 2)]
+    pred = [{"question_id": qid(i), "answer": answer()} for i in rng.sample(range(n), n)]
+    files = {"pred": [json.dumps(o) for o in pred], "anno": [json.dumps(o) for o in anno]}
+
+    def put(name, line):
+        lines = files[name]
+        lines.insert(rng.randrange(len(lines) + 1), line)
+
+    def pick(name):
+        return rng.randrange(len(files[name]))
+
+    def repeat(name):
+        lines = files[name]
+        i = pick(name)
+        lines.insert(rng.randrange(i + 1, len(lines) + 1), lines[i])
+
+    for kind in kinds:
+        name = "pred" if rng.random() < 0.5 else "anno"
+        if kind == "syntax":
+            i = pick(name)
+            files[name][i] = rng.choice([files[name][i][:-2], "  ", "{'question_id': 1}"])
+        elif kind == "not an object":
+            files[name][pick(name)] = rng.choice(["[1, 2]", "17", '"q1"', "null"])
+        elif kind == "missing key":
+            obj = dict(rng.choice(pred if name == "pred" else anno))
+            del obj[rng.choice(sorted(obj))]
+            put(name, json.dumps(obj))
+        elif kind == "empty answers":
+            put("anno", json.dumps({"question_id": "e", "answers": []}))
+        elif kind == "non-list answers":
+            put("anno", json.dumps({"question_id": "f", "answers": rng.choice(["red", None])}))
+        elif kind == "duplicate annotation":
+            repeat("anno")
+        elif kind == "missing annotation":
+            put("pred", json.dumps({"question_id": "nowhere", "answer": "red"}))
+        elif kind == "duplicate prediction":
+            repeat("pred")
+        elif kind == "blank lines":
+            for _ in range(3):
+                put(name, "")
+    return files["pred"], files["anno"]
+
+
+def _first_duplicate_line(lines):
+    seen = set()
+    for lineno, line in enumerate(lines, start=1):
+        if line:
+            qid = str(json.loads(line)["question_id"])
+            if qid in seen:
+                return lineno, qid
+            seen.add(qid)
+
+
+def _line_of(message):
+    return int(re.search(r": line (\d+): ", message).group(1))
+
+
+def _outcome(load, pred, anno):
+    try:
+        return load(pred, anno)
+    except BasiqError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kinds", [(), *[(k,) for k in _FAULTS + _VARIANTS],
+                                   *itertools.combinations(_FAULTS, 2),
+                                   *[(k, "numeric", "blank lines") for k in _FAULTS]],
+                         ids="+".join)
+def test_load_answer_records_matches_two_phase_reference(tmp_path, kinds):
+    pred, anno = tmp_path / "pred.jsonl", tmp_path / "anno.jsonl"
+    for seed in range(12):
+        pred_lines, anno_lines = _answer_files(random.Random(seed), kinds)
+        pred.write_text("".join(f"{line}\n" for line in pred_lines), encoding="utf-8")
+        anno.write_text("".join(f"{line}\n" for line in anno_lines), encoding="utf-8")
+        expected = _outcome(_reference_load_answer_records, pred, anno)
+        got = _outcome(load_answer_records, pred, anno)
+        if "duplicate prediction" in kinds and (
+                isinstance(expected, list) or expected[0] is InvalidInputError):
+            # The one difference: a duplicate prediction is a fault of its own,
+            # raised unless a JSON fault or an earlier missing annotation wins.
+            lineno, qid = _first_duplicate_line(pred_lines)
+            if isinstance(expected, list) or _line_of(expected[1]) > lineno:
+                expected = ParseError, f"{pred}: line {lineno}: duplicate question_id {qid!r}"
+        assert got == expected, (seed, pred_lines, anno_lines)
