@@ -82,6 +82,9 @@ def build_dictionary(records, dedup="normalized"):
     Records whose text collapses to the same dedup key keep only the
     first occurrence, in input order.  ``dedup`` is ``"normalized"``
     (trim/collapse/case-insensitive) or ``"exact"`` (byte equality).
+    Fields come before values: the first bad id, text or vector shape
+    raises; then the first non-finite vector (dropped duplicates
+    included), then the first zero-norm kept one.
     """
     if dedup not in ("normalized", "exact"):
         raise InvalidInputError(f"unknown dedup mode {dedup!r}")
@@ -90,63 +93,50 @@ def build_dictionary(records, dedup="normalized"):
         raise InvalidInputError("cannot build a dictionary from zero records")
     key_of = normalize_question_text if dedup == "normalized" else (lambda t: t)
 
-    ids, texts, vecs = [], [], []
+    vecs, kept = [], []
     seen_keys, seen_ids = set(), set()
     dim = None
-    try:
-        for rec in records:
-            if not rec.id:
-                raise InvalidInputError("record with empty id")
-            if not rec.text.strip():
-                raise InvalidInputError(f"record {rec.id!r} has empty text")
-            vec = np.asarray(rec.vector, dtype=np.float64)
-            if vec.ndim != 1:
-                raise ShapeError(f"record {rec.id!r}: vector must be 1-D")
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise ShapeError(
-                    f"record {rec.id!r}: vector length {vec.shape[0]} != {dim} of earlier records"
-                )
-            key = key_of(rec.text)
-            if key in seen_keys:
-                _check_finite([rec.id], vec)
-                continue
-            seen_keys.add(key)
-            if rec.id in seen_ids:
-                raise InvalidInputError(f"duplicate record id {rec.id!r}")
-            seen_ids.add(rec.id)
-            ids.append(rec.id)
-            texts.append(rec.text)
-            vecs.append(vec)
-    except (InvalidInputError, ShapeError):
-        # A non-finite vector on an earlier record is reported first.
-        if vecs:
-            _check_finite(ids, np.array(vecs))
-        raise
+    for i, rec in enumerate(records):
+        if not rec.id:
+            raise InvalidInputError("record with empty id")
+        if not rec.text.strip():
+            raise InvalidInputError(f"record {rec.id!r} has empty text")
+        vec = np.asarray(rec.vector, dtype=np.float64)
+        if vec.ndim != 1:
+            raise ShapeError(f"record {rec.id!r}: vector must be 1-D")
+        if dim is None:
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise ShapeError(
+                f"record {rec.id!r}: vector length {vec.shape[0]} != {dim} of earlier records"
+            )
+        vecs.append(vec)
+        key = key_of(rec.text)
+        if key in seen_keys:
+            continue
+        seen_keys.add(key)
+        if rec.id in seen_ids:
+            raise InvalidInputError(f"duplicate record id {rec.id!r}")
+        seen_ids.add(rec.id)
+        kept.append(i)
 
-    rows = np.array(vecs)  # one survivor per row; its transpose is column-major
-    _check_finite(ids, rows)
+    bad = np.flatnonzero(~np.isfinite(np.array(vecs)).all(axis=1))  # dropped ones too
+    if bad.size:
+        raise InvalidInputError(f"record {records[bad[0]].id!r}: non-finite vector")
+    rows = np.array([vecs[i] for i in kept])  # one survivor per row; its transpose is column-major
     # Batched dot products: bit-identical to per-vector np.linalg.norm,
     # which einsum is not.
     norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(-1))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise InvalidInputError(f"record {ids[zero[0]]!r} has a zero-norm vector")
+        raise InvalidInputError(f"record {records[kept[zero[0]]].id!r} has a zero-norm vector")
     rows /= norms[:, None]
     return Dictionary(
         matrix=rows.T,
-        ids=tuple(ids),
-        texts=tuple(texts),
+        ids=tuple(records[i].id for i in kept),
+        texts=tuple(records[i].text for i in kept),
         column_norms_original=norms,
     )
-
-
-def _check_finite(ids, rows):
-    """Reject the first of ``rows`` (one vector per id) with a non-finite value."""
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=-1))
-    if bad.size:
-        raise InvalidInputError(f"record {ids[bad[0]]!r}: non-finite vector")
 
 
 def save_dictionary_cache(d, path):
@@ -185,6 +175,7 @@ def load_dictionary_cache(path):
         .copy(order="F")
     )
     r.finish()
-    return Dictionary(
-        matrix=matrix, ids=tuple(ids), texts=tuple(texts), column_norms_original=norms
-    )
+    try:
+        return Dictionary(matrix=matrix, ids=ids, texts=texts, column_norms_original=norms)
+    except (InvalidInputError, ShapeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None

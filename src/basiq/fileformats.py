@@ -1,26 +1,27 @@
 """Low-level readers and writers for the on-disk formats.
 
-Two formats live here:
+Four formats live here, plus the ``BinaryReader`` the dictionary cache
+also uses:
 
 * Embedding files hold ``(id, text, vector)`` records.  The text variant
-  starts with a header line ``dim=<D> count=<N>`` followed by one
-  tab-separated record per line: ``id<TAB>text<TAB>v1 v2 ... vD``.  The
-  binary variant carries the same logical fields with little-endian
-  32-bit float payloads (see ``EMBEDDING_MAGIC`` below for the exact
-  layout).  Both reject dimension mismatches, duplicate ids, and
-  non-finite values.
+  has a ``dim=<D> count=<N>`` header and one ``id<TAB>text<TAB>v1 ... vD``
+  line per record; the binary variant has the same fields with float32
+  payloads (layout in ``read_embeddings_binary``).  Both reject
+  dimension mismatches, duplicate ids, and non-finite values.
 
-* Matrix-section files hold named real matrices under the same
-  header-plus-payload convention: ``sections=<N>`` followed by blocks of
-  ``name=<s> rows=<R> cols=<C>`` and R lines of C values.  They back the
-  loadable-parameter paths of the encoder and the attention kernel.
+* Matrix-section files hold named real matrices: ``sections=<N>``, then
+  blocks of ``name=<s> rows=<R> cols=<C>`` and R lines of C values.
+  They back the loadable parameters of the encoder and attention kernel.
 
-Both text formats convert their values with one ``np.loadtxt`` call per
-file or section.  Rows it rejects or reads as non-finite are parsed
-again one line at a time with ``float()``, which accepts every token
-``loadtxt`` does (with the same bits) and a few more, such as ``1_0``;
-so the values, and the first bad line an error names, are those of a
-line-by-line parse.
+* JSON-lines files hold one pre-serialized JSON value per line.
+
+Fields come before values: a reader checks the structure of the whole
+file (headers, ids, texts, field counts, lengths), raising its first
+fault, before it converts the values in one batch, where the first bad
+value wins.  Text values go through one ``np.loadtxt`` call per file or
+section; rows it rejects or reads as non-finite are parsed again one at
+a time with ``float()``, which accepts every token ``loadtxt`` does
+(with the same bits) and a few more, such as ``1_0``.
 """
 
 import dataclasses
@@ -188,19 +189,12 @@ def read_embeddings_text(path):
         raise ParseError(
             f"{path}: header declares {count} records but file has {len(lines) - 1} lines"
         )
-    ids, texts = [], []
     seen = set()
-    for i in range(1, len(lines)):
-        try:
-            rec_id, text, lines[i] = _record_fields(lines[i], seen, path, i + 1)
-        except ParseError:
-            # A bad value on an earlier line is reported first.
-            _parse_rows(lines[1:i], dim, path, 2)
-            raise
-        ids.append(rec_id)
-        texts.append(text)
-    values = _parse_rows(lines[1:], dim, path, 2)
-    return list(zip(ids, texts, values))
+    for i in range(1, len(lines)):  # each line gives way to its fields, to save memory
+        lines[i] = _record_fields(lines[i], seen, path, i + 1)
+    records = lines[1:]
+    values = _parse_rows([rec[2] for rec in records], dim, path, 2)
+    return [(rec_id, text, vec) for (rec_id, text, _), vec in zip(records, values)]
 
 
 def write_embeddings_text(path, records, dim):
@@ -233,19 +227,18 @@ def read_embeddings_binary(path):
     dim, count = r.unpack("<II", "header")
     if dim < 1:
         raise ParseError(f"{path}: dim must be >= 1")
-    records = []
-    seen = set()
+    ids, texts, payloads, seen = [], [], [], set()
     for i in range(count):
-        rec_id = r.string("record %d: id", i)
-        text = r.string("record %d: text", i)
-        payload = r.take(4 * dim, "record %d: values", i)
-        vec = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        _check_record(rec_id, text, seen, "%s: record %d", path, i)
-        if not np.all(np.isfinite(vec)):
-            raise ParseError(f"{path}: record {i}: non-finite value")
-        records.append((rec_id, text, vec))
+        ids.append(r.string("record %d: id", i))
+        texts.append(r.string("record %d: text", i))
+        payloads.append(r.take(4 * dim, "record %d: values", i))
+        _check_record(ids[i], texts[i], seen, "%s: record %d", path, i)
     r.finish(" after last record")
-    return records
+    values = np.frombuffer(b"".join(payloads), dtype="<f4").reshape(count, dim)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise ParseError(f"{path}: record {bad[0]}: non-finite value")
+    return list(zip(ids, texts, values.astype(np.float64)))
 
 
 def write_embeddings_binary(path, records, dim):
@@ -280,30 +273,29 @@ def read_matrix_sections(path):
     if m is None:
         raise ParseError(f"{path}: line 1: malformed header {lines[0]!r}")
     n_sections = int(m.group(1))
-    sections = {}
-    lineno = 1
+    blocks = {}  # name -> (first payload line index, rows, cols)
     pos = 1
     for _ in range(n_sections):
         if pos >= len(lines):
-            raise ParseError(f"{path}: expected {n_sections} sections, found {len(sections)}")
+            raise ParseError(f"{path}: expected {n_sections} sections, found {len(blocks)}")
         header = lines[pos]
-        lineno = pos + 1
+        pos += 1
         mh = _SECTION_HEADER_RE.match(header)
         if mh is None:
-            raise ParseError(f"{path}: line {lineno}: malformed section header {header!r}")
+            raise ParseError(f"{path}: line {pos}: malformed section header {header!r}")
         name, rows, cols = mh.group(1), int(mh.group(2)), int(mh.group(3))
-        if name in sections:
-            raise ParseError(f"{path}: line {lineno}: duplicate section {name!r}")
+        if name in blocks:
+            raise ParseError(f"{path}: line {pos}: duplicate section {name!r}")
         if rows < 1 or cols < 1:
-            raise ParseError(f"{path}: line {lineno}: rows and cols must be >= 1")
-        pos += 1
+            raise ParseError(f"{path}: line {pos}: rows and cols must be >= 1")
         if pos + rows > len(lines):
             raise ParseError(f"{path}: section {name!r}: truncated payload")
-        sections[name] = _parse_rows(lines[pos : pos + rows], cols, path, pos + 1)
+        blocks[name] = (pos, rows, cols)
         pos += rows
     if pos != len(lines):
         raise ParseError(f"{path}: {len(lines) - pos} extra lines after last section")
-    return sections
+    return {name: _parse_rows(lines[start : start + rows], cols, path, start + 1)
+            for name, (start, rows, cols) in blocks.items()}
 
 
 def write_matrix_sections(path, sections):

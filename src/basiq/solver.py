@@ -24,6 +24,7 @@ from .errors import InvalidInputError, ShapeError, UnsupportedConfigError
 DEFAULT_LAMBDA_REL = 0.024
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_SWEEPS = 1000
+_ZERO_LAMBDA = "lambda = 0 is rejected: unpenalized least squares is out of scope"
 
 # Entry denominators ``1 -+ a_j^T u`` at or below this mark a column in
 # the span of the active set, which cannot enter without making the Gram
@@ -64,6 +65,8 @@ class LassoConfig:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise InvalidInputError(f"{name} must be finite, got {value!r}")
+        if 0 in (self.lambda_abs, self.lambda_rel):
+            raise UnsupportedConfigError(_ZERO_LAMBDA)
 
     @classmethod
     def absolute(cls, lam, **kwargs):
@@ -202,10 +205,8 @@ def solve_lasso(d, b, config=None):
     b = _check_query(a, b)
     corr = a.T @ b
     lam = config.resolve_lambda(float(np.max(np.abs(corr))))
-    if lam == 0:
-        raise UnsupportedConfigError(
-            "lambda = 0 is rejected: unpenalized least squares is out of scope"
-        )
+    if lam == 0:  # a zero query under a relative penalty
+        raise UnsupportedConfigError(_ZERO_LAMBDA)
     n = a.shape[1]
     lam_cur = float(np.max(corr)) if config.nonnegative else float(np.max(np.abs(corr)))
     edges = 1 if config.nonnegative else 2

@@ -1,10 +1,16 @@
 """Shared builders for solver and dictionary tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from basiq.dictionary import build_dictionary
+from basiq.dictionary import (
+    CACHE_MAGIC, CACHE_VERSION, Dictionary, build_dictionary, save_dictionary_cache,
+)
 from basiq.encoder import QuestionRecord
+from basiq.errors import InvalidInputError, ParseError, ShapeError
+from basiq.fileformats import pack_string
 
 # verdict lines recorded by the acceptance tests, echoed after the run
 ACCEPTANCE_LINES = []
@@ -42,6 +48,32 @@ def question_records(vectors, prefix="q"):
                        vector=np.asarray(col))
         for j, col in enumerate(np.asarray(vectors).T)
     ]
+
+
+def corrupt_cache(path, kind):
+    """Save a valid 2-column cache at ``path``, then break it as ``kind`` says."""
+    d = Dictionary(matrix=np.eye(2), ids=("a", "b"), texts=("a?", "b?"),
+                   column_norms_original=np.ones(2))
+    save_dictionary_cache(d, path)
+    blob = path.read_bytes()
+    if kind == "duplicate ids":
+        blob = blob.replace(pack_string("b"), pack_string("a"))
+    elif kind == "norm 2":
+        matrix_at = len(blob) - 8 * 2 * 2
+        blob = blob[:matrix_at] + struct.pack("<d", 2.0) + blob[matrix_at + 8:]
+    elif kind == "no columns":
+        blob = CACHE_MAGIC + struct.pack("<HII", CACHE_VERSION, 2, 0)
+    else:  # "version 9"
+        blob = blob[:6] + struct.pack("<H", 9) + blob[8:]
+    path.write_bytes(blob)
+
+
+CACHE_FAULTS = {  # kind: (exception type, message after the path)
+    "duplicate ids": (InvalidInputError, "ids must be unique"),
+    "norm 2": (InvalidInputError, "column 0 has norm 2.0, expected 1 within 1e-09"),
+    "no columns": (ShapeError, "matrix must have at least one row and one column"),
+    "version 9": (ParseError, "unsupported cache version 9"),
+}
 
 
 def orthogonal_dictionary(dim, n, seed=0):

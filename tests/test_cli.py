@@ -11,7 +11,7 @@ from basiq.errors import ParseError
 from basiq.generator import BqdRecord, read_bqd, write_bqd
 from basiq.vqa_metric import AnswerRecord, aggregate_by_type, evaluate
 
-from conftest import near_duplicate_pairs, unit_columns
+from conftest import CACHE_FAULTS, corrupt_cache, near_duplicate_pairs, unit_columns
 
 
 @pytest.fixture
@@ -223,6 +223,26 @@ def test_gen_bq_non_finite_flag_fails_cleanly(tmp_path, corpus_file, query_file,
                + flags) == EXIT_FAIL
     assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--lambda", "--lambda-rel"])
+def test_gen_bq_zero_penalty_fails_once(tmp_path, corpus_file, query_file, capsys, flag):
+    cache = _build(tmp_path, corpus_file)
+    out = tmp_path / "bqd.jsonl"
+    assert run(["gen-bq", "--dict", cache, "--queries", query_file, "--out", out,
+                flag, "0"]) == EXIT_FAIL
+    assert capsys.readouterr().err == (
+        "error: lambda = 0 is rejected: unpenalized least squares is out of scope\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["duplicate ids", "norm 2", "no columns"])
+def test_gen_bq_corrupt_cache_error_names_the_file(tmp_path, query_file, capsys, kind):
+    cache = tmp_path / "dict.bin"
+    corrupt_cache(cache, kind)
+    assert run(["gen-bq", "--dict", cache, "--queries", query_file,
+                "--out", tmp_path / "bqd.jsonl"]) == EXIT_FAIL
+    assert capsys.readouterr().err == f"error: {cache}: {CACHE_FAULTS[kind][1]}\n"
 
 
 def test_gen_bq_manifest_records_config(tmp_path, corpus_file, query_file):

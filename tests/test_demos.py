@@ -1,5 +1,5 @@
 """Every demo script, and the README's library-use example, runs to completion
-against the package in ``src``."""
+against the package in ``src``, with warnings raised as errors."""
 
 import os
 import subprocess
@@ -14,7 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 def run_script(path, cwd):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, str(path)], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-W", "error", str(path)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
 

@@ -16,7 +16,7 @@ from basiq.dictionary import (
 from basiq.encoder import QuestionRecord
 from basiq.errors import InvalidInputError, ParseError, ShapeError
 
-from conftest import question_records, unit_columns
+from conftest import CACHE_FAULTS, corrupt_cache, question_records, unit_columns
 
 
 def test_duplicate_normalized_text_collapses():
@@ -103,10 +103,70 @@ def test_non_finite_vector_names_record(where):
         QuestionRecord("good", "fine?", np.array([1.0, 0.0])),
         QuestionRecord("bad", "FINE?" if where == "dropped duplicate" else "broken?",
                        np.array([np.nan, 1.0])),
-        QuestionRecord("good", "later?", np.array([0.0, 1.0])),  # duplicate id, reported second
+        QuestionRecord("other", "later?", np.array([0.0, 1.0])),
     ]
-    with pytest.raises(InvalidInputError, match="'bad': non-finite"):
+    with pytest.raises(InvalidInputError, match="^record 'bad': non-finite vector$"):
         build_dictionary(records)
+    # Every record's fields are checked before any value, so a later
+    # duplicate id wins over the earlier non-finite vector.
+    records[2] = records[2]._replace(id="good")
+    with pytest.raises(InvalidInputError, match="^duplicate record id 'good'$"):
+        build_dictionary(records)
+
+
+def test_zero_norm_vector_loses_to_later_duplicate_id():
+    records = [
+        QuestionRecord("good", "fine?", np.array([1.0, 0.0])),
+        QuestionRecord("bad", "broken?", np.array([0.0, 0.0])),
+        QuestionRecord("good", "later?", np.array([0.0, 1.0])),
+    ]
+    with pytest.raises(InvalidInputError, match="^duplicate record id 'good'$"):
+        build_dictionary(records)
+
+
+def test_non_finite_vector_reported_before_zero_norm():
+    records = [
+        QuestionRecord("zero", "empty?", np.array([0.0, 0.0])),
+        QuestionRecord("bad", "broken?", np.array([np.inf, 1.0])),
+    ]
+    with pytest.raises(InvalidInputError, match="^record 'bad': non-finite vector$"):
+        build_dictionary(records)
+
+
+@pytest.mark.parametrize("records, dedup, error, message", [
+    ([QuestionRecord("a", "one?", np.ones(2))], "fuzzy", InvalidInputError,
+     "unknown dedup mode 'fuzzy'"),
+    ([QuestionRecord("", "one?", np.ones(2))], "normalized", InvalidInputError,
+     "record with empty id"),
+    ([QuestionRecord("a", " \t", np.ones(2))], "normalized", InvalidInputError,
+     "record 'a' has empty text"),
+    ([QuestionRecord("a", "one?", np.ones((2, 2)))], "normalized", ShapeError,
+     "record 'a': vector must be 1-D"),
+], ids=["unknown dedup", "empty id", "empty text", "2-D vector"])
+def test_build_dictionary_record_faults(records, dedup, error, message):
+    with pytest.raises(error) as info:
+        build_dictionary(records, dedup=dedup)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    (dict(matrix=np.ones(3)), ShapeError, "matrix must be 2-D, got shape (3,)"),
+    (dict(matrix=np.ones((3, 0))), ShapeError,
+     "matrix must have at least one row and one column"),
+    (dict(matrix=2 * np.eye(3)), InvalidInputError,
+     "column 0 has norm 2.0, expected 1 within 1e-09"),
+    (dict(ids=("a", "b")), ShapeError, "ids and texts must each have one entry per column"),
+    (dict(texts=("a?",) * 4), ShapeError, "ids and texts must each have one entry per column"),
+    (dict(ids=("a", "b", "a")), InvalidInputError, "ids must be unique"),
+    (dict(column_norms_original=np.ones(2)), ShapeError,
+     "column_norms_original must have one entry per column"),
+], ids=["1-D", "no columns", "norm 2", "short ids", "long texts", "repeated id", "short norms"])
+def test_dictionary_constructor_faults(fields, error, message):
+    good = dict(matrix=np.eye(3), ids=("a", "b", "c"), texts=("a?", "b?", "c?"),
+                column_norms_original=np.ones(3))
+    with pytest.raises(error) as info:
+        Dictionary(**dict(good, **fields))
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_nan_column_rejected():
@@ -127,6 +187,16 @@ def test_cache_with_nan_column_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(InvalidInputError, match="column 1 has norm nan"):
         load_dictionary_cache(path)
+
+
+@pytest.mark.parametrize("kind", list(CACHE_FAULTS))
+def test_cache_faults_name_the_file(tmp_path, kind):
+    error, message = CACHE_FAULTS[kind]
+    path = tmp_path / "dict.bin"
+    corrupt_cache(path, kind)
+    with pytest.raises(error) as info:
+        load_dictionary_cache(path)
+    assert type(info.value) is error and str(info.value) == f"{path}: {message}"
 
 
 def test_empty_input_rejected():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from basiq import fileformats
+from basiq.coattention import AttentionParameters
 from basiq.errors import ParseError
 
 
@@ -125,13 +126,32 @@ def test_text_bad_value_in_later_block_names_its_line(tmp_path, kind):
     assert str(info.value) == f"{path}: line {bad + 2}: {message}"
 
 
-def test_text_bad_value_reported_before_later_field_error(tmp_path):
-    # Values are converted after every line's fields are checked; an
-    # error in the fields of a later line must not hide an earlier bad value.
+def test_text_later_field_error_reported_before_bad_value(tmp_path):
+    # Every line's fields are checked before any value is converted, so an
+    # error in the fields of a later line wins over an earlier bad value.
     path = tmp_path / "two_faults.txt"
-    path.write_text("dim=1 count=3\nq0\ta?\t1\nq1\tb?\tinf\nq0\tc?\t2\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="line 3: non-finite value"):
+    path.write_text("dim=1 count=3\nq0\ta?\t1\nq1\tb?\tinf\nq2\tc?\t2\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
         fileformats.read_embeddings_text(path)
+    assert str(info.value) == f"{path}: line 3: non-finite value"
+    path.write_text("dim=1 count=3\nq0\ta?\t1\nq1\tb?\tinf\nq0\tc?\t2\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        fileformats.read_embeddings_text(path)
+    assert str(info.value) == f"{path}: line 4: duplicate id 'q0'"
+
+
+@pytest.mark.parametrize("content, message", [
+    ("", "empty file, expected 'dim=<D> count=<N>' header"),
+    ("dim=0 count=0\n", "line 1: dim must be >= 1"),
+    ("dim=1 count=1\n\ta?\t1\n", "line 2: empty id"),
+    ("dim=1 count=1\nq0\t \t1\n", "line 2: empty text"),
+], ids=["empty file", "dim 0", "empty id", "empty text"])
+def test_text_structure_faults(tmp_path, content, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        fileformats.read_embeddings_text(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_text_hash_is_a_value_not_a_comment(tmp_path):
@@ -220,6 +240,56 @@ def test_binary_version_check(tmp_path):
         fileformats.read_embeddings_binary(path)
 
 
+def test_binary_dim_zero_rejected(tmp_path):
+    path = tmp_path / "dim0.bin"
+    path.write_bytes(fileformats.EMBEDDING_MAGIC + struct.pack("<HII", 1, 0, 0))
+    with pytest.raises(ParseError) as info:
+        fileformats.read_embeddings_binary(path)
+    assert str(info.value) == f"{path}: dim must be >= 1"
+
+
+def _records_with_inf(ids):
+    records = _sample_records(count=len(ids))
+    records = [(rid, text, vec) for rid, (_, text, vec) in zip(ids, records)]
+    records[1][2][3] = np.inf
+    return records
+
+
+def test_binary_non_finite_names_record(tmp_path):
+    path = tmp_path / "inf.bin"
+    fileformats.write_embeddings_binary(path, _records_with_inf(["q0", "q1", "q2"]), 16)
+    with pytest.raises(ParseError) as info:
+        fileformats.read_embeddings_binary(path)
+    assert str(info.value) == f"{path}: record 1: non-finite value"
+
+
+def test_binary_later_field_error_reported_before_bad_value(tmp_path):
+    path = tmp_path / "two_faults.bin"
+    fileformats.write_embeddings_binary(path, _records_with_inf(["q0", "q1", "q0"]), 16)
+    with pytest.raises(ParseError) as info:
+        fileformats.read_embeddings_binary(path)
+    assert str(info.value) == f"{path}: record 2: duplicate id 'q0'"
+    fileformats.write_embeddings_binary(path, _records_with_inf(["q0", "q1", "q2"]), 16)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(ParseError) as info:
+        fileformats.read_embeddings_binary(path)
+    assert str(info.value) == f"{path}: truncated while reading record 2: values"
+
+
+def test_binary_vectors_are_rows_of_one_array(tmp_path):
+    path = tmp_path / "emb.bin"
+    fileformats.write_embeddings_binary(path, _sample_records(count=4), 16)
+    vectors = [vec for _, _, vec in fileformats.read_embeddings_binary(path)]
+    assert vectors[0].base is not None
+    assert all(vec.dtype == np.float64 and vec.base is vectors[0].base for vec in vectors)
+
+
+def test_binary_empty_body(tmp_path):
+    path = tmp_path / "empty.bin"
+    fileformats.write_embeddings_binary(path, [], 16)
+    assert fileformats.read_embeddings_binary(path) == []
+
+
 def test_read_embeddings_sniffs_format(tmp_path):
     records = _sample_records(dim=4)
     tpath = tmp_path / "a.txt"
@@ -255,6 +325,55 @@ def test_matrix_sections_bad_value_names_its_line(tmp_path):
     with pytest.raises(ParseError) as info:
         fileformats.read_matrix_sections(path)
     assert str(info.value) == f"{path}: line 6: could not convert string to float: 'x'"
+
+
+_SECTION_FAULTS = {  # kind: (file content, message after the path)
+    "empty file": ("", "empty file, expected 'sections=<N>' header"),
+    "malformed header": ("sections=x\n", "line 1: malformed header 'sections=x'"),
+    "missing section": ("sections=2\nname=a rows=1 cols=1\n1\n", "expected 2 sections, found 1"),
+    "malformed section header": ("sections=1\nname=a rows=1\n1\n",
+                                 "line 2: malformed section header 'name=a rows=1'"),
+    "duplicate section": ("sections=2\nname=a rows=1 cols=1\n1\nname=a rows=1 cols=1\n2\n",
+                          "line 4: duplicate section 'a'"),
+    "zero rows": ("sections=1\nname=a rows=0 cols=1\n", "line 2: rows and cols must be >= 1"),
+    "zero cols": ("sections=1\nname=a rows=1 cols=0\n\n", "line 2: rows and cols must be >= 1"),
+    "truncated payload": ("sections=1\nname=a rows=2 cols=1\n1\n",
+                          "section 'a': truncated payload"),
+    "extra lines": ("sections=1\nname=a rows=1 cols=1\n1\n2\n3\n",
+                    "2 extra lines after last section"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_SECTION_FAULTS))
+def test_matrix_sections_structure_faults(tmp_path, kind):
+    content, message = _SECTION_FAULTS[kind]
+    path = tmp_path / "bad.txt"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        fileformats.read_matrix_sections(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("kind", ["duplicate section", "truncated payload", "extra lines"])
+def test_matrix_sections_structure_fault_reported_before_bad_value(tmp_path, kind):
+    # Every header is checked before any payload is converted, so a later
+    # structure fault wins over a bad value in an earlier section.
+    content, message = _SECTION_FAULTS[kind]
+    first_value = content.index("\n", content.index("name=")) + 1
+    content = content[:first_value] + "x" + content[first_value + 1:]
+    path = tmp_path / "two_faults.txt"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        fileformats.read_matrix_sections(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_matrix_sections_missing_field_names_sections(tmp_path):
+    path = tmp_path / "params.txt"
+    fileformats.write_matrix_sections(path, {"w_x": np.ones((2, 3))})
+    with pytest.raises(ParseError) as info:
+        AttentionParameters.from_file(path)
+    assert str(info.value) == f"{path}: missing sections ['w_g', 'w_hx']"
 
 
 def test_jsonl_round_trip(tmp_path):

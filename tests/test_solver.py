@@ -186,6 +186,23 @@ def test_solver_rejects_zero_lambda():
         solve_lasso(a, np.ones(2), LassoConfig.absolute(0.0))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: LassoConfig.absolute(0.0),
+    lambda: LassoConfig.absolute(-0.0),
+    lambda: LassoConfig.relative(0),
+], ids=["lambda_abs-0", "lambda_abs-negative-0", "lambda_rel-0"])
+def test_config_rejects_zero_lambda(make):
+    message = "lambda = 0 is rejected: unpenalized least squares is out of scope"
+    with pytest.raises(UnsupportedConfigError, match=f"^{message}$"):
+        make()
+
+
+def test_solver_rejects_zero_query_under_relative_penalty():
+    a = np.asfortranarray(np.eye(2))
+    with pytest.raises(UnsupportedConfigError, match="^lambda = 0 is rejected"):
+        solve_lasso(a, np.zeros(2), LassoConfig.relative(0.1))
+
+
 def test_config_requires_exactly_one_lambda():
     with pytest.raises(UnsupportedConfigError):
         LassoConfig(lambda_abs=0.1, lambda_rel=0.1)
