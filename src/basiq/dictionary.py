@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ParseError, ShapeError
-from .fileformats import BinaryReader, pack_string
+from .fileformats import BinaryReader, encode_faults, pack_string
 
 CACHE_MAGIC = b"BQDICT"
 CACHE_VERSION = 1
@@ -143,16 +143,18 @@ def save_dictionary_cache(d, path):
     """Serialize a dictionary to a binary cache file.
 
     Matrix and norms are stored as raw little-endian float64 so a reload
-    reproduces them bit-identically.
+    reproduces them bit-identically.  Ids and texts are encoded before
+    the file is opened; the matrix is written from its own buffer.
     """
+    with encode_faults(path):
+        strings = b"".join(pack_string(s) for pair in zip(d.ids, d.texts) for s in pair)
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<HII", CACHE_VERSION, d.dim, d.n_columns))
-        for rec_id, text in zip(d.ids, d.texts):
-            fh.write(pack_string(rec_id))
-            fh.write(pack_string(text))
-        fh.write(np.asarray(d.column_norms_original, dtype="<f8").tobytes())
-        fh.write(np.asarray(d.matrix, dtype="<f8").tobytes(order="F"))
+        fh.write(strings)
+        fh.write(np.asarray(d.column_norms_original, dtype="<f8"))
+        # The column-major matrix, transposed, is a C-contiguous buffer in that order.
+        fh.write(np.asarray(d.matrix, dtype="<f8").T)
 
 
 def load_dictionary_cache(path):

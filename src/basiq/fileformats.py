@@ -1,4 +1,4 @@
-"""Low-level readers and writers for the on-disk formats.
+r"""Low-level readers and writers for the on-disk formats.
 
 Four formats live here, plus the ``BinaryReader`` the dictionary cache
 also uses:
@@ -17,16 +17,23 @@ also uses:
 
 Fields come before values: a reader checks the structure of the whole
 file (headers, ids, texts, field counts, lengths), raising its first
-fault, before it converts the values in one batch, where the first bad
-value wins.  Text values go through one ``np.loadtxt`` call per file or
-section; rows it rejects or reads as non-finite are parsed again one at
-a time with ``float()``, which accepts every token ``loadtxt`` does
-(with the same bits) and a few more, such as ``1_0``.
+fault, before any bad value, where the first one wins.  Text values go
+through one ``np.loadtxt`` call per section, or per block of 256 lines
+of a text embedding file; rows it rejects or reads as non-finite are
+parsed again one at a time with ``float()``, which accepts every token
+``loadtxt`` does (with the same bits) and a few more, such as ``1_0``.
+
+Text lines end at "\n", "\r\n" or a lone "\r".  The text embedding reader
+streams its file: its peak memory is the output array, ids and texts
+plus one block of lines, never the whole text.
 """
 
+import contextlib
 import dataclasses
 import json
+import os
 import re
+import stat
 import struct
 import warnings
 
@@ -41,6 +48,7 @@ _HEADER_RE = re.compile(r"^dim=(\d+) count=(\d+)$")
 _SECTIONS_RE = re.compile(r"^sections=(\d+)$")
 _SECTION_HEADER_RE = re.compile(r"^name=(\S+) rows=(\d+) cols=(\d+)$")
 _FIELD_BREAK_RE = re.compile(r"[\t\n\r]")
+_BLOCK = 256  # text embedding lines converted per np.loadtxt call
 _U32 = struct.Struct("<I")
 _raw_decode = json.JSONDecoder().raw_decode
 
@@ -90,6 +98,16 @@ class BinaryReader:
         extra = len(self.blob) - self.pos
         if extra:
             raise ParseError(f"{self.path}: {extra} trailing bytes{suffix}")
+
+
+@contextlib.contextmanager
+def encode_faults(path):
+    """Raise a string UTF-8 cannot hold (a lone surrogate), met while a
+    writer encodes its output, as ``InvalidInputError`` naming ``path``."""
+    try:
+        yield
+    except UnicodeEncodeError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def pack_string(s):
@@ -159,8 +177,9 @@ def _record_fields(line, seen, path, lineno):
 
 
 def _read_lines(path):
-    r"""The lines of a UTF-8 text file, split at "\n" only, not at the
-    form feeds, ``\x85`` or ``\u2028`` that ``str.splitlines`` splits at."""
+    r"""The lines of a UTF-8 text file, split at "\n", "\r\n" or a lone "\r"
+    only, not at the form feeds, ``\x85`` or ``\u2028`` that
+    ``str.splitlines`` splits at."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -174,40 +193,90 @@ def _read_lines(path):
 def read_embeddings_text(path):
     """Parse a text embedding file into a list of (id, text, vector) tuples.
 
-    The vectors are the rows of one ``(count, dim)`` float64 array.
+    The vectors are the rows of one ``(count, dim)`` float64 array, filled
+    a block of lines at a time.  Faults come in the order a whole-file read
+    gives them: invalid UTF-8, the header, the count, fields, then values.
     """
-    lines = _read_lines(path)
-    if not lines:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            ids, texts, matrix = _read_embedding_lines(fh, path)
+    except UnicodeDecodeError:
+        # Text mode decodes a chunk at a time, so the error's position is
+        # relative to its chunk; decoding the whole file names the offset.
+        _read_lines(path)
+        raise
+    return list(zip(ids, texts, matrix))
+
+
+def _read_embedding_lines(fh, path):
+    """The ids, texts and value matrix of an open text embedding file; the
+    lines are read to the end before any fault but an empty file is raised."""
+    header = fh.readline()
+    if not header:
         raise ParseError(f"{path}: empty file, expected 'dim=<D> count=<N>' header")
-    m = _HEADER_RE.match(lines[0])
-    if m is None:
-        raise ParseError(f"{path}: line 1: malformed header {lines[0]!r}")
-    dim, count = int(m.group(1)), int(m.group(2))
-    if dim < 1:
+    header = header.removesuffix("\n")
+    m = _HEADER_RE.match(header)
+    if m is None or int(m.group(1)) < 1:
+        for _ in fh:  # invalid UTF-8 later in the file wins
+            pass
+        if m is None:
+            raise ParseError(f"{path}: line 1: malformed header {header!r}")
         raise ParseError(f"{path}: line 1: dim must be >= 1")
-    if len(lines) - 1 != count:
-        raise ParseError(
-            f"{path}: header declares {count} records but file has {len(lines) - 1} lines"
-        )
-    seen = set()
-    for i in range(1, len(lines)):  # each line gives way to its fields, to save memory
-        lines[i] = _record_fields(lines[i], seen, path, i + 1)
-    records = lines[1:]
-    values = _parse_rows([rec[2] for rec in records], dim, path, 2)
-    return [(rec_id, text, vec) for (rec_id, text, _), vec in zip(records, values)]
+    dim, count = int(m.group(1)), int(m.group(2))
+    # A record line takes at least 2 * dim + 3 bytes, so a regular file too
+    # small for ``count`` of them must fail: its header is not trusted to
+    # size an allocation, and the values are checked but not kept.  A pipe
+    # has no size to check.
+    st = os.fstat(fh.fileno())
+    room = st.st_size >= count * (2 * dim + 3) or not stat.S_ISREG(st.st_mode)
+    matrix = np.empty((count, dim), dtype=np.float64) if room else None
+    ids, texts, rows, seen = [], [], [], set()
+    fault = value_fault = None
+    n = 0  # body lines read
+    for n, line in enumerate(fh, start=1):
+        if fault is not None or n > count:
+            continue  # only the count can still change which fault wins
+        try:
+            rec_id, text, row = _record_fields(line, seen, path, n + 1)
+        except ParseError as exc:
+            fault = exc
+            continue
+        ids.append(rec_id)
+        texts.append(text)
+        if value_fault is not None:
+            continue
+        rows.append(row)
+        if len(rows) == _BLOCK or n == count:
+            first = n - len(rows)
+            try:
+                values = _parse_rows(rows, dim, path, first + 2)
+            except ParseError as exc:
+                value_fault = exc
+            else:
+                if matrix is not None:
+                    matrix[first:n] = values
+            rows = []
+    if n != count:
+        raise ParseError(f"{path}: header declares {count} records but file has {n} lines")
+    if fault is not None or value_fault is not None:
+        raise fault or value_fault
+    return ids, texts, matrix
 
 
 def write_embeddings_text(path, records, dim):
-    """Write (id, text, vector) tuples as a text embedding file."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"dim={dim} count={len(records)}\n")
+    """Write (id, text, vector) tuples as a text embedding file; every
+    record is checked and encoded first, so a bad one leaves no file."""
+    with encode_faults(path):
+        lines = [f"dim={dim} count={len(records)}\n".encode("utf-8")]
         for rec_id, text, vec in records:
             if len(vec) != dim:
                 raise ValueError(f"record {rec_id!r}: vector length {len(vec)} != dim {dim}")
             if _FIELD_BREAK_RE.search(rec_id) or _FIELD_BREAK_RE.search(text):
                 raise ValueError(f"record {rec_id!r}: tab or line break in id or text")
             payload = " ".join(repr(float(v)) for v in vec)
-            fh.write(f"{rec_id}\t{text}\t{payload}\n")
+            lines.append(f"{rec_id}\t{text}\t{payload}\n".encode("utf-8"))
+    with open(path, "wb") as fh:
+        fh.writelines(lines)
 
 
 def read_embeddings_binary(path):
@@ -242,17 +311,17 @@ def read_embeddings_binary(path):
 
 
 def write_embeddings_binary(path, records, dim):
-    """Write (id, text, vector) tuples as a binary embedding file."""
-    with open(path, "wb") as fh:
-        fh.write(EMBEDDING_MAGIC)
-        fh.write(struct.pack("<H", EMBEDDING_VERSION))
-        fh.write(struct.pack("<II", dim, len(records)))
+    """Write (id, text, vector) tuples as a binary embedding file; every
+    record is checked and encoded first, so a bad one leaves no file."""
+    with encode_faults(path):
+        chunks = [EMBEDDING_MAGIC, struct.pack("<HII", EMBEDDING_VERSION, dim, len(records))]
         for rec_id, text, vec in records:
             if len(vec) != dim:
                 raise ValueError(f"record {rec_id!r}: vector length {len(vec)} != dim {dim}")
-            fh.write(pack_string(rec_id))
-            fh.write(pack_string(text))
-            fh.write(np.asarray(vec, dtype="<f4").tobytes())
+            chunks += (pack_string(rec_id), pack_string(text),
+                       np.asarray(vec, dtype="<f4").tobytes())
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
 
 
 def read_embeddings(path):
@@ -333,10 +402,8 @@ def write_jsonl(path, lines):
     The payload is encoded whole before the file is opened, so a string
     UTF-8 cannot hold (a lone surrogate) leaves no file behind.
     """
-    try:
+    with encode_faults(path):
         data = "".join([line + "\n" for line in lines]).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
     with open(path, "wb") as fh:
         fh.write(data)
 

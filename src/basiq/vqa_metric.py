@@ -8,7 +8,6 @@ text (trim, collapse whitespace, casefold) before comparison unless raw
 matching is requested.
 """
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -57,13 +56,21 @@ def question_score(record, normalize=True):
     return _consensus_score(record, normalize_question_text if normalize else (lambda s: s))
 
 
+class _Normalized(dict):
+    """Answer -> normalized answer, computed on the first lookup."""
+
+    def __missing__(self, answer):
+        self[answer] = normalized = normalize_question_text(answer)
+        return normalized
+
+
 def evaluate(records, normalize=True):
     """Per-question scores plus their mean, in input order."""
     records = list(records)
     if not records:
         raise InvalidInputError("cannot evaluate zero records")
     # Annotator answers repeat heavily: normalize each distinct one once.
-    norm = functools.cache(normalize_question_text) if normalize else (lambda s: s)
+    norm = _Normalized().__getitem__ if normalize else (lambda s: s)
     seen, per_question = set(), []
     for rec in records:
         if rec.question_id in seen:

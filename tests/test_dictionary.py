@@ -245,6 +245,18 @@ def test_cache_round_trip_bit_identical(tmp_path, rng):
     assert loaded.ids == d.ids
     assert loaded.texts == d.texts
     assert np.array_equal(loaded.column_norms_original, d.column_norms_original)
+    blob = path.read_bytes()
+    assert blob.endswith(d.column_norms_original.tobytes() + d.matrix.tobytes(order="F"))
+
+
+def test_cache_save_encodes_strings_before_opening(tmp_path):
+    d = Dictionary(matrix=np.eye(2), ids=("a", "b\ud800"), texts=("a?", "b?"),
+                   column_norms_original=np.ones(2))
+    path = tmp_path / "dict.bin"
+    with pytest.raises(InvalidInputError) as info:
+        save_dictionary_cache(d, path)
+    assert str(info.value).startswith(f"{path}: 'utf-8' codec can't encode character '\\ud800'")
+    assert not path.exists()
 
 
 def test_cache_truncation_rejected(tmp_path, rng):

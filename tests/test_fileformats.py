@@ -1,6 +1,9 @@
 """Embedding, matrix-section, and JSON-lines file format contracts."""
 
+import os
 import struct
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 
 from basiq import fileformats
 from basiq.coattention import AttentionParameters
-from basiq.errors import ParseError
+from basiq.errors import InvalidInputError, ParseError
 
 
 def _sample_records(dim=16, count=3, seed=5):
@@ -180,6 +183,191 @@ def test_text_tokens_only_float_accepts_are_read(tmp_path):
                     encoding="utf-8")
     vectors = [vec for _, _, vec in fileformats.read_embeddings_text(path)]
     assert np.array_equal(vectors, [[0.25, -3.0], [float("1_0"), float("\u0661\u0662")]])
+
+
+@pytest.mark.parametrize("ends", [("\n", "\n"), ("\r\n", "\r\n"), ("\r", "\r"), ("\n", "\r")],
+                         ids=["LF", "CRLF", "lone CR", "mixed"])
+@pytest.mark.parametrize("final", [True, False], ids=["final newline", "no final newline"])
+def test_text_lines_end_at_universal_newlines(tmp_path, ends, final):
+    path = tmp_path / "emb.txt"
+    data = "dim=2 count=2" + ends[0] + "q0\ta?\t1 2" + ends[1] + "q1\tb?\t3 4" + ends[1] * final
+    path.write_bytes(data.encode("utf-8"))
+    loaded = fileformats.read_embeddings_text(path)
+    assert [(rid, text, vec.tolist()) for rid, text, vec in loaded] == [
+        ("q0", "a?", [1.0, 2.0]), ("q1", "b?", [3.0, 4.0])]
+
+
+def _reference_read_embeddings_text(path):
+    """The whole-file reader written plainly: every line is read, then checked.
+
+    An oracle for ``read_embeddings_text``: the same records, or the same
+    exception type and message.
+    """
+    lines = fileformats._read_lines(path)
+    if not lines:
+        raise ParseError(f"{path}: empty file, expected 'dim=<D> count=<N>' header")
+    m = fileformats._HEADER_RE.match(lines[0])
+    if m is None:
+        raise ParseError(f"{path}: line 1: malformed header {lines[0]!r}")
+    dim, count = int(m.group(1)), int(m.group(2))
+    if dim < 1:
+        raise ParseError(f"{path}: line 1: dim must be >= 1")
+    if len(lines) - 1 != count:
+        raise ParseError(
+            f"{path}: header declares {count} records but file has {len(lines) - 1} lines"
+        )
+    seen = set()
+    records = [fileformats._record_fields(line, seen, path, lineno)
+               for lineno, line in enumerate(lines[1:], start=2)]
+    values = fileformats._parse_rows([rec[2] for rec in records], dim, path, 2)
+    return [(rec_id, text, vec) for (rec_id, text, _), vec in zip(records, values)]
+
+
+def _read_outcome(read, path):
+    try:
+        return [(rid, text, vec.tobytes()) for rid, text, vec in read(path)]
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+_DIFF_DIM, _DIFF_COUNT = 8, 600  # body lines span three value blocks and many 8 KiB chunks
+_FIELD_FAULTS = {
+    "two fields": lambda line: line.rsplit("\t", 1)[0],
+    "four fields": lambda line: line + "\t1",
+    "empty id": lambda line: line[line.index("\t"):],
+    "empty text": lambda line: line.split("\t")[0] + "\t \t" + line.split("\t")[2],
+    "blank line": lambda line: "",
+}
+_VALUE_FAULTS = {
+    "bad token": lambda line: line + "x",
+    "nan": lambda line: line.rsplit(" ", 1)[0] + " nan",
+    "short line": lambda line: line.rsplit(" ", 1)[0],
+    "long line": lambda line: line + " 1.5",
+}
+
+
+def _diff_case(case, seed):
+    """(header, body lines, line end, bytes to splice in at an offset) for one case."""
+    rng = np.random.default_rng(seed)
+    header = f"dim={_DIFF_DIM} count={_DIFF_COUNT}"
+    values = rng.standard_normal((_DIFF_COUNT, _DIFF_DIM)).tolist()
+    body = [f"q{i}\tis sample {i} ready?\t" + " ".join(map(repr, row))
+            for i, row in enumerate(values)]
+    end, splice = "\n", None
+    kind, _, where = case.partition("@")
+    at = int(where) - 2 if where else int(rng.integers(1, _DIFF_COUNT))  # body index
+    if kind == "count low":
+        header = f"dim={_DIFF_DIM} count={_DIFF_COUNT - 1}"
+    elif kind == "count high":
+        header = f"dim={_DIFF_DIM} count={_DIFF_COUNT + 1}"
+    elif kind == "huge count":
+        header, body = "dim=100000 count=100000000", body[:1]
+    elif kind == "huge dim":  # too small a file for its count, though the count is right
+        header = f"dim=1000 count={_DIFF_COUNT}"
+    elif kind == "value then count":
+        header = f"dim={_DIFF_DIM} count={_DIFF_COUNT - 1}"
+        body[at] = _VALUE_FAULTS["nan"](body[at])
+    elif kind in _FIELD_FAULTS:
+        body[at] = _FIELD_FAULTS[kind](body[at])
+    elif kind == "duplicate id":
+        body[at] = "q0" + body[at][body[at].index("\t"):]
+    elif kind in _VALUE_FAULTS:
+        body[at] = _VALUE_FAULTS[kind](body[at])
+    elif kind == "value then field":
+        body[at // 2] = _VALUE_FAULTS["bad token"](body[at // 2])
+        body[at // 2 + 300] = _FIELD_FAULTS["empty id"](body[at // 2 + 300])
+    elif kind == "field then utf-8":
+        body[3] = _FIELD_FAULTS["four fields"](body[3])
+        splice = 20025
+    elif kind == "utf-8":
+        splice = 8192 + int(rng.integers(50_000))
+    elif kind == "header then utf-8":
+        header, splice = "dim=0 count=600", 20025
+    elif kind == "count then utf-8":
+        header, splice = f"dim={_DIFF_DIM} count=1", 20025
+    elif kind == "trailing blank":
+        body.append("")
+    elif kind in ("CRLF", "lone CR"):
+        end = "\r\n" if kind == "CRLF" else "\r"
+    elif kind == "no final newline":
+        end = None
+    else:
+        assert kind == "clean", kind
+    return header, body, end, splice
+
+
+_DIFF_CASES = [
+    "clean", "CRLF", "lone CR", "no final newline", "trailing blank",
+    "count low", "count high", "huge count", "huge dim", "value then count", "value then field",
+    "utf-8", "field then utf-8", "header then utf-8", "count then utf-8",
+    "duplicate id", *_FIELD_FAULTS,
+    *[f"{kind}@{line}" for kind in _VALUE_FAULTS for line in (2, 256, 257, 258, 513, 514, 601)],
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("case", _DIFF_CASES)
+def test_text_reader_matches_whole_file_reference(tmp_path, case, seed):
+    header, body, end, splice = _diff_case(case, seed)
+    text = header + "\n" + "\n".join(body) + ("\n" if end else "")
+    if end and end != "\n":
+        text = text.replace("\n", end)
+    data = text.encode("utf-8")
+    if splice is not None:
+        data = data[:splice] + b"\xff" + data[splice:]
+    path = tmp_path / "emb.txt"
+    path.write_bytes(data)
+    expected = _read_outcome(_reference_read_embeddings_text, path)
+    assert _read_outcome(fileformats.read_embeddings_text, path) == expected
+    assert isinstance(expected, list) == (case in ("clean", "CRLF", "lone CR", "no final newline"))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_text_reader_reads_a_pipe(tmp_path):
+    # A pipe has no size to check the header's count against; it is trusted.
+    path = tmp_path / "emb.fifo"
+    os.mkfifo(path)
+    content = "dim=2 count=2\nq0\ta?\t1 2\nq1\tb?\t3 4\n"
+    writer = threading.Thread(target=path.write_text, args=(content, "utf-8"), daemon=True)
+    writer.start()
+    loaded = fileformats.read_embeddings_text(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert [(rid, text, vec.tolist()) for rid, text, vec in loaded] == [
+        ("q0", "a?", [1.0, 2.0]), ("q1", "b?", [3.0, 4.0])]
+
+
+def test_text_reader_peak_memory_is_below_file_size(tmp_path):
+    # The peak is the output array plus one block of lines, not the file's text.
+    path = tmp_path / "emb.txt"
+    fileformats.write_embeddings_text(path, _sample_records(dim=64, count=2000, seed=2000), 64)
+    tracemalloc.start()
+    try:
+        loaded = fileformats.read_embeddings_text(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 2000
+    assert peak < path.stat().st_size
+
+
+_WRITERS = {"text": fileformats.write_embeddings_text,
+            "binary": fileformats.write_embeddings_binary}
+
+
+@pytest.mark.parametrize("fmt", sorted(_WRITERS))
+def test_writer_checks_every_record_before_opening(tmp_path, fmt):
+    path = tmp_path / "emb"
+    first = ("q0", "a?", [1.0, 2.0])
+    with pytest.raises(ValueError) as info:
+        _WRITERS[fmt](path, [first, ("q1", "b?", [1.0, 2.0, 3.0])], 2)
+    assert str(info.value) == "record 'q1': vector length 3 != dim 2"
+    assert not path.exists()
+    for second in (("q1\ud800", "b?", [3.0, 4.0]), ("q1", "b\ud800?", [3.0, 4.0])):
+        with pytest.raises(InvalidInputError) as info:
+            _WRITERS[fmt](path, [first, second], 2)
+        assert str(info.value).startswith(f"{path}: 'utf-8' codec can't encode character '\\ud800'")
+        assert not path.exists()
 
 
 def test_binary_round_trip(tmp_path):
@@ -381,3 +569,11 @@ def test_jsonl_round_trip(tmp_path):
     fileformats.write_jsonl(path, ['{"a": 1}', '{"b": 2}'])
     assert path.read_bytes().endswith(b"\n")
     assert [line for _, line in fileformats.read_jsonl(path)] == ['{"a": 1}', '{"b": 2}']
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "lone CR"])
+@pytest.mark.parametrize("final", [True, False], ids=["final newline", "no final newline"])
+def test_jsonl_lines_end_at_universal_newlines(tmp_path, end, final):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes((end.join(['{"a": 1}', "", '{"b": 2}']) + end * final).encode("utf-8"))
+    assert list(fileformats.read_jsonl(path)) == [(1, '{"a": 1}'), (3, '{"b": 2}')]
