@@ -159,7 +159,8 @@ def save_dictionary_cache(d, path):
 
 def load_dictionary_cache(path):
     """Load a dictionary cache written by ``save_dictionary_cache``."""
-    r = BinaryReader(path)
+    with open(path, "rb") as fh:
+        r = BinaryReader(fh.read(), path)
     if r.take(len(CACHE_MAGIC), "magic") != CACHE_MAGIC:
         raise ParseError(f"{path}: bad magic, not a dictionary cache")
     version, dim, n = r.unpack("<HII", "header")

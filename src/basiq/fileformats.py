@@ -23,13 +23,16 @@ of a text embedding file; rows it rejects or reads as non-finite are
 parsed again one at a time with ``float()``, which accepts every token
 ``loadtxt`` does (with the same bits) and a few more, such as ``1_0``.
 
-Text lines end at "\n", "\r\n" or a lone "\r".  The text embedding reader
-streams its file: its peak memory is the output array, ids and texts
-plus one block of lines, never the whole text.
+Every reader opens its path once, so a named pipe works as a file does.
+Text files stream as lines ending at "\n", "\r\n" or a lone "\r"; invalid
+UTF-8 raises the error a whole-file decode gives.  The text embedding
+reader's peak memory is the output array, ids and texts plus one block
+of lines, never the whole text.
 """
 
 import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
@@ -61,9 +64,8 @@ class BinaryReader:
     ``pack_string`` writes them.
     """
 
-    def __init__(self, path):
-        with open(path, "rb") as fh:
-            self.blob = fh.read()
+    def __init__(self, blob, path):
+        self.blob = blob
         self.path = path
         self.pos = 0
 
@@ -176,18 +178,24 @@ def _record_fields(line, seen, path, lineno):
     return fields
 
 
-def _read_lines(path):
-    r"""The lines of a UTF-8 text file, split at "\n", "\r\n" or a lone "\r"
-    only, not at the form feeds, ``\x85`` or ``\u2028`` that
-    ``str.splitlines`` splits at."""
+def _lines(fh, path):
+    r"""The lines of the open UTF-8 text file ``fh``, without their ends, split
+    at "\n", "\r\n" or a lone "\r" only, not at the form feeds, ``\x85`` or
+    ``\u2028`` that ``str.splitlines`` splits at."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+        for line in fh:
+            yield line.removesuffix("\n")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    if lines[-1] == "":
-        lines.pop()
-    return lines
+        # Text mode decodes a chunk at a time: the error's positions are in
+        # its chunk, which ends where the byte buffer stands now.
+        try:
+            at = fh.buffer.tell() - len(exc.object) + exc.start
+        except OSError:  # a pipe has no position
+            raise ParseError(f"{path}: invalid UTF-8: {exc.reason}") from None
+        n = exc.end - exc.start
+        where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if n == 1
+                 else f"bytes in position {at}-{at + n - 1}")
+        raise ParseError(f"{path}: 'utf-8' codec can't decode {where}: {exc.reason}") from None
 
 
 def read_embeddings_text(path):
@@ -197,27 +205,20 @@ def read_embeddings_text(path):
     a block of lines at a time.  Faults come in the order a whole-file read
     gives them: invalid UTF-8, the header, the count, fields, then values.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            ids, texts, matrix = _read_embedding_lines(fh, path)
-    except UnicodeDecodeError:
-        # Text mode decodes a chunk at a time, so the error's position is
-        # relative to its chunk; decoding the whole file names the offset.
-        _read_lines(path)
-        raise
-    return list(zip(ids, texts, matrix))
+    with open(path, encoding="utf-8") as fh:
+        return _text_embeddings(fh, path)
 
 
-def _read_embedding_lines(fh, path):
-    """The ids, texts and value matrix of an open text embedding file; the
-    lines are read to the end before any fault but an empty file is raised."""
-    header = fh.readline()
-    if not header:
+def _text_embeddings(fh, path):
+    """The records of an open text embedding file; the lines are read to
+    the end before any fault but an empty file is raised."""
+    lines = _lines(fh, path)
+    header = next(lines, None)
+    if header is None:
         raise ParseError(f"{path}: empty file, expected 'dim=<D> count=<N>' header")
-    header = header.removesuffix("\n")
     m = _HEADER_RE.match(header)
     if m is None or int(m.group(1)) < 1:
-        for _ in fh:  # invalid UTF-8 later in the file wins
+        for _ in lines:  # invalid UTF-8 later in the file wins
             pass
         if m is None:
             raise ParseError(f"{path}: line 1: malformed header {header!r}")
@@ -233,7 +234,7 @@ def _read_embedding_lines(fh, path):
     ids, texts, rows, seen = [], [], [], set()
     fault = value_fault = None
     n = 0  # body lines read
-    for n, line in enumerate(fh, start=1):
+    for n, line in enumerate(lines, start=1):
         if fault is not None or n > count:
             continue  # only the count can still change which fault wins
         try:
@@ -260,7 +261,7 @@ def _read_embedding_lines(fh, path):
         raise ParseError(f"{path}: header declares {count} records but file has {n} lines")
     if fault is not None or value_fault is not None:
         raise fault or value_fault
-    return ids, texts, matrix
+    return list(zip(ids, texts, matrix))
 
 
 def write_embeddings_text(path, records, dim):
@@ -287,7 +288,13 @@ def read_embeddings_binary(path):
     uint32-length-prefixed UTF-8 text, and dim little-endian float32
     values.  Vectors are widened to float64 on load.
     """
-    r = BinaryReader(path)
+    with open(path, "rb") as fh:
+        return _binary_embeddings(fh.read(), path)
+
+
+def _binary_embeddings(blob, path):
+    """The records in ``blob``, the bytes of binary embedding file ``path``."""
+    r = BinaryReader(blob, path)
     if r.take(4, "magic") != EMBEDDING_MAGIC:
         raise ParseError(f"{path}: bad magic, not a binary embedding file")
     (version,) = r.unpack("<H", "version")
@@ -325,17 +332,19 @@ def write_embeddings_binary(path, records, dim):
 
 
 def read_embeddings(path):
-    """Read an embedding file, sniffing text vs binary from the magic bytes."""
+    """Read an embedding file, sniffing text vs binary from the magic bytes;
+    a binary file on a pipe must deliver its magic in the first read."""
     with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == EMBEDDING_MAGIC:
-        return read_embeddings_binary(path)
-    return read_embeddings_text(path)
+        if fh.peek(4)[:4] == EMBEDDING_MAGIC:
+            return _binary_embeddings(fh.read(), path)
+        with io.TextIOWrapper(fh, encoding="utf-8") as text:
+            return _text_embeddings(text, path)
 
 
 def read_matrix_sections(path):
     """Parse a matrix-section file into an ordered dict of name -> 2-D array."""
-    lines = _read_lines(path)
+    with open(path, encoding="utf-8") as fh:
+        lines = list(_lines(fh, path))
     if not lines:
         raise ParseError(f"{path}: empty file, expected 'sections=<N>' header")
     m = _SECTIONS_RE.match(lines[0])
@@ -409,10 +418,12 @@ def write_jsonl(path, lines):
 
 
 def read_jsonl(path):
-    """Yield (line_number, raw_line) pairs for non-empty lines of a JSON-lines file."""
-    for i, line in enumerate(_read_lines(path), start=1):
-        if line:
-            yield i, line
+    """Yield (line_number, raw_line) pairs for non-empty lines of a JSON-lines
+    file as it is read; invalid UTF-8 surfaces with the 8 KiB chunk holding it."""
+    with open(path, encoding="utf-8") as fh:
+        for i, line in enumerate(_lines(fh, path), start=1):
+            if line:
+                yield i, line
 
 
 def decode_json_line(line):

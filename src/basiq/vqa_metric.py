@@ -98,32 +98,21 @@ def _jsonl_fields(path, value_key):
         yield lineno, str(qid), value
 
 
-def _raise_after(rows, fault):
-    """Decode the rest of ``rows``, then raise ``fault``: a malformed later line wins."""
-    for _ in rows:
-        pass
-    raise fault
-
-
 def load_answer_records(predictions_path, annotations_path):
     """Join prediction and annotation files on question_id, in one streaming pass each.
 
     Ids and answers compare as strings (``str()`` of other JSON values). Every
-    prediction needs an annotation; annotations without one are ignored. Faults
-    name ``path: line N``. A line that is not a JSON object with the required keys
-    wins over the other faults of its file (empty or non-list ``answers``, a
-    duplicate id, a prediction without annotations), of which the first is raised
-    once the file is decoded. Annotations are checked before predictions.
+    prediction needs an annotation; annotations without one are ignored. The
+    annotations are checked first, then the predictions; the first fault in file
+    order is raised, naming ``path: line N``.
     """
     annotations = {}
-    rows = _jsonl_fields(annotations_path, "answers")
-    for lineno, qid, answers in rows:
+    for lineno, qid, answers in _jsonl_fields(annotations_path, "answers"):
         if not isinstance(answers, list) or not answers:
-            _raise_after(rows, ParseError(
-                f"{annotations_path}: line {lineno}: 'answers' must be a nonempty list"))
+            raise ParseError(
+                f"{annotations_path}: line {lineno}: 'answers' must be a nonempty list")
         if qid in annotations:
-            _raise_after(rows, ParseError(
-                f"{annotations_path}: line {lineno}: duplicate question_id {qid!r}"))
+            raise ParseError(f"{annotations_path}: line {lineno}: duplicate question_id {qid!r}")
         try:
             "".join(answers)  # a TypeError unless every answer is already a str
             annotations[qid] = tuple(answers)
@@ -131,14 +120,12 @@ def load_answer_records(predictions_path, annotations_path):
             annotations[qid] = tuple(map(str, answers))
 
     records, joined = [], set()
-    rows = _jsonl_fields(predictions_path, "answer")
-    for lineno, qid, answer in rows:
+    for lineno, qid, answer in _jsonl_fields(predictions_path, "answer"):
         if qid not in annotations:
-            _raise_after(rows, InvalidInputError(
-                f"{predictions_path}: line {lineno}: no annotations for question_id {qid!r}"))
+            raise InvalidInputError(
+                f"{predictions_path}: line {lineno}: no annotations for question_id {qid!r}")
         if qid in joined:
-            _raise_after(rows, ParseError(
-                f"{predictions_path}: line {lineno}: duplicate question_id {qid!r}"))
+            raise ParseError(f"{predictions_path}: line {lineno}: duplicate question_id {qid!r}")
         joined.add(qid)
         records.append(AnswerRecord(qid, str(answer), annotations[qid]))
     return records

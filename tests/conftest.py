@@ -1,6 +1,9 @@
-"""Shared builders for solver and dictionary tests."""
+"""Shared builders for solver, dictionary and file-reading tests."""
 
+import contextlib
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +24,52 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.line(line)
+
+
+PIPE_TIMEOUT = 10  # seconds a read from a named pipe may take
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+
+
+def read_through_pipe(tmp_path, data, read):
+    """``read(path)`` on the named pipe ``tmp_path / "input.fifo"``, which a
+    writer thread fills with ``data``.
+
+    The read runs in a worker thread joined with a timeout, so a reader that
+    blocks (opening the pipe a second time waits for a writer that never
+    comes) fails the test instead of hanging the suite.  Returns what the
+    read returns, or raises what it raises.
+    """
+    path = tmp_path / "input.fifo"
+    os.mkfifo(path)
+    outcome = {}
+
+    def worker():
+        try:
+            outcome["result"] = read(path)
+        except BaseException as exc:  # handed to the test thread, re-raised there
+            outcome["error"] = exc
+
+    def write():
+        with contextlib.suppress(BrokenPipeError):  # the reader may stop at a fault
+            path.write_bytes(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    reader = threading.Thread(target=worker, daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(timeout=PIPE_TIMEOUT)
+    if reader.is_alive():
+        try:  # release a reader blocked in open(): it then reads end of file
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:
+            pass
+        reader.join(timeout=PIPE_TIMEOUT)
+        pytest.fail(f"reading a named pipe blocked for more than {PIPE_TIMEOUT} s")
+    writer.join(timeout=PIPE_TIMEOUT)
+    assert not writer.is_alive()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
 
 
 def unit_columns(rng, dim, n):

@@ -11,7 +11,10 @@ from basiq.errors import ParseError
 from basiq.generator import BqdRecord, read_bqd, write_bqd
 from basiq.vqa_metric import AnswerRecord, aggregate_by_type, evaluate
 
-from conftest import CACHE_FAULTS, corrupt_cache, near_duplicate_pairs, unit_columns
+from conftest import (
+    CACHE_FAULTS, corrupt_cache, near_duplicate_pairs, needs_fifo, read_through_pipe,
+    unit_columns,
+)
 
 
 @pytest.fixture
@@ -46,6 +49,18 @@ def test_build_dict_reports_columns(tmp_path, corpus_file, capsys):
     assert "0 duplicates dropped" in stdout
     assert out.exists()
     assert (tmp_path / "dict.bin.manifest.json").exists()
+
+
+@needs_fifo
+def test_build_dict_reads_a_pipe(tmp_path, corpus_file, capsys):
+    out = tmp_path / "dict.bin"
+    code = read_through_pipe(tmp_path, corpus_file.read_bytes(),
+                             lambda path: run(["build-dict", path, "--out", out]))
+    assert code == EXIT_OK
+    assert "12 columns" in capsys.readouterr().out
+    expected = tmp_path / "expected.bin"
+    assert run(["build-dict", corpus_file, "--out", expected]) == EXIT_OK
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_build_dict_counts_duplicates(tmp_path, rng, capsys):
@@ -528,28 +543,28 @@ def _eval_files(tmp_path, predictions, annotations):
     return ["eval", "--predictions", pred, "--annotations", anno]
 
 
-def test_eval_prediction_json_error_wins_over_earlier_missing_annotation(tmp_path, capsys):
-    # Each file is parsed whole before the join, so a JSON error on a later
-    # line is reported before a question without annotations on an earlier one.
+def test_eval_missing_annotation_wins_over_later_json_error(tmp_path, capsys):
+    # Each file is read one line at a time, so the first fault in file order
+    # wins: a question without annotations before a later JSON error.
     argv = _eval_files(
         tmp_path,
         '{"question_id": "q1", "answer": "red"}\n{"question_id": "q9", "answer": "red"}\n'
         '{"question_id": "q3", "answer": \n',
         '{"question_id": "q1", "answers": ["red"]}\n')
     assert run(argv) == EXIT_FAIL
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {tmp_path / 'pred.jsonl'}: line 3: Expecting value")
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'pred.jsonl'}: line 2: no annotations for question_id 'q9'\n")
 
 
-def test_eval_annotation_json_error_wins_over_earlier_duplicate(tmp_path, capsys):
+def test_eval_annotation_duplicate_wins_over_later_json_error(tmp_path, capsys):
     argv = _eval_files(
         tmp_path,
         '{"question_id": "q1", "answer": "red"}\n',
         '{"question_id": "q1", "answers": ["red"]}\n{"question_id": "q1", "answers": ["red"]}\n'
         '{"question_id": "q3", "answers": \n')
     assert run(argv) == EXIT_FAIL
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {tmp_path / 'anno.jsonl'}: line 3: Expecting value")
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'anno.jsonl'}: line 2: duplicate question_id 'q1'\n")
 
 
 def test_eval_duplicate_prediction_names_file_and_line(tmp_path, capsys):
@@ -563,15 +578,15 @@ def test_eval_duplicate_prediction_names_file_and_line(tmp_path, capsys):
         f"error: {tmp_path / 'pred.jsonl'}: line 3: duplicate question_id 'q1'\n")
 
 
-def test_eval_prediction_json_error_wins_over_earlier_duplicate(tmp_path, capsys):
+def test_eval_prediction_duplicate_wins_over_later_json_error(tmp_path, capsys):
     argv = _eval_files(
         tmp_path,
         '{"question_id": "q1", "answer": "red"}\n{"question_id": "q1", "answer": "red"}\n'
         '{"question_id": "q3", "answer": \n',
         '{"question_id": "q1", "answers": ["red"]}\n')
     assert run(argv) == EXIT_FAIL
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {tmp_path / 'pred.jsonl'}: line 3: Expecting value")
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'pred.jsonl'}: line 2: duplicate question_id 'q1'\n")
 
 
 @pytest.mark.parametrize("raw", [False, True], ids=["normalized", "raw"])

@@ -1,8 +1,7 @@
 """Embedding, matrix-section, and JSON-lines file format contracts."""
 
-import os
+import builtins
 import struct
-import threading
 import tracemalloc
 import warnings
 
@@ -11,7 +10,10 @@ import pytest
 
 from basiq import fileformats
 from basiq.coattention import AttentionParameters
+from basiq.dictionary import build_dictionary, load_dictionary_cache, save_dictionary_cache
 from basiq.errors import InvalidInputError, ParseError
+
+from conftest import needs_fifo, question_records, read_through_pipe
 
 
 def _sample_records(dim=16, count=3, seed=5):
@@ -197,13 +199,27 @@ def test_text_lines_end_at_universal_newlines(tmp_path, ends, final):
         ("q0", "a?", [1.0, 2.0]), ("q1", "b?", [3.0, 4.0])]
 
 
+def _read_lines(path):
+    r"""The lines of a UTF-8 text file, split at "\n", "\r\n" or a lone "\r"
+    only, not at the form feeds, ``\x85`` or ``\u2028`` that
+    ``str.splitlines`` splits at."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def _reference_read_embeddings_text(path):
     """The whole-file reader written plainly: every line is read, then checked.
 
     An oracle for ``read_embeddings_text``: the same records, or the same
     exception type and message.
     """
-    lines = fileformats._read_lines(path)
+    lines = _read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty file, expected 'dim=<D> count=<N>' header")
     m = fileformats._HEADER_RE.match(lines[0])
@@ -322,19 +338,47 @@ def test_text_reader_matches_whole_file_reference(tmp_path, case, seed):
     assert isinstance(expected, list) == (case in ("clean", "CRLF", "lone CR", "no final newline"))
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+_PIPE_TEXT = "dim=2 count=2\nq0\ta?\t1 2\nq1\tb?\t3 4\n"
+_PIPE_RECORDS = [("q0", "a?", [1.0, 2.0]), ("q1", "b?", [3.0, 4.0])]
+
+
+def _pipe_records(records):
+    return [(rid, text, vec.tolist()) for rid, text, vec in records]
+
+
+@needs_fifo
 def test_text_reader_reads_a_pipe(tmp_path):
     # A pipe has no size to check the header's count against; it is trusted.
-    path = tmp_path / "emb.fifo"
-    os.mkfifo(path)
-    content = "dim=2 count=2\nq0\ta?\t1 2\nq1\tb?\t3 4\n"
-    writer = threading.Thread(target=path.write_text, args=(content, "utf-8"), daemon=True)
-    writer.start()
-    loaded = fileformats.read_embeddings_text(path)
-    writer.join(timeout=10)
-    assert not writer.is_alive()
-    assert [(rid, text, vec.tolist()) for rid, text, vec in loaded] == [
-        ("q0", "a?", [1.0, 2.0]), ("q1", "b?", [3.0, 4.0])]
+    loaded = read_through_pipe(tmp_path, _PIPE_TEXT.encode("utf-8"),
+                               fileformats.read_embeddings_text)
+    assert _pipe_records(loaded) == _PIPE_RECORDS
+
+
+@needs_fifo
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_read_embeddings_reads_a_pipe(tmp_path, fmt):
+    # One open: sniffing the magic must not consume the pipe or reopen it.
+    path = tmp_path / "emb"
+    records = [(rid, text, np.array(vec)) for rid, text, vec in _PIPE_RECORDS]
+    _WRITERS[fmt](path, records, 2)
+    loaded = read_through_pipe(tmp_path, path.read_bytes(), fileformats.read_embeddings)
+    assert _pipe_records(loaded) == _PIPE_RECORDS
+
+
+@needs_fifo
+def test_text_reader_names_invalid_utf8_on_a_pipe(tmp_path):
+    # A pipe has no position to name, so the fault gives the decoder's reason.
+    data = _PIPE_TEXT.encode("utf-8").replace(b"b?", b"b\xff")
+    with pytest.raises(ParseError) as info:
+        read_through_pipe(tmp_path, data, fileformats.read_embeddings_text)
+    assert str(info.value) == f"{tmp_path / 'input.fifo'}: invalid UTF-8: invalid start byte"
+
+
+@needs_fifo
+def test_jsonl_reads_a_pipe(tmp_path):
+    loaded = read_through_pipe(tmp_path, b'{"a": 1}\r\n\n{"b": 2}',
+                               lambda path: list(fileformats.read_jsonl(path)))
+    assert loaded == [(1, '{"a": 1}'), (3, '{"b": 2}')]
 
 
 def test_text_reader_peak_memory_is_below_file_size(tmp_path):
@@ -577,3 +621,81 @@ def test_jsonl_lines_end_at_universal_newlines(tmp_path, end, final):
     path = tmp_path / "rows.jsonl"
     path.write_bytes((end.join(['{"a": 1}', "", '{"b": 2}']) + end * final).encode("utf-8"))
     assert list(fileformats.read_jsonl(path)) == [(1, '{"a": 1}'), (3, '{"b": 2}')]
+
+
+_TRUNCATED = {"truncated 2-byte": "é", "truncated 3-byte": "€", "truncated 4-byte": "\U0001f600"}
+_UTF8_FAULTS = ["lone byte", *_TRUNCATED, "encoded surrogate", "stray continuation"]
+
+
+def _utf8_fault(kind, rng):
+    """One seeded invalid UTF-8 sequence of ``kind``, as bytes."""
+    if kind == "lone byte":
+        return bytes([int(rng.choice([0xC0, 0xC1, *range(0xF5, 0x100)]))])
+    if kind == "stray continuation":
+        return bytes([int(rng.integers(0x80, 0xC0))])
+    if kind == "encoded surrogate":
+        return chr(int(rng.integers(0xD800, 0xE000))).encode("utf-8", "surrogatepass")
+    whole = _TRUNCATED[kind].encode("utf-8")
+    return whole[:int(rng.integers(1, len(whole)))]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "lone CR"])
+@pytest.mark.parametrize("kind", _UTF8_FAULTS)
+def test_jsonl_invalid_utf8_matches_whole_file_decode(tmp_path, kind, end):
+    # Text mode decodes a chunk at a time; the reported byte offset must be
+    # the one a decode of the whole file gives, for a splice anywhere past
+    # the first 8 KiB chunk, after non-ASCII text, and at the end of the file.
+    path = tmp_path / "rows.jsonl"
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        prefix = "été 日本 " * int(rng.integers(0, 3))
+        lines = [f'{{"q": "{prefix}row {i}", "n": {i}}}'
+                 for i in range(int(rng.integers(300, 900)))]
+        data = (end.join(lines) + end * int(rng.integers(0, 2))).encode("utf-8")
+        at = len(data) if seed % 8 == 7 else int(rng.integers(8192, len(data)))
+        while at < len(data) and (data[at - 1] >= 0x80 or data[at] >= 0x80):
+            at += 1  # splice between two ASCII bytes, not inside a character
+        data = data[:at] + _utf8_fault(kind, rng) + data[at:]
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as expected:
+            data.decode("utf-8")
+        with pytest.raises(ParseError) as info:
+            list(fileformats.read_jsonl(path))
+        assert str(info.value) == f"{path}: {expected.value}", (seed, at)
+
+
+_ONE_OPEN_READERS = {  # case: (reader, name of its input)
+    "read_embeddings text": (fileformats.read_embeddings, "emb.txt"),
+    "read_embeddings binary": (fileformats.read_embeddings, "emb.bin"),
+    "read_embeddings_text": (fileformats.read_embeddings_text, "emb.txt"),
+    "read_embeddings_binary": (fileformats.read_embeddings_binary, "emb.bin"),
+    "read_matrix_sections": (fileformats.read_matrix_sections, "params.txt"),
+    "read_jsonl": (lambda path: list(fileformats.read_jsonl(path)), "rows.jsonl"),
+    "load_dictionary_cache": (load_dictionary_cache, "dict.bin"),
+}
+
+
+def _write_each_format(tmp_path):
+    records = question_records(np.eye(4)[:, :3])
+    fileformats.write_embeddings_text(tmp_path / "emb.txt", records, 4)
+    fileformats.write_embeddings_binary(tmp_path / "emb.bin", records, 4)
+    fileformats.write_matrix_sections(tmp_path / "params.txt", {"w": np.ones((2, 3))})
+    fileformats.write_jsonl(tmp_path / "rows.jsonl", ['{"a": 1}', '{"b": 2}'])
+    save_dictionary_cache(build_dictionary(records), tmp_path / "dict.bin")
+
+
+@pytest.mark.parametrize("case", list(_ONE_OPEN_READERS))
+def test_each_reader_opens_its_path_once(tmp_path, monkeypatch, case):
+    read, name = _ONE_OPEN_READERS[case]
+    path = tmp_path / name
+    _write_each_format(tmp_path)
+    opened, real_open = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    read(path)
+    monkeypatch.undo()
+    assert opened == [path]

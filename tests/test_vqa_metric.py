@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import random
-import re
 
 import pytest
 
@@ -217,17 +216,16 @@ def test_load_answer_records_duplicate_prediction_named(tmp_path):
 
 
 def _reference_load_answer_records(predictions_path, annotations_path):
-    """The two-phase loader written plainly: each file is parsed whole, then joined.
+    """The loader written plainly in two phases, annotations then predictions,
+    each line checked in full before the next.
 
     An oracle for ``load_answer_records``: the same records, or the same
-    exception type and message, except that it lets a duplicate
-    prediction through.
+    exception type and message, for the first fault in file order.
     """
-    def parse(path, required_keys):
-        out = []
+    def objects(path, required_keys):
         for lineno, line in fileformats.read_jsonl(path):
             try:
-                obj = fileformats.decode_json_line(line)
+                obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
             if not isinstance(obj, dict):
@@ -235,12 +233,10 @@ def _reference_load_answer_records(predictions_path, annotations_path):
             missing = [k for k in required_keys if k not in obj]
             if missing:
                 raise ParseError(f"{path}: line {lineno}: missing keys {missing}")
-            out.append((lineno, obj))
-        return out
+            yield lineno, str(obj["question_id"]), obj
 
     annotations = {}
-    for lineno, obj in parse(annotations_path, ("question_id", "answers")):
-        qid = str(obj["question_id"])
+    for lineno, qid, obj in objects(annotations_path, ("question_id", "answers")):
         answers = obj["answers"]
         if not isinstance(answers, list) or not answers:
             raise ParseError(
@@ -250,13 +246,15 @@ def _reference_load_answer_records(predictions_path, annotations_path):
             raise ParseError(f"{annotations_path}: line {lineno}: duplicate question_id {qid!r}")
         annotations[qid] = tuple(map(str, answers))
 
-    records = []
-    for lineno, obj in parse(predictions_path, ("question_id", "answer")):
-        qid = str(obj["question_id"])
+    records, joined = [], set()
+    for lineno, qid, obj in objects(predictions_path, ("question_id", "answer")):
         if qid not in annotations:
             raise InvalidInputError(
                 f"{predictions_path}: line {lineno}: no annotations for question_id {qid!r}"
             )
+        if qid in joined:
+            raise ParseError(f"{predictions_path}: line {lineno}: duplicate question_id {qid!r}")
+        joined.add(qid)
         records.append(AnswerRecord(qid, str(obj["answer"]), annotations[qid]))
     return records
 
@@ -322,20 +320,6 @@ def _answer_files(rng, kinds):
     return files["pred"], files["anno"]
 
 
-def _first_duplicate_line(lines):
-    seen = set()
-    for lineno, line in enumerate(lines, start=1):
-        if line:
-            qid = str(json.loads(line)["question_id"])
-            if qid in seen:
-                return lineno, qid
-            seen.add(qid)
-
-
-def _line_of(message):
-    return int(re.search(r": line (\d+): ", message).group(1))
-
-
 def _outcome(load, pred, anno):
     try:
         return load(pred, anno)
@@ -354,12 +338,5 @@ def test_load_answer_records_matches_two_phase_reference(tmp_path, kinds):
         pred.write_text("".join(f"{line}\n" for line in pred_lines), encoding="utf-8")
         anno.write_text("".join(f"{line}\n" for line in anno_lines), encoding="utf-8")
         expected = _outcome(_reference_load_answer_records, pred, anno)
-        got = _outcome(load_answer_records, pred, anno)
-        if "duplicate prediction" in kinds and (
-                isinstance(expected, list) or expected[0] is InvalidInputError):
-            # The one difference: a duplicate prediction is a fault of its own,
-            # raised unless a JSON fault or an earlier missing annotation wins.
-            lineno, qid = _first_duplicate_line(pred_lines)
-            if isinstance(expected, list) or _line_of(expected[1]) > lineno:
-                expected = ParseError, f"{pred}: line {lineno}: duplicate question_id {qid!r}"
-        assert got == expected, (seed, pred_lines, anno_lines)
+        assert _outcome(load_answer_records, pred, anno) == expected, (
+            seed, pred_lines, anno_lines)
