@@ -8,7 +8,7 @@ score statistics and the partition of questions by appended count.
 from importlib import resources
 
 from basiq.dictionary import build_dictionary
-from basiq.encoder import load_embeddings
+from basiq.fileformats import load_embeddings
 from basiq.generator import generate_batch
 from basiq.policy import (
     ConcatenationPolicy,

@@ -1,6 +1,6 @@
 """Sparse-coding retrieval of supporting questions for VQA pipelines.
 
-The package encodes questions with a GRU over token embeddings, stacks
+The package reads precomputed question embeddings, stacks
 unit-normalized sentence vectors into a dictionary, solves an L1
 penalized least-squares problem per query to score every dictionary
 question, keeps the top three as supporting questions, and appends them
@@ -22,14 +22,6 @@ from .dictionary import (
     normalize_question_text,
     save_dictionary_cache,
 )
-from .encoder import (
-    GruParameters,
-    QuestionRecord,
-    TokenEmbeddingTable,
-    encode_question,
-    gru_step,
-    tokenize,
-)
 from .errors import (
     BasiqError,
     InvalidInputError,
@@ -38,6 +30,7 @@ from .errors import (
     UncertifiedSolveError,
     UnsupportedConfigError,
 )
+from .fileformats import QuestionRecord
 from .generator import (
     BatchResult,
     BqdRecord,

@@ -18,8 +18,8 @@ from json.encoder import encode_basestring, encode_basestring_ascii
 
 from . import fileformats
 from .dictionary import build_dictionary, load_dictionary_cache, save_dictionary_cache
-from .encoder import load_embeddings
 from .errors import BasiqError, ParseError
+from .fileformats import load_embeddings
 from .generator import generate_batch, read_bqd, write_bqd
 from .policy import (
     DEFAULT_THRESHOLDS,

@@ -8,10 +8,11 @@ also uses:
   line per record; the binary variant has the same fields with float32
   payloads (layout in ``read_embeddings_binary``).  Both reject
   dimension mismatches, duplicate ids, and non-finite values.
+  ``load_embeddings`` reads either variant as a list of ``QuestionRecord``.
 
 * Matrix-section files hold named real matrices: ``sections=<N>``, then
   blocks of ``name=<s> rows=<R> cols=<C>`` and R lines of C values.
-  They back the loadable parameters of the encoder and attention kernel.
+  They back the loadable parameters of the attention kernel.
 
 * JSON-lines files hold one pre-serialized JSON value per line.
 
@@ -39,6 +40,7 @@ import re
 import stat
 import struct
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -339,6 +341,19 @@ def read_embeddings(path):
             return _binary_embeddings(fh.read(), path)
         with io.TextIOWrapper(fh, encoding="utf-8") as text:
             return _text_embeddings(text, path)
+
+
+class QuestionRecord(NamedTuple):
+    """One embedded question: stable id, raw text, and its vector."""
+
+    id: str
+    text: str
+    vector: np.ndarray
+
+
+def load_embeddings(path):
+    """Read an embedding file, text or binary, as QuestionRecords."""
+    return [QuestionRecord(*rec) for rec in read_embeddings(path)]
 
 
 def read_matrix_sections(path):

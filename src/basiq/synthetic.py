@@ -7,7 +7,7 @@ is deterministic in its seed.
 
 import numpy as np
 
-from .encoder import QuestionRecord
+from .fileformats import QuestionRecord
 
 _FORMS = (
     "what color is the {}?",

@@ -11,9 +11,8 @@ import pytest
 from basiq.dictionary import (
     CACHE_MAGIC, CACHE_VERSION, Dictionary, build_dictionary, save_dictionary_cache,
 )
-from basiq.encoder import QuestionRecord
 from basiq.errors import InvalidInputError, ParseError, ShapeError
-from basiq.fileformats import pack_string
+from basiq.fileformats import QuestionRecord, pack_string
 
 # verdict lines recorded by the acceptance tests, echoed after the run
 ACCEPTANCE_LINES = []

@@ -1,7 +1,9 @@
 """Every demo script, and the README's library-use example, runs to completion
-against the package in ``src``, with warnings raised as errors."""
+against the package in ``src``, with warnings raised as errors; every demo
+the README names exists."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +36,10 @@ def test_readme_library_use_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 3 and lines[0].endswith("question 3?")  # the query's main column
+
+
+def test_readme_demo_paths_exist():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"demos/[\w.-]+\.py", readme))
+    assert named
+    assert sorted(p for p in named if not (ROOT / p).is_file()) == []

@@ -13,8 +13,8 @@ from basiq.dictionary import (
     normalize_question_text,
     save_dictionary_cache,
 )
-from basiq.encoder import QuestionRecord
 from basiq.errors import InvalidInputError, ParseError, ShapeError
+from basiq.fileformats import QuestionRecord
 
 from conftest import CACHE_FAULTS, corrupt_cache, question_records, unit_columns
 

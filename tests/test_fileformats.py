@@ -532,6 +532,35 @@ def test_read_embeddings_sniffs_format(tmp_path):
     assert [r[0] for r in fileformats.read_embeddings(bpath)] == ["q0", "q1", "q2"]
 
 
+@pytest.mark.parametrize("write", [fileformats.write_embeddings_text,
+                                   fileformats.write_embeddings_binary],
+                         ids=["text", "binary"])
+def test_load_embeddings_well_formed(tmp_path, write):
+    path = tmp_path / "emb"
+    records = _sample_records()
+    write(path, records, 16)
+    loaded = fileformats.load_embeddings(path)
+    assert all(isinstance(rec, fileformats.QuestionRecord) for rec in loaded)
+    assert [(rec.id, rec.text) for rec in loaded] == [(i, t) for i, t, _ in records]
+    for rec, (_, _, vec) in zip(loaded, records):
+        assert rec.vector.shape == (16,)
+        assert np.allclose(rec.vector, vec, rtol=1e-6, atol=0)
+
+
+def test_load_embeddings_empty(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("dim=16 count=0\n", encoding="utf-8")
+    assert fileformats.load_embeddings(path) == []
+
+
+def test_load_embeddings_dim_mismatch(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("dim=16 count=1\nq0\thello?\t" + " ".join(["1"] * 15) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError):
+        fileformats.load_embeddings(path)
+
+
 def test_matrix_sections_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     path = tmp_path / "params.txt"
