@@ -11,9 +11,9 @@ columns plus the weighted column sum:
 The alternating procedure runs the operator three times: summarize the
 question features with a zero guider, attend the image features guided
 by that summary, then attend the question features again guided by the
-attended image vector.  Parameters are loadable from matrix-section
-files or drawn from a seeded generator; there is no bias term and no
-training loop.  All functions are pure.
+attended image vector.  Parameters are given as arrays or drawn from a
+seeded generator; there is no bias term and no training loop.  All
+functions are pure.
 """
 
 from dataclasses import dataclass
@@ -21,17 +21,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import fileformats
 from .errors import ShapeError
 from .immutable import readonly_array
 
 
 @dataclass(frozen=True)
-class AttentionParameters(fileformats.MatrixSections):
+class AttentionParameters:
     """Projection matrices into the k-dim attention space plus the scoring vector.
 
     w_x: (k x d) feature projection; w_g: (k x d_g) guider projection;
-    w_hx: (k,) scoring vector, stored as a one-row section.
+    w_hx: (k,) scoring vector.
     """
 
     w_x: np.ndarray
@@ -41,10 +40,7 @@ class AttentionParameters(fileformats.MatrixSections):
     def __post_init__(self):
         object.__setattr__(self, "w_x", readonly_array(self.w_x, "w_x", 2))
         object.__setattr__(self, "w_g", readonly_array(self.w_g, "w_g", 2))
-        w_hx = np.asarray(self.w_hx, dtype=np.float64)
-        if w_hx.ndim == 2 and w_hx.shape[0] == 1:
-            w_hx = w_hx[0]
-        object.__setattr__(self, "w_hx", readonly_array(w_hx, "w_hx", 1))
+        object.__setattr__(self, "w_hx", readonly_array(self.w_hx, "w_hx", 1))
         k = self.w_x.shape[0]
         if self.w_g.shape[0] != k:
             raise ShapeError(f"w_g has {self.w_g.shape[0]} rows, expected {k} to match w_x")

@@ -1,6 +1,6 @@
 r"""Low-level readers and writers for the on-disk formats.
 
-Four formats live here, plus the ``BinaryReader`` the dictionary cache
+Three formats live here, plus the ``BinaryReader`` the dictionary cache
 also uses:
 
 * Embedding files hold ``(id, text, vector)`` records.  The text variant
@@ -10,30 +10,25 @@ also uses:
   dimension mismatches, duplicate ids, and non-finite values.
   ``load_embeddings`` reads either variant as a list of ``QuestionRecord``.
 
-* Matrix-section files hold named real matrices: ``sections=<N>``, then
-  blocks of ``name=<s> rows=<R> cols=<C>`` and R lines of C values.
-  They back the loadable parameters of the attention kernel.
-
 * JSON-lines files hold one pre-serialized JSON value per line.
 
 Fields come before values: a reader checks the structure of the whole
 file (headers, ids, texts, field counts, lengths), raising its first
 fault, before any bad value, where the first one wins.  Text values go
-through one ``np.loadtxt`` call per section, or per block of 256 lines
-of a text embedding file; rows it rejects or reads as non-finite are
-parsed again one at a time with ``float()``, which accepts every token
-``loadtxt`` does (with the same bits) and a few more, such as ``1_0``.
+through one ``np.loadtxt`` call per block of 256 lines of a text
+embedding file; rows it rejects or reads as non-finite are parsed again
+one at a time with ``float()``, which accepts every token ``loadtxt``
+does (with the same bits) and a few more, such as ``1_0``.
 
 Every reader opens its path once, so a named pipe works as a file does.
-Text files stream as lines ending at "\n", "\r\n" or a lone "\r"; invalid
-UTF-8 raises the error a whole-file decode gives.  The text embedding
-reader's peak memory is the output array, ids and texts plus one block
-of lines, never the whole text.
+Text files stream as lines ending at "\n", "\r\n" or a lone "\r", each
+decoded as UTF-8 with its end, so invalid UTF-8 is met in file order and
+raises the error a whole-file decode gives.  The text embedding reader's
+peak memory is the output array, ids and texts plus one block of lines,
+not the whole text, unless every line ends at a lone "\r".
 """
 
 import contextlib
-import dataclasses
-import io
 import json
 import os
 import re
@@ -50,8 +45,6 @@ EMBEDDING_MAGIC = b"QEMB"
 EMBEDDING_VERSION = 1
 
 _HEADER_RE = re.compile(r"^dim=(\d+) count=(\d+)$")
-_SECTIONS_RE = re.compile(r"^sections=(\d+)$")
-_SECTION_HEADER_RE = re.compile(r"^name=(\S+) rows=(\d+) cols=(\d+)$")
 _FIELD_BREAK_RE = re.compile(r"[\t\n\r]")
 _BLOCK = 256  # text embedding lines converted per np.loadtxt call
 _U32 = struct.Struct("<I")
@@ -137,11 +130,11 @@ def _parse_values(parts, dim, path, lineno):
 def _parse_rows(rows, dim, path, first_lineno):
     """The whitespace-separated values of ``rows`` as a ``(len(rows), dim)`` array.
 
-    One ``np.loadtxt`` call does the work; if it fails, finds the wrong
-    shape or reads a non-finite value, the rows are parsed again one at
-    a time, which raises the error of the first bad line (line numbers
-    start at ``first_lineno``) or returns the values of tokens only
-    ``float()`` accepts.
+    One ``np.loadtxt`` call does the work for a block of text embedding
+    lines; if it fails, finds the wrong shape or reads a non-finite
+    value, the rows are parsed again one at a time, which raises the
+    error of the first bad line (line numbers start at ``first_lineno``)
+    or returns the values of tokens only ``float()`` accepts.
     """
     try:
         with warnings.catch_warnings():
@@ -181,23 +174,27 @@ def _record_fields(line, seen, path, lineno):
 
 
 def _lines(fh, path):
-    r"""The lines of the open UTF-8 text file ``fh``, without their ends, split
-    at "\n", "\r\n" or a lone "\r" only, not at the form feeds, ``\x85`` or
-    ``\u2028`` that ``str.splitlines`` splits at."""
-    try:
-        for line in fh:
-            yield line.removesuffix("\n")
-    except UnicodeDecodeError as exc:
-        # Text mode decodes a chunk at a time: the error's positions are in
-        # its chunk, which ends where the byte buffer stands now.
+    r"""The lines of the open binary file ``fh`` as UTF-8 text, without their
+    ends, split at "\n", "\r\n" or a lone "\r" only, not at the form feeds,
+    ``\x85`` or ``\u2028`` that ``str.splitlines`` splits at.
+
+    Each line is decoded with its end, so invalid UTF-8 raises when the
+    line holding it is read, with the message a whole-file decode gives.
+    """
+    at = 0  # file offset of the line being decoded
+    for raw in fh:
         try:
-            at = fh.buffer.tell() - len(exc.object) + exc.start
-        except OSError:  # a pipe has no position
-            raise ParseError(f"{path}: invalid UTF-8: {exc.reason}") from None
-        n = exc.end - exc.start
-        where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if n == 1
-                 else f"bytes in position {at}-{at + n - 1}")
-        raise ParseError(f"{path}: 'utf-8' codec can't decode {where}: {exc.reason}") from None
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            start, n = at + exc.start, exc.end - exc.start
+            where = (f"byte 0x{raw[exc.start]:02x} in position {start}" if n == 1
+                     else f"bytes in position {start}-{start + n - 1}")
+            raise ParseError(f"{path}: 'utf-8' codec can't decode {where}: {exc.reason}") from None
+        at += len(raw)
+        if "\r" in line:  # "\r\n" can only end ``raw``; lone "\r"s split it
+            yield from line.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+        else:
+            yield line.removesuffix("\n")
 
 
 def read_embeddings_text(path):
@@ -207,13 +204,13 @@ def read_embeddings_text(path):
     a block of lines at a time.  Faults come in the order a whole-file read
     gives them: invalid UTF-8, the header, the count, fields, then values.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return _text_embeddings(fh, path)
 
 
 def _text_embeddings(fh, path):
-    """The records of an open text embedding file; the lines are read to
-    the end before any fault but an empty file is raised."""
+    """The records of text embedding file ``path``, open in binary as ``fh``;
+    the lines are read to the end before any fault but an empty file is raised."""
     lines = _lines(fh, path)
     header = next(lines, None)
     if header is None:
@@ -339,8 +336,7 @@ def read_embeddings(path):
     with open(path, "rb") as fh:
         if fh.peek(4)[:4] == EMBEDDING_MAGIC:
             return _binary_embeddings(fh.read(), path)
-        with io.TextIOWrapper(fh, encoding="utf-8") as text:
-            return _text_embeddings(text, path)
+        return _text_embeddings(fh, path)
 
 
 class QuestionRecord(NamedTuple):
@@ -354,70 +350,6 @@ class QuestionRecord(NamedTuple):
 def load_embeddings(path):
     """Read an embedding file, text or binary, as QuestionRecords."""
     return [QuestionRecord(*rec) for rec in read_embeddings(path)]
-
-
-def read_matrix_sections(path):
-    """Parse a matrix-section file into an ordered dict of name -> 2-D array."""
-    with open(path, encoding="utf-8") as fh:
-        lines = list(_lines(fh, path))
-    if not lines:
-        raise ParseError(f"{path}: empty file, expected 'sections=<N>' header")
-    m = _SECTIONS_RE.match(lines[0])
-    if m is None:
-        raise ParseError(f"{path}: line 1: malformed header {lines[0]!r}")
-    n_sections = int(m.group(1))
-    blocks = {}  # name -> (first payload line index, rows, cols)
-    pos = 1
-    for _ in range(n_sections):
-        if pos >= len(lines):
-            raise ParseError(f"{path}: expected {n_sections} sections, found {len(blocks)}")
-        header = lines[pos]
-        pos += 1
-        mh = _SECTION_HEADER_RE.match(header)
-        if mh is None:
-            raise ParseError(f"{path}: line {pos}: malformed section header {header!r}")
-        name, rows, cols = mh.group(1), int(mh.group(2)), int(mh.group(3))
-        if name in blocks:
-            raise ParseError(f"{path}: line {pos}: duplicate section {name!r}")
-        if rows < 1 or cols < 1:
-            raise ParseError(f"{path}: line {pos}: rows and cols must be >= 1")
-        if pos + rows > len(lines):
-            raise ParseError(f"{path}: section {name!r}: truncated payload")
-        blocks[name] = (pos, rows, cols)
-        pos += rows
-    if pos != len(lines):
-        raise ParseError(f"{path}: {len(lines) - pos} extra lines after last section")
-    return {name: _parse_rows(lines[start : start + rows], cols, path, start + 1)
-            for name, (start, rows, cols) in blocks.items()}
-
-
-def write_matrix_sections(path, sections):
-    """Write a dict of name -> array (1-D or 2-D) as a matrix-section file."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"sections={len(sections)}\n")
-        for name, arr in sections.items():
-            a = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-            fh.write(f"name={name} rows={a.shape[0]} cols={a.shape[1]}\n")
-            for row in a:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-class MatrixSections:
-    """Mixin for a dataclass of arrays stored as a matrix-section file,
-    one section per field, named and ordered as the fields are."""
-
-    @classmethod
-    def from_file(cls, path):
-        sections = read_matrix_sections(path)
-        names = [f.name for f in dataclasses.fields(cls)]
-        missing = [n for n in names if n not in sections]
-        if missing:
-            raise ParseError(f"{path}: missing sections {missing}")
-        return cls(**{n: sections[n] for n in names})
-
-    def to_file(self, path):
-        write_matrix_sections(
-            path, {f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
 
 
 def write_jsonl(path, lines):
@@ -434,8 +366,8 @@ def write_jsonl(path, lines):
 
 def read_jsonl(path):
     """Yield (line_number, raw_line) pairs for non-empty lines of a JSON-lines
-    file as it is read; invalid UTF-8 surfaces with the 8 KiB chunk holding it."""
-    with open(path, encoding="utf-8") as fh:
+    file as it is read; invalid UTF-8 raises when its line is reached."""
+    with open(path, "rb") as fh:
         for i, line in enumerate(_lines(fh, path), start=1):
             if line:
                 yield i, line

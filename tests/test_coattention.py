@@ -9,7 +9,7 @@ from basiq.coattention import (
     attention_op,
     softmax,
 )
-from basiq.errors import ShapeError
+from basiq.errors import InvalidInputError, ShapeError
 
 
 def straight_line_attention(x, g, params):
@@ -154,17 +154,16 @@ def test_alternating_shape_error_names_step():
         alternating_coattention(q, v, steps)
 
 
-def test_parameters_file_round_trip(tmp_path):
-    params = AttentionParameters.random(3, 4, 2, seed=5)
-    path = tmp_path / "attn.txt"
-    params.to_file(path)
-    loaded = AttentionParameters.from_file(path)
-    assert np.array_equal(loaded.w_x, params.w_x)
-    assert np.array_equal(loaded.w_g, params.w_g)
-    assert np.array_equal(loaded.w_hx, params.w_hx)
-
-
-def test_parameters_shape_validation():
-    with pytest.raises(ShapeError):
-        AttentionParameters(w_x=np.zeros((3, 4)), w_g=np.zeros((2, 4)),
-                            w_hx=np.zeros(3))
+# Each case replaces one field of valid k=3 parameters.
+@pytest.mark.parametrize("field, value, error, message", [
+    ("w_g", np.zeros((2, 4)), ShapeError, "w_g has 2 rows, expected 3 to match w_x"),
+    ("w_hx", np.zeros(4), ShapeError, "w_hx has length 4, expected 3"),
+    ("w_hx", np.zeros((1, 3)), ShapeError, "w_hx must be 1-D, got shape (1, 3)"),
+    ("w_x", np.array([[0.0, 1.0, np.inf, 0.0]] * 3), InvalidInputError,
+     "w_x contains non-finite values"),
+], ids=["w_g rows", "w_hx length", "one-row w_hx", "non-finite w_x"])
+def test_parameters_shape_validation(field, value, error, message):
+    fields = {"w_x": np.zeros((3, 4)), "w_g": np.zeros((3, 4)), "w_hx": np.zeros(3)}
+    with pytest.raises(error) as info:
+        AttentionParameters(**{**fields, field: value})
+    assert str(info.value) == message

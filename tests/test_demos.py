@@ -1,14 +1,19 @@
 """Every demo script, and the README's library-use example, runs to completion
 against the package in ``src``, with warnings raised as errors; every demo
-the README names exists."""
+and API name the README gives exists."""
 
+import functools
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import basiq
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -43,3 +48,29 @@ def test_readme_demo_paths_exist():
     named = set(re.findall(r"demos/[\w.-]+\.py", readme))
     assert named
     assert sorted(p for p in named if not (ROOT / p).is_file()) == []
+
+
+_NAME_PART = r"(?:[a-z][a-z0-9]*(?:_[a-z0-9]+)+|[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)"
+
+
+def _resolves(name, modules):
+    for module in modules:
+        try:
+            functools.reduce(getattr, name.split("."), module)
+            return True
+        except AttributeError:
+            pass
+    return False
+
+
+def test_readme_api_names_exist():
+    # An inline-code snake_case or CamelCase name, optionally dotted, is an
+    # attribute of basiq or of one of its modules; a name README also
+    # quotes, such as the JSON key "question_id", is a field, not an API name.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = {name for name in re.findall(rf"`({_NAME_PART}(?:\.\w+)*)`", readme)
+             if f'"{name}"' not in readme}
+    modules = [basiq] + [importlib.import_module(f"basiq.{m.name}")
+                         for m in pkgutil.iter_modules(basiq.__path__)]
+    assert named
+    assert sorted(name for name in named if not _resolves(name, modules)) == []

@@ -1,4 +1,4 @@
-"""Embedding, matrix-section, and JSON-lines file format contracts."""
+"""Embedding and JSON-lines file format contracts."""
 
 import builtins
 import struct
@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from basiq import fileformats
-from basiq.coattention import AttentionParameters
 from basiq.dictionary import build_dictionary, load_dictionary_cache, save_dictionary_cache
 from basiq.errors import InvalidInputError, ParseError
 
@@ -367,11 +366,12 @@ def test_read_embeddings_reads_a_pipe(tmp_path, fmt):
 
 @needs_fifo
 def test_text_reader_names_invalid_utf8_on_a_pipe(tmp_path):
-    # A pipe has no position to name, so the fault gives the decoder's reason.
+    # Offsets are counted as lines are read, so a pipe names its bad byte as a file does.
     data = _PIPE_TEXT.encode("utf-8").replace(b"b?", b"b\xff")
     with pytest.raises(ParseError) as info:
         read_through_pipe(tmp_path, data, fileformats.read_embeddings_text)
-    assert str(info.value) == f"{tmp_path / 'input.fifo'}: invalid UTF-8: invalid start byte"
+    assert str(info.value) == (f"{tmp_path / 'input.fifo'}: 'utf-8' codec can't decode "
+                               "byte 0xff in position 28: invalid start byte")
 
 
 @needs_fifo
@@ -561,82 +561,6 @@ def test_load_embeddings_dim_mismatch(tmp_path):
         fileformats.load_embeddings(path)
 
 
-def test_matrix_sections_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    path = tmp_path / "params.txt"
-    sections = {"w_a": rng.standard_normal((3, 4)), "w_b": rng.standard_normal((1, 5))}
-    fileformats.write_matrix_sections(path, sections)
-    loaded = fileformats.read_matrix_sections(path)
-    assert list(loaded) == ["w_a", "w_b"]
-    for name, mat in sections.items():
-        assert np.array_equal(loaded[name], mat)
-
-
-def test_matrix_sections_shape_enforced(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("sections=1\nname=w rows=2 cols=2\n1 2\n3\n", encoding="utf-8")
-    with pytest.raises(ParseError):
-        fileformats.read_matrix_sections(path)
-
-
-def test_matrix_sections_bad_value_names_its_line(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("sections=2\nname=a rows=1 cols=2\n1 2\nname=b rows=2 cols=2\n3 4\n5 x\n",
-                    encoding="utf-8")
-    with pytest.raises(ParseError) as info:
-        fileformats.read_matrix_sections(path)
-    assert str(info.value) == f"{path}: line 6: could not convert string to float: 'x'"
-
-
-_SECTION_FAULTS = {  # kind: (file content, message after the path)
-    "empty file": ("", "empty file, expected 'sections=<N>' header"),
-    "malformed header": ("sections=x\n", "line 1: malformed header 'sections=x'"),
-    "missing section": ("sections=2\nname=a rows=1 cols=1\n1\n", "expected 2 sections, found 1"),
-    "malformed section header": ("sections=1\nname=a rows=1\n1\n",
-                                 "line 2: malformed section header 'name=a rows=1'"),
-    "duplicate section": ("sections=2\nname=a rows=1 cols=1\n1\nname=a rows=1 cols=1\n2\n",
-                          "line 4: duplicate section 'a'"),
-    "zero rows": ("sections=1\nname=a rows=0 cols=1\n", "line 2: rows and cols must be >= 1"),
-    "zero cols": ("sections=1\nname=a rows=1 cols=0\n\n", "line 2: rows and cols must be >= 1"),
-    "truncated payload": ("sections=1\nname=a rows=2 cols=1\n1\n",
-                          "section 'a': truncated payload"),
-    "extra lines": ("sections=1\nname=a rows=1 cols=1\n1\n2\n3\n",
-                    "2 extra lines after last section"),
-}
-
-
-@pytest.mark.parametrize("kind", list(_SECTION_FAULTS))
-def test_matrix_sections_structure_faults(tmp_path, kind):
-    content, message = _SECTION_FAULTS[kind]
-    path = tmp_path / "bad.txt"
-    path.write_text(content, encoding="utf-8")
-    with pytest.raises(ParseError) as info:
-        fileformats.read_matrix_sections(path)
-    assert str(info.value) == f"{path}: {message}"
-
-
-@pytest.mark.parametrize("kind", ["duplicate section", "truncated payload", "extra lines"])
-def test_matrix_sections_structure_fault_reported_before_bad_value(tmp_path, kind):
-    # Every header is checked before any payload is converted, so a later
-    # structure fault wins over a bad value in an earlier section.
-    content, message = _SECTION_FAULTS[kind]
-    first_value = content.index("\n", content.index("name=")) + 1
-    content = content[:first_value] + "x" + content[first_value + 1:]
-    path = tmp_path / "two_faults.txt"
-    path.write_text(content, encoding="utf-8")
-    with pytest.raises(ParseError) as info:
-        fileformats.read_matrix_sections(path)
-    assert str(info.value) == f"{path}: {message}"
-
-
-def test_matrix_sections_missing_field_names_sections(tmp_path):
-    path = tmp_path / "params.txt"
-    fileformats.write_matrix_sections(path, {"w_x": np.ones((2, 3))})
-    with pytest.raises(ParseError) as info:
-        AttentionParameters.from_file(path)
-    assert str(info.value) == f"{path}: missing sections ['w_g', 'w_hx']"
-
-
 def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "rows.jsonl"
     fileformats.write_jsonl(path, ['{"a": 1}', '{"b": 2}'])
@@ -671,9 +595,9 @@ def _utf8_fault(kind, rng):
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "lone CR"])
 @pytest.mark.parametrize("kind", _UTF8_FAULTS)
 def test_jsonl_invalid_utf8_matches_whole_file_decode(tmp_path, kind, end):
-    # Text mode decodes a chunk at a time; the reported byte offset must be
-    # the one a decode of the whole file gives, for a splice anywhere past
-    # the first 8 KiB chunk, after non-ASCII text, and at the end of the file.
+    # Lines are decoded one at a time; the reported byte offset must be the
+    # one a decode of the whole file gives, for a splice anywhere past the
+    # first 8 KiB, after non-ASCII text, and at the end of the file.
     path = tmp_path / "rows.jsonl"
     for seed in range(24):
         rng = np.random.default_rng(seed)
@@ -698,7 +622,6 @@ _ONE_OPEN_READERS = {  # case: (reader, name of its input)
     "read_embeddings binary": (fileformats.read_embeddings, "emb.bin"),
     "read_embeddings_text": (fileformats.read_embeddings_text, "emb.txt"),
     "read_embeddings_binary": (fileformats.read_embeddings_binary, "emb.bin"),
-    "read_matrix_sections": (fileformats.read_matrix_sections, "params.txt"),
     "read_jsonl": (lambda path: list(fileformats.read_jsonl(path)), "rows.jsonl"),
     "load_dictionary_cache": (load_dictionary_cache, "dict.bin"),
 }
@@ -708,7 +631,6 @@ def _write_each_format(tmp_path):
     records = question_records(np.eye(4)[:, :3])
     fileformats.write_embeddings_text(tmp_path / "emb.txt", records, 4)
     fileformats.write_embeddings_binary(tmp_path / "emb.bin", records, 4)
-    fileformats.write_matrix_sections(tmp_path / "params.txt", {"w": np.ones((2, 3))})
     fileformats.write_jsonl(tmp_path / "rows.jsonl", ['{"a": 1}', '{"b": 2}'])
     save_dictionary_cache(build_dictionary(records), tmp_path / "dict.bin")
 

@@ -264,14 +264,17 @@ def test_record_from_json_checks_scores_first(bqs, message):
     assert str(exc.value) == f"f.jsonl:2: malformed record: {message}"
 
 
-def test_read_bqd_reports_the_first_fault_in_file_order(tmp_path):
-    # A malformed line 2 wins over invalid UTF-8 in a later 8 KiB chunk.
+@pytest.mark.parametrize("n_lines, chunk", [(7, 0), (202, 3)],
+                         ids=["same 8 KiB chunk", "three chunks later"])
+def test_read_bqd_reports_the_first_fault_in_file_order(tmp_path, n_lines, chunk):
+    # A malformed line 2 wins over invalid UTF-8 on the last line, in the
+    # 8 KiB chunk of the file that holds line 2 or a later one.
     good = json.dumps({"image_id": "i", "mq": "m?", "bqs": _GOOD_BQS})
-    lines = [good, good.replace('"m?"', "7")] + [good] * 200
+    lines = [good, good.replace('"m?"', "7")] + [good] * (n_lines - 2)
     data = "\n".join(lines).encode("utf-8") + b"\n"
     path = tmp_path / "bqd.jsonl"
     path.write_bytes(data[:-20] + b"\xff" + data[-20:])
-    assert len(data) > 3 * 8192
+    assert (len(data) - 20) // 8192 == chunk
     with pytest.raises(ParseError) as exc:
         read_bqd(path)
     assert str(exc.value) == f"{path}:2: malformed record: 'mq' must be a string, got int"
