@@ -175,7 +175,7 @@ def cmd_partition(args):
 def _load_type_map(path):
     with open(path, encoding="utf-8") as fh:
         try:
-            type_map = json.load(fh)
+            type_map = fileformats.decode_json_line(fh.read())
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from None
     if not isinstance(type_map, dict):

@@ -3,12 +3,15 @@ r"""Low-level readers and writers for the on-disk formats.
 Three formats live here, plus the ``BinaryReader`` the dictionary cache
 also uses:
 
-* Embedding files hold ``(id, text, vector)`` records.  The text variant
-  has a ``dim=<D> count=<N>`` header and one ``id<TAB>text<TAB>v1 ... vD``
-  line per record; the binary variant has the same fields with float32
-  payloads (layout in ``read_embeddings_binary``).  Both reject
-  dimension mismatches, duplicate ids, and non-finite values.
-  ``load_embeddings`` reads either variant as a list of ``QuestionRecord``.
+* Embedding files hold ``(id, text, vector)`` records, which
+  ``load_embeddings`` reads as a list of ``QuestionRecord``, sniffing the
+  variant from the first bytes.  The text variant has a
+  ``dim=<D> count=<N>`` header and one ``id<TAB>text<TAB>v1 ... vD`` line
+  per record.  The binary variant is the 4-byte magic ``QEMB``, a uint16
+  version, a uint32 dim and a uint32 count, then per record a
+  uint32-length-prefixed UTF-8 id, a uint32-length-prefixed UTF-8 text and
+  dim little-endian float32 values, widened to float64 on load.  Both
+  reject dimension mismatches, duplicate ids, and non-finite values.
 
 * JSON-lines files hold one pre-serialized JSON value per line.
 
@@ -24,8 +27,9 @@ Every reader opens its path once, so a named pipe works as a file does.
 Text files stream as lines ending at "\n", "\r\n" or a lone "\r", each
 decoded as UTF-8 with its end, so invalid UTF-8 is met in file order and
 raises the error a whole-file decode gives.  The text embedding reader's
-peak memory is the output array, ids and texts plus one block of lines,
-not the whole text, unless every line ends at a lone "\r".
+peak memory is the vectors, ids and texts plus one block of lines, not
+the whole text, unless every line ends at a lone "\r".  Only a regular
+file's size lets its header size an allocation.
 """
 
 import contextlib
@@ -145,10 +149,9 @@ def _parse_rows(rows, dim, path, first_lineno):
             return out
     except (ValueError, UserWarning):
         pass
-    out = np.empty((len(rows), dim), dtype=np.float64)
-    for i, row in enumerate(rows):
-        out[i] = _parse_values(row.split(), dim, path, first_lineno + i)
-    return out
+    # Stacked only once every row has parsed, so a header's dim sizes nothing.
+    return np.array([_parse_values(row.split(), dim, path, first_lineno + i)
+                     for i, row in enumerate(rows)])
 
 
 def _check_record(rec_id, text, seen, where, *args):
@@ -197,40 +200,36 @@ def _lines(fh, path):
             yield line.removesuffix("\n")
 
 
-def read_embeddings_text(path):
-    """Parse a text embedding file into a list of (id, text, vector) tuples.
-
-    The vectors are the rows of one ``(count, dim)`` float64 array, filled
-    a block of lines at a time.  Faults come in the order a whole-file read
-    gives them: invalid UTF-8, the header, the count, fields, then values.
-    """
-    with open(path, "rb") as fh:
-        return _text_embeddings(fh, path)
-
-
 def _text_embeddings(fh, path):
-    """The records of text embedding file ``path``, open in binary as ``fh``;
-    the lines are read to the end before any fault but an empty file is raised."""
+    """The records of text embedding file ``path``, open in binary as ``fh``.
+
+    Faults come in the order a whole-file read gives them: invalid UTF-8,
+    the header, the count, fields, then values; the lines are read to the
+    end before any fault but an empty file is raised.
+    """
     lines = _lines(fh, path)
     header = next(lines, None)
     if header is None:
         raise ParseError(f"{path}: empty file, expected 'dim=<D> count=<N>' header")
     m = _HEADER_RE.match(header)
-    if m is None or int(m.group(1)) < 1:
+    try:
+        dim, count = int(m[1]), int(m[2])
+    except (TypeError, ValueError):  # no match, or more digits than int() reads
+        dim = count = None
+    if dim is None or dim < 1:
         for _ in lines:  # invalid UTF-8 later in the file wins
             pass
-        if m is None:
+        if dim is None:
             raise ParseError(f"{path}: line 1: malformed header {header!r}")
         raise ParseError(f"{path}: line 1: dim must be >= 1")
-    dim, count = int(m.group(1)), int(m.group(2))
-    # A record line takes at least 2 * dim + 3 bytes, so a regular file too
-    # small for ``count`` of them must fail: its header is not trusted to
-    # size an allocation, and the values are checked but not kept.  A pipe
-    # has no size to check.
+    # A record line takes at least 2 * dim + 3 bytes.  A regular file with room
+    # for ``count`` of them is read into one preallocated array; otherwise (a
+    # pipe, or a header the file's size cannot hold) the header sizes nothing
+    # and each block's values are kept as they are converted.
     st = os.fstat(fh.fileno())
-    room = st.st_size >= count * (2 * dim + 3) or not stat.S_ISREG(st.st_mode)
+    room = stat.S_ISREG(st.st_mode) and st.st_size >= count * (2 * dim + 3)
     matrix = np.empty((count, dim), dtype=np.float64) if room else None
-    ids, texts, rows, seen = [], [], [], set()
+    ids, texts, rows, blocks, seen = [], [], [], [], set()
     fault = value_fault = None
     n = 0  # body lines read
     for n, line in enumerate(lines, start=1):
@@ -253,14 +252,17 @@ def _text_embeddings(fh, path):
             except ParseError as exc:
                 value_fault = exc
             else:
-                if matrix is not None:
+                if matrix is None:
+                    blocks.append(values)
+                else:
                     matrix[first:n] = values
             rows = []
     if n != count:
         raise ParseError(f"{path}: header declares {count} records but file has {n} lines")
     if fault is not None or value_fault is not None:
         raise fault or value_fault
-    return list(zip(ids, texts, matrix))
+    vectors = (vec for block in blocks for vec in block) if matrix is None else matrix
+    return list(map(QuestionRecord, ids, texts, vectors))
 
 
 def write_embeddings_text(path, records, dim):
@@ -277,18 +279,6 @@ def write_embeddings_text(path, records, dim):
             lines.append(f"{rec_id}\t{text}\t{payload}\n".encode("utf-8"))
     with open(path, "wb") as fh:
         fh.writelines(lines)
-
-
-def read_embeddings_binary(path):
-    """Parse a binary embedding file into a list of (id, text, vector) tuples.
-
-    Layout: 4-byte magic ``QEMB``, uint16 version, uint32 dim, uint32
-    count, then per record a uint32-length-prefixed UTF-8 id, a
-    uint32-length-prefixed UTF-8 text, and dim little-endian float32
-    values.  Vectors are widened to float64 on load.
-    """
-    with open(path, "rb") as fh:
-        return _binary_embeddings(fh.read(), path)
 
 
 def _binary_embeddings(blob, path):
@@ -313,7 +303,7 @@ def _binary_embeddings(blob, path):
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise ParseError(f"{path}: record {bad[0]}: non-finite value")
-    return list(zip(ids, texts, values.astype(np.float64)))
+    return list(map(QuestionRecord, ids, texts, values.astype(np.float64)))
 
 
 def write_embeddings_binary(path, records, dim):
@@ -330,15 +320,6 @@ def write_embeddings_binary(path, records, dim):
         fh.writelines(chunks)
 
 
-def read_embeddings(path):
-    """Read an embedding file, sniffing text vs binary from the magic bytes;
-    a binary file on a pipe must deliver its magic in the first read."""
-    with open(path, "rb") as fh:
-        if fh.peek(4)[:4] == EMBEDDING_MAGIC:
-            return _binary_embeddings(fh.read(), path)
-        return _text_embeddings(fh, path)
-
-
 class QuestionRecord(NamedTuple):
     """One embedded question: stable id, raw text, and its vector."""
 
@@ -348,8 +329,12 @@ class QuestionRecord(NamedTuple):
 
 
 def load_embeddings(path):
-    """Read an embedding file, text or binary, as QuestionRecords."""
-    return [QuestionRecord(*rec) for rec in read_embeddings(path)]
+    """Read an embedding file, text or binary, as a list of ``QuestionRecord``;
+    a binary file on a pipe must deliver its magic in the first read."""
+    with open(path, "rb") as fh:
+        if fh.peek(4)[:4] == EMBEDDING_MAGIC:
+            return _binary_embeddings(fh.read(), path)
+        return _text_embeddings(fh, path)
 
 
 def write_jsonl(path, lines):
@@ -375,11 +360,15 @@ def read_jsonl(path):
 
 def decode_json_line(line):
     """``json.loads(line)``, in one C scan when that reads the whole line; any
-    other line (a BOM, whitespace or data around the value) goes to ``json.loads``."""
+    other line (a BOM, whitespace or data around the value) goes to ``json.loads``.
+    A value nested past the recursion limit raises ``JSONDecodeError`` too."""
     try:
         value, end = _raw_decode(line)
         if end == len(line):
             return value
-    except ValueError:
+    except (ValueError, RecursionError):
         pass
-    return json.loads(line)
+    try:
+        return json.loads(line)
+    except RecursionError:
+        raise json.JSONDecodeError("Value nested too deeply", line, 0) from None

@@ -8,10 +8,11 @@ events are counted in the batch diagnostics rather than hidden.
 
 A record (``BqdRecord``) is one flat tuple: image id, query text, and the
 supporting questions' texts and scores as two 3-tuples, best first.  Its
-one constructor checks it, however it is built: scores in [0, 1], three
-entries, nonincreasing.  Fewer than three positive coefficients are
-padded with zero-score entries from the smallest unused column indices;
-a zero score passes no concatenation threshold.
+one constructor checks it, however it is built; the scores keep the law
+of ``check_scores``, which ``decide_appends`` also applies: three
+entries, each in [0, 1], nonincreasing.  Fewer than three positive
+coefficients are padded with zero-score entries from the smallest unused
+column indices; a zero score passes no concatenation threshold.
 """
 
 import json
@@ -30,22 +31,29 @@ BQ_COUNT = 3  # supporting questions per record
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)  # JSONDecodeError is a ValueError
 
 
+def check_scores(scores):
+    """``scores`` as a tuple that keeps the score law: three scores, each in
+    [0, 1], nonincreasing.  The range is checked before the count and the order."""
+    scores = tuple(scores)
+    for s in scores:
+        if not 0.0 <= s <= 1.0:
+            raise InvalidInputError(f"score {s!r} outside [0, 1]")
+    if len(scores) != BQ_COUNT:
+        raise InvalidInputError(f"expected exactly {BQ_COUNT} supporting questions, got {len(scores)}")
+    if not (scores[0] >= scores[1] >= scores[2]):
+        raise InvalidInputError(f"scores must be nonincreasing, got {list(scores)}")
+    return scores
+
+
 class BqdRecord(checked_tuple("BqdRecord", "image_id mq_text texts scores")):
     """{image id, query text, the 3 supporting questions' texts and scores, best first}."""
 
     __slots__ = ()
 
     def __new__(cls, image_id, mq_text, texts, scores):
-        texts, scores = tuple(texts), tuple(scores)
-        for s in scores:
-            if not 0.0 <= s <= 1.0:
-                raise InvalidInputError(f"score {s!r} outside [0, 1]")
-        if len(scores) != BQ_COUNT:
-            raise InvalidInputError(f"expected exactly {BQ_COUNT} supporting questions, got {len(scores)}")
+        texts, scores = tuple(texts), check_scores(scores)
         if len(texts) != BQ_COUNT:
             raise InvalidInputError(f"expected {BQ_COUNT} texts, got {len(texts)}")
-        if not (scores[0] >= scores[1] >= scores[2]):
-            raise InvalidInputError(f"scores must be nonincreasing, got {list(scores)}")
         if not image_id:
             raise InvalidInputError("image_id must be nonempty")
         if not mq_text.strip():
@@ -173,10 +181,15 @@ def record_from_json(line, where="<string>"):
     """Parse one output line back into a record."""
     try:
         return _parse_record(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{where}: {exc}") from None
     except _MALFORMED as exc:
-        raise ParseError(f"{where}: malformed record: {exc}") from None
+        raise _record_error(exc, where) from None
+
+
+def _record_error(exc, where):
+    """The ``ParseError`` for ``exc``, raised parsing the line at ``where``."""
+    if isinstance(exc, json.JSONDecodeError):
+        return ParseError(f"{where}: {exc}")
+    return ParseError(f"{where}: malformed record: {exc}")
 
 
 def _parse_record(line):
@@ -206,7 +219,6 @@ def read_bqd(path):
     for ln, line in fileformats.read_jsonl(path):
         try:
             records.append(_parse_record(line))
-        except _MALFORMED:
-            # Parsed again to raise the error naming its line; good lines format none.
-            records.append(record_from_json(line, f"{path}:{ln}"))
+        except _MALFORMED as exc:
+            raise _record_error(exc, f"{path}:{ln}") from None
     return records

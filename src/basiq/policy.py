@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
+from .generator import check_scores
 
 DEFAULT_THRESHOLDS = (0.43, 0.82, 0.53)
 
@@ -86,14 +87,9 @@ class PartitionCounts:
 
 
 def decide_appends(scores, policy):
-    """Number of questions (0..3) to append under the strict cascade."""
-    if len(scores) != 3:
-        raise InvalidInputError(f"expected 3 scores, got {len(scores)}")
-    s1, s2, s3 = map(float, scores)
-    if not (s1 >= s2 >= s3):
-        raise InvalidInputError(f"scores must be nonincreasing, got {scores}")
-    if s3 < 0.0 or s1 > 1.0:
-        raise InvalidInputError(f"scores must lie in [0, 1], got {scores}")
+    """Number of questions (0..3) to append under the strict cascade; the
+    scores must keep the record's score law (``check_scores``)."""
+    s1, s2, s3 = check_scores(scores)
     if not s1 > policy.s1:
         return 0
     if s1 == 0.0 or not s2 / s1 > policy.s2:

@@ -1,15 +1,22 @@
-"""Every function the benchmark's span recorder patches still exists.
+"""Every function the benchmark's span recorder patches still exists and
+is recorded on a real run.
 
 ``bench/tracing.py`` wraps ``(module, attribute)`` pairs of ``basiq`` and
 only notes a missing one as "not observed" in a traced run; here a
-deleted or renamed target fails the suite instead.
+deleted or renamed target, or an attribute reader that breaks on what its
+target returns, fails the suite instead.
 """
 
 import ast
 import importlib
+import json
+from importlib import resources
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+from basiq import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def traced_targets():
@@ -30,3 +37,33 @@ def test_traced_targets_resolve():
     missing = [f"{module}.{attr}" for module, attr in targets
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def test_tracer_records_every_target_on_a_real_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))  # tracing imports bench/checks.py as ``checks``
+    tracing = importlib.import_module("tracing")
+    data = resources.files("basiq") / "data"
+    pred, anno = tmp_path / "pred.jsonl", tmp_path / "anno.jsonl"
+    pred.write_text(json.dumps({"question_id": "q1", "answer": "red"}) + "\n", encoding="utf-8")
+    anno.write_text(json.dumps({"question_id": "q1", "answers": ["red"]}) + "\n", encoding="utf-8")
+    bqd = tmp_path / "bq.jsonl"
+    steps = [
+        ["build-dict", data / "mini_corpus.txt", "--out", tmp_path / "dict.bin"],
+        ["gen-bq", "--dict", tmp_path / "dict.bin", "--queries", data / "mini_queries.txt",
+         "--out", bqd],
+        ["concat", "--bqd", bqd, "--out", tmp_path / "joined.jsonl"],
+        ["stats", "--bqd", bqd, "--candidates"],
+        ["partition", "--bqd", bqd],
+        ["eval", "--predictions", pred, "--annotations", anno],
+    ]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # Through the module attribute, so the patched ``cli.main`` is the one called.
+        codes = [cli.main([str(a) for a in step]) for step in steps]
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(steps)
+    expected = {name for _, _, name, _ in tracing.TARGETS}
+    assert sorted(expected - set(tracer.names)) == []
+    assert tracer.missing == set()

@@ -347,8 +347,8 @@ def test_eval_per_type(tmp_path, capsys):
     assert "color: 1.000000" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("content", ['{"q1": "col', '["q1", "color"]'],
-                         ids=["truncated", "list"])
+@pytest.mark.parametrize("content", ['{"q1": "col', '["q1", "color"]', '{"q1": ' + "[" * 100_000],
+                         ids=["truncated", "list", "deep nesting"])
 def test_eval_malformed_type_map_fails_cleanly(tmp_path, capsys, content):
     pred = tmp_path / "pred.jsonl"
     anno = tmp_path / "anno.jsonl"
@@ -621,6 +621,7 @@ _BQD_DECODE_CASES = {
                  "malformed record: score inf outside [0, 1]"),
     "not an object": ("[1, 2]",
                       "malformed record: list indices must be integers or slices, not str"),
+    "deep nesting": ("[" * 100_000, "Value nested too deeply: line 1 column 1 (char 0)"),
 }
 
 
@@ -657,6 +658,8 @@ _EVAL_DECODE_CASES = {
                          f"anno.jsonl: line 1: Extra data: line 1 column {len(_ANNO) + 2} "
                          f"(char {len(_ANNO) + 1})"),
     "not an object": (_PRED, '["q1", ["red"]]', "anno.jsonl: line 1: expected a JSON object"),
+    "deep nesting": (_PRED, "[" * 100_000,
+                     "anno.jsonl: line 1: Value nested too deeply: line 1 column 1 (char 0)"),
 }
 
 

@@ -28,7 +28,7 @@ def test_text_round_trip_exact(tmp_path):
     for count in (3, 600):  # a few lines and a corpus-sized file
         records = _sample_records(count=count)
         fileformats.write_embeddings_text(path, records, 16)
-        loaded = fileformats.read_embeddings_text(path)
+        loaded = fileformats.load_embeddings(path)
         assert len(loaded) == count
         for (wid, wtext, wvec), (rid, rtext, rvec) in zip(records, loaded):
             assert (wid, wtext) == (rid, rtext)
@@ -41,7 +41,7 @@ def test_text_round_trip_keeps_unicode_line_separators(tmp_path):
     records = [(rid, text + sep, vec) for (rid, text, vec), sep
                in zip(records, ("\x0c page", "\x85 next", "\u2028 line"))]
     fileformats.write_embeddings_text(path, records, 16)
-    loaded = fileformats.read_embeddings_text(path)
+    loaded = fileformats.load_embeddings(path)
     assert [(r[0], r[1]) for r in loaded] == [(r[0], r[1]) for r in records]
 
 
@@ -60,14 +60,14 @@ def test_text_writer_rejects_field_breaks(tmp_path, field, char):
 def test_text_reader_shapes(tmp_path):
     path = tmp_path / "emb.txt"
     fileformats.write_embeddings_text(path, _sample_records(dim=16), 16)
-    loaded = fileformats.read_embeddings_text(path)
+    loaded = fileformats.load_embeddings(path)
     assert all(vec.shape == (16,) for _, _, vec in loaded)
 
 
 def test_text_empty_body(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("dim=16 count=0\n", encoding="utf-8")
-    assert fileformats.read_embeddings_text(path) == []
+    assert fileformats.load_embeddings(path) == []
 
 
 def test_text_wrong_value_count(tmp_path):
@@ -75,35 +75,35 @@ def test_text_wrong_value_count(tmp_path):
     values = " ".join(["0.5"] * 15)
     path.write_text(f"dim=16 count=1\nq0\thello?\t{values}\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 2"):
-        fileformats.read_embeddings_text(path)
+        fileformats.load_embeddings(path)
 
 
 def test_text_malformed_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("dims=16 n=1\n", encoding="utf-8")
     with pytest.raises(ParseError, match="header"):
-        fileformats.read_embeddings_text(path)
+        fileformats.load_embeddings(path)
 
 
 def test_text_count_mismatch(tmp_path):
     path = tmp_path / "miscount.txt"
     path.write_text("dim=2 count=2\nq0\ta?\t1 2\n", encoding="utf-8")
     with pytest.raises(ParseError):
-        fileformats.read_embeddings_text(path)
+        fileformats.load_embeddings(path)
 
 
 def test_text_duplicate_id(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("dim=1 count=2\nq0\ta?\t1\nq0\tb?\t2\n", encoding="utf-8")
     with pytest.raises(ParseError, match="q0"):
-        fileformats.read_embeddings_text(path)
+        fileformats.load_embeddings(path)
 
 
 def test_text_non_finite_rejected(tmp_path):
     path = tmp_path / "inf.txt"
     path.write_text("dim=2 count=1\nq0\ta?\t1 inf\n", encoding="utf-8")
     with pytest.raises(ParseError):
-        fileformats.read_embeddings_text(path)
+        fileformats.load_embeddings(path)
 
 
 _BAD_PAYLOADS = {
@@ -126,7 +126,7 @@ def test_text_bad_value_in_later_block_names_its_line(tmp_path, kind):
     path = tmp_path / "bad.txt"
     path.write_text("dim=16 count=600\n" + "\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ParseError) as info:
-        fileformats.read_embeddings_text(path)
+        fileformats.load_embeddings(path)
     assert str(info.value) == f"{path}: line {bad + 2}: {message}"
 
 
@@ -136,11 +136,11 @@ def test_text_later_field_error_reported_before_bad_value(tmp_path):
     path = tmp_path / "two_faults.txt"
     path.write_text("dim=1 count=3\nq0\ta?\t1\nq1\tb?\tinf\nq2\tc?\t2\n", encoding="utf-8")
     with pytest.raises(ParseError) as info:
-        fileformats.read_embeddings_text(path)
+        fileformats.load_embeddings(path)
     assert str(info.value) == f"{path}: line 3: non-finite value"
     path.write_text("dim=1 count=3\nq0\ta?\t1\nq1\tb?\tinf\nq0\tc?\t2\n", encoding="utf-8")
     with pytest.raises(ParseError) as info:
-        fileformats.read_embeddings_text(path)
+        fileformats.load_embeddings(path)
     assert str(info.value) == f"{path}: line 4: duplicate id 'q0'"
 
 
@@ -154,7 +154,7 @@ def test_text_structure_faults(tmp_path, content, message):
     path = tmp_path / "bad.txt"
     path.write_text(content, encoding="utf-8")
     with pytest.raises(ParseError) as info:
-        fileformats.read_embeddings_text(path)
+        fileformats.load_embeddings(path)
     assert str(info.value) == f"{path}: {message}"
 
 
@@ -162,7 +162,7 @@ def test_text_hash_is_a_value_not_a_comment(tmp_path):
     path = tmp_path / "hash.txt"
     path.write_text("dim=2 count=1\nq0\ta?\t1 2 #3\n", encoding="utf-8")
     with pytest.raises(ParseError) as info:
-        fileformats.read_embeddings_text(path)
+        fileformats.load_embeddings(path)
     assert str(info.value) == f"{path}: line 2: expected 2 values, got 3"
 
 
@@ -173,7 +173,7 @@ def test_text_blank_values_field_is_a_count_error(tmp_path, action):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter(action)
         with pytest.raises(ParseError) as info:
-            fileformats.read_embeddings_text(path)
+            fileformats.load_embeddings(path)
     assert str(info.value) == f"{path}: line 2: expected 2 values, got 0"
     assert caught == []
 
@@ -182,7 +182,7 @@ def test_text_tokens_only_float_accepts_are_read(tmp_path):
     path = tmp_path / "tokens.txt"
     path.write_text("dim=2 count=2\nq0\ta?\t0.25 -3\nq1\tb?\t1_0 \u0661\u0662\n",
                     encoding="utf-8")
-    vectors = [vec for _, _, vec in fileformats.read_embeddings_text(path)]
+    vectors = [vec for _, _, vec in fileformats.load_embeddings(path)]
     assert np.array_equal(vectors, [[0.25, -3.0], [float("1_0"), float("\u0661\u0662")]])
 
 
@@ -193,7 +193,7 @@ def test_text_lines_end_at_universal_newlines(tmp_path, ends, final):
     path = tmp_path / "emb.txt"
     data = "dim=2 count=2" + ends[0] + "q0\ta?\t1 2" + ends[1] + "q1\tb?\t3 4" + ends[1] * final
     path.write_bytes(data.encode("utf-8"))
-    loaded = fileformats.read_embeddings_text(path)
+    loaded = fileformats.load_embeddings(path)
     assert [(rid, text, vec.tolist()) for rid, text, vec in loaded] == [
         ("q0", "a?", [1.0, 2.0]), ("q1", "b?", [3.0, 4.0])]
 
@@ -212,11 +212,11 @@ def _read_lines(path):
     return lines
 
 
-def _reference_read_embeddings_text(path):
-    """The whole-file reader written plainly: every line is read, then checked.
+def _reference_read_text(path):
+    """The whole-file text reader written plainly: every line is read, then checked.
 
-    An oracle for ``read_embeddings_text``: the same records, or the same
-    exception type and message.
+    An oracle for ``load_embeddings`` on a text file: the same records, or
+    the same exception type and message.
     """
     lines = _read_lines(path)
     if not lines:
@@ -332,8 +332,8 @@ def test_text_reader_matches_whole_file_reference(tmp_path, case, seed):
         data = data[:splice] + b"\xff" + data[splice:]
     path = tmp_path / "emb.txt"
     path.write_bytes(data)
-    expected = _read_outcome(_reference_read_embeddings_text, path)
-    assert _read_outcome(fileformats.read_embeddings_text, path) == expected
+    expected = _read_outcome(_reference_read_text, path)
+    assert _read_outcome(fileformats.load_embeddings, path) == expected
     assert isinstance(expected, list) == (case in ("clean", "CRLF", "lone CR", "no final newline"))
 
 
@@ -347,20 +347,19 @@ def _pipe_records(records):
 
 @needs_fifo
 def test_text_reader_reads_a_pipe(tmp_path):
-    # A pipe has no size to check the header's count against; it is trusted.
     loaded = read_through_pipe(tmp_path, _PIPE_TEXT.encode("utf-8"),
-                               fileformats.read_embeddings_text)
+                               fileformats.load_embeddings)
     assert _pipe_records(loaded) == _PIPE_RECORDS
 
 
 @needs_fifo
 @pytest.mark.parametrize("fmt", ["text", "binary"])
-def test_read_embeddings_reads_a_pipe(tmp_path, fmt):
+def test_load_embeddings_reads_a_pipe(tmp_path, fmt):
     # One open: sniffing the magic must not consume the pipe or reopen it.
     path = tmp_path / "emb"
     records = [(rid, text, np.array(vec)) for rid, text, vec in _PIPE_RECORDS]
     _WRITERS[fmt](path, records, 2)
-    loaded = read_through_pipe(tmp_path, path.read_bytes(), fileformats.read_embeddings)
+    loaded = read_through_pipe(tmp_path, path.read_bytes(), fileformats.load_embeddings)
     assert _pipe_records(loaded) == _PIPE_RECORDS
 
 
@@ -369,9 +368,35 @@ def test_text_reader_names_invalid_utf8_on_a_pipe(tmp_path):
     # Offsets are counted as lines are read, so a pipe names its bad byte as a file does.
     data = _PIPE_TEXT.encode("utf-8").replace(b"b?", b"b\xff")
     with pytest.raises(ParseError) as info:
-        read_through_pipe(tmp_path, data, fileformats.read_embeddings_text)
+        read_through_pipe(tmp_path, data, fileformats.load_embeddings)
     assert str(info.value) == (f"{tmp_path / 'input.fifo'}: 'utf-8' codec can't decode "
                                "byte 0xff in position 28: invalid start byte")
+
+
+_LONG_COUNT = "dim=2 count=" + "0" * 5000 + "1"  # int() reads at most 4,300 digits
+
+
+@pytest.mark.parametrize("header, message", [
+    (_LONG_COUNT, f"line 1: malformed header {_LONG_COUNT!r}"),
+    ("dim=1000000000000 count=1", "line 2: expected 1000000000000 values, got 2"),
+], ids=["count past the int digit limit", "huge dim"])
+def test_text_header_sizes_no_allocation(tmp_path, header, message):
+    path = tmp_path / "emb.txt"
+    path.write_text(header + "\nq0\ta?\t1 2\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        fileformats.load_embeddings(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@needs_fifo
+def test_text_header_sizes_no_allocation_on_a_pipe(tmp_path):
+    # A pipe has no size to check the header against: values are kept as
+    # they arrive, and the count fails as it does on a regular file.
+    data = b"dim=1000000 count=1000000000\nq0\ta?\t1 2\n"
+    with pytest.raises(ParseError) as info:
+        read_through_pipe(tmp_path, data, fileformats.load_embeddings)
+    assert str(info.value) == (f"{tmp_path / 'input.fifo'}: header declares 1000000000 "
+                               "records but file has 1 lines")
 
 
 @needs_fifo
@@ -387,7 +412,7 @@ def test_text_reader_peak_memory_is_below_file_size(tmp_path):
     fileformats.write_embeddings_text(path, _sample_records(dim=64, count=2000, seed=2000), 64)
     tracemalloc.start()
     try:
-        loaded = fileformats.read_embeddings_text(path)
+        loaded = fileformats.load_embeddings(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -418,7 +443,7 @@ def test_binary_round_trip(tmp_path):
     path = tmp_path / "emb.bin"
     records = _sample_records()
     fileformats.write_embeddings_binary(path, records, 16)
-    loaded = fileformats.read_embeddings_binary(path)
+    loaded = fileformats.load_embeddings(path)
     assert [(r[0], r[1]) for r in loaded] == [(r[0], r[1]) for r in records]
     # payload is 32-bit; loaded values match to float32 precision
     for (_, _, wvec), (_, _, rvec) in zip(records, loaded):
@@ -431,7 +456,7 @@ def test_binary_truncation_rejected(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-7])
     with pytest.raises(ParseError):
-        fileformats.read_embeddings_binary(path)
+        fileformats.load_embeddings(path)
 
 
 def test_binary_trailing_bytes_rejected(tmp_path):
@@ -439,7 +464,7 @@ def test_binary_trailing_bytes_rejected(tmp_path):
     fileformats.write_embeddings_binary(path, _sample_records(), 16)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ParseError, match="trailing"):
-        fileformats.read_embeddings_binary(path)
+        fileformats.load_embeddings(path)
 
 
 def test_binary_invalid_utf8_id_names_field(tmp_path):
@@ -449,7 +474,7 @@ def test_binary_invalid_utf8_id_names_field(tmp_path):
     raw[4 + 2 + 8 + 4] = 0xFF  # first byte of record 0's id
     path.write_bytes(bytes(raw))
     with pytest.raises(ParseError, match="record 0: id: 'utf-8' codec"):
-        fileformats.read_embeddings_binary(path)
+        fileformats.load_embeddings(path)
 
 
 def test_binary_bad_magic(tmp_path):
@@ -459,7 +484,7 @@ def test_binary_bad_magic(tmp_path):
     raw[:4] = b"NOPE"
     path.write_bytes(bytes(raw))
     with pytest.raises(ParseError, match="magic"):
-        fileformats.read_embeddings_binary(path)
+        fileformats.load_embeddings(path)
 
 
 def test_binary_version_check(tmp_path):
@@ -469,14 +494,14 @@ def test_binary_version_check(tmp_path):
     raw[4:6] = struct.pack("<H", 99)
     path.write_bytes(bytes(raw))
     with pytest.raises(ParseError, match="version"):
-        fileformats.read_embeddings_binary(path)
+        fileformats.load_embeddings(path)
 
 
 def test_binary_dim_zero_rejected(tmp_path):
     path = tmp_path / "dim0.bin"
     path.write_bytes(fileformats.EMBEDDING_MAGIC + struct.pack("<HII", 1, 0, 0))
     with pytest.raises(ParseError) as info:
-        fileformats.read_embeddings_binary(path)
+        fileformats.load_embeddings(path)
     assert str(info.value) == f"{path}: dim must be >= 1"
 
 
@@ -491,7 +516,7 @@ def test_binary_non_finite_names_record(tmp_path):
     path = tmp_path / "inf.bin"
     fileformats.write_embeddings_binary(path, _records_with_inf(["q0", "q1", "q2"]), 16)
     with pytest.raises(ParseError) as info:
-        fileformats.read_embeddings_binary(path)
+        fileformats.load_embeddings(path)
     assert str(info.value) == f"{path}: record 1: non-finite value"
 
 
@@ -499,19 +524,19 @@ def test_binary_later_field_error_reported_before_bad_value(tmp_path):
     path = tmp_path / "two_faults.bin"
     fileformats.write_embeddings_binary(path, _records_with_inf(["q0", "q1", "q0"]), 16)
     with pytest.raises(ParseError) as info:
-        fileformats.read_embeddings_binary(path)
+        fileformats.load_embeddings(path)
     assert str(info.value) == f"{path}: record 2: duplicate id 'q0'"
     fileformats.write_embeddings_binary(path, _records_with_inf(["q0", "q1", "q2"]), 16)
     path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(ParseError) as info:
-        fileformats.read_embeddings_binary(path)
+        fileformats.load_embeddings(path)
     assert str(info.value) == f"{path}: truncated while reading record 2: values"
 
 
 def test_binary_vectors_are_rows_of_one_array(tmp_path):
     path = tmp_path / "emb.bin"
     fileformats.write_embeddings_binary(path, _sample_records(count=4), 16)
-    vectors = [vec for _, _, vec in fileformats.read_embeddings_binary(path)]
+    vectors = [vec for _, _, vec in fileformats.load_embeddings(path)]
     assert vectors[0].base is not None
     assert all(vec.dtype == np.float64 and vec.base is vectors[0].base for vec in vectors)
 
@@ -519,17 +544,7 @@ def test_binary_vectors_are_rows_of_one_array(tmp_path):
 def test_binary_empty_body(tmp_path):
     path = tmp_path / "empty.bin"
     fileformats.write_embeddings_binary(path, [], 16)
-    assert fileformats.read_embeddings_binary(path) == []
-
-
-def test_read_embeddings_sniffs_format(tmp_path):
-    records = _sample_records(dim=4)
-    tpath = tmp_path / "a.txt"
-    bpath = tmp_path / "a.bin"
-    fileformats.write_embeddings_text(tpath, records, 4)
-    fileformats.write_embeddings_binary(bpath, records, 4)
-    assert [r[0] for r in fileformats.read_embeddings(tpath)] == ["q0", "q1", "q2"]
-    assert [r[0] for r in fileformats.read_embeddings(bpath)] == ["q0", "q1", "q2"]
+    assert fileformats.load_embeddings(path) == []
 
 
 @pytest.mark.parametrize("write", [fileformats.write_embeddings_text,
@@ -618,10 +633,8 @@ def test_jsonl_invalid_utf8_matches_whole_file_decode(tmp_path, kind, end):
 
 
 _ONE_OPEN_READERS = {  # case: (reader, name of its input)
-    "read_embeddings text": (fileformats.read_embeddings, "emb.txt"),
-    "read_embeddings binary": (fileformats.read_embeddings, "emb.bin"),
-    "read_embeddings_text": (fileformats.read_embeddings_text, "emb.txt"),
-    "read_embeddings_binary": (fileformats.read_embeddings_binary, "emb.bin"),
+    "load_embeddings text": (fileformats.load_embeddings, "emb.txt"),
+    "load_embeddings binary": (fileformats.load_embeddings, "emb.bin"),
     "read_jsonl": (lambda path: list(fileformats.read_jsonl(path)), "rows.jsonl"),
     "load_dictionary_cache": (load_dictionary_cache, "dict.bin"),
 }

@@ -66,6 +66,23 @@ def test_out_of_range_scores_rejected():
         decide_appends((1.2, 0.5, 0.2), OPERATING_POINT)
 
 
+@pytest.mark.parametrize("scores, message", [
+    ((0.1, 0.5, 0.2), "scores must be nonincreasing, got [0.1, 0.5, 0.2]"),
+    ((1.2, 0.5, 0.2), "score 1.2 outside [0, 1]"),
+    ((0.5, 0.2, -0.1), "score -0.1 outside [0, 1]"),
+    ((0.5, float("nan"), 0.1), "score nan outside [0, 1]"),
+    ((0.5, 0.2), "expected exactly 3 supporting questions, got 2"),
+    ((0.5, 0.2, 0.1, 9.0), "score 9.0 outside [0, 1]"),
+    ((0.5, 0.2, 0.1, 0.0), "expected exactly 3 supporting questions, got 4"),
+], ids=["unsorted", "above 1", "negative", "NaN", "two", "four, fourth above 1", "four"])
+def test_policy_and_record_share_one_score_law(scores, message):
+    with pytest.raises(InvalidInputError) as from_policy:
+        decide_appends(scores, OPERATING_POINT)
+    with pytest.raises(InvalidInputError) as from_record:
+        BqdRecord("img", "main?", ["a?", "b?", "c?"], scores)
+    assert str(from_policy.value) == str(from_record.value) == message
+
+
 def test_threshold_out_of_range_rejected():
     with pytest.raises(InvalidInputError):
         ConcatenationPolicy(1.5, 0.5, 0.5)
