@@ -11,7 +11,6 @@ record-level failures were skipped under ``--keep-going``.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 from json.encoder import encode_basestring, encode_basestring_ascii
@@ -110,7 +109,7 @@ def cmd_gen_bq(args):
     _write_manifest(
         args.out, "gen-bq",
         {"dict": str(args.dict), "queries": str(args.queries)},
-        dict(dataclasses.asdict(config), exclude_exact=args.exclude_exact,
+        dict(config._asdict(), exclude_exact=args.exclude_exact,
              keep_going=args.keep_going),
     )
     clamped = result.diagnostics.clamped
@@ -131,7 +130,7 @@ def cmd_concat(args):
     fileformats.write_jsonl(args.out, lines)
     _write_manifest(
         args.out, "concat", {"bqd": str(args.bqd)},
-        dict(dataclasses.asdict(policy), separator=args.separator),
+        dict(policy._asdict(), separator=args.separator),
     )
     print(f"wrote {len(lines)} concatenated questions to {args.out}")
     return EXIT_OK
@@ -168,7 +167,7 @@ def cmd_partition(args):
     if args.out:
         _write_json(args.out, counts.as_dict())
         _write_manifest(args.out, "partition", {"bqd": str(args.bqd)},
-                        dataclasses.asdict(policy))
+                        policy._asdict())
     return EXIT_OK
 
 

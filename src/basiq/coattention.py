@@ -11,41 +11,38 @@ columns plus the weighted column sum:
 The alternating procedure runs the operator three times: summarize the
 question features with a zero guider, attend the image features guided
 by that summary, then attend the question features again guided by the
-attended image vector.  Parameters are given as arrays or drawn from a
-seeded generator; there is no bias term and no training loop.  All
-functions are pure.
+attended image vector.  Parameters are a checked tuple of read-only
+arrays, given as arrays or drawn from a seeded generator; there is no
+bias term and no training loop.  All functions are pure.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError
-from .immutable import readonly_array
+from .immutable import checked_tuple, readonly_array
 
 
-@dataclass(frozen=True)
-class AttentionParameters:
+class AttentionParameters(checked_tuple("AttentionParameters", "w_x w_g w_hx")):
     """Projection matrices into the k-dim attention space plus the scoring vector.
 
     w_x: (k x d) feature projection; w_g: (k x d_g) guider projection;
     w_hx: (k,) scoring vector.
     """
 
-    w_x: np.ndarray
-    w_g: np.ndarray
-    w_hx: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "w_x", readonly_array(self.w_x, "w_x", 2))
-        object.__setattr__(self, "w_g", readonly_array(self.w_g, "w_g", 2))
-        object.__setattr__(self, "w_hx", readonly_array(self.w_hx, "w_hx", 1))
-        k = self.w_x.shape[0]
-        if self.w_g.shape[0] != k:
-            raise ShapeError(f"w_g has {self.w_g.shape[0]} rows, expected {k} to match w_x")
-        if self.w_hx.shape != (k,):
-            raise ShapeError(f"w_hx has length {self.w_hx.shape[0]}, expected {k}")
+    def __new__(cls, w_x, w_g, w_hx):
+        w_x = readonly_array(w_x, "w_x", 2)
+        w_g = readonly_array(w_g, "w_g", 2)
+        w_hx = readonly_array(w_hx, "w_hx", 1)
+        k = w_x.shape[0]
+        if w_g.shape[0] != k:
+            raise ShapeError(f"w_g has {w_g.shape[0]} rows, expected {k} to match w_x")
+        if w_hx.shape != (k,):
+            raise ShapeError(f"w_hx has length {w_hx.shape[0]}, expected {k}")
+        return tuple.__new__(cls, (w_x, w_g, w_hx))
 
     @property
     def attention_dim(self):

@@ -3,17 +3,17 @@
 Duplicate questions are collapsed before the matrix is built, each
 surviving embedding is scaled to unit L2 norm, and the original norms
 are kept for audit.  The matrix is stored column-major, the layout the
-cache writes.  A built dictionary is immutable and safe to share across
-concurrent solves.
+cache writes.  A built dictionary is a checked tuple of read-only arrays
+and tuples, immutable and safe to share across concurrent solves.
 """
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, ParseError, ShapeError
 from .fileformats import BinaryReader, encode_faults, pack_string
+from .immutable import checked_tuple
 
 CACHE_MAGIC = b"BQDICT"
 CACHE_VERSION = 1
@@ -27,17 +27,13 @@ def normalize_question_text(text):
     return " ".join(text.split()).casefold()
 
 
-@dataclass(frozen=True)
-class Dictionary:
+class Dictionary(checked_tuple("Dictionary", "matrix ids texts column_norms_original")):
     """Unit-column matrix plus parallel id/text/original-norm bookkeeping."""
 
-    matrix: np.ndarray
-    ids: tuple
-    texts: tuple
-    column_norms_original: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
+    def __new__(cls, matrix, ids, texts, column_norms_original):
+        m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2:
             raise ShapeError(f"matrix must be 2-D, got shape {m.shape}")
         dim, n = m.shape
@@ -50,22 +46,19 @@ class Dictionary:
             raise InvalidInputError(
                 f"column {worst} has norm {float(norms[worst])!r}, expected 1 within {UNIT_NORM_TOL}"
             )
-        ids = tuple(self.ids)
-        texts = tuple(self.texts)
+        ids = tuple(ids)
+        texts = tuple(texts)
         if len(ids) != n or len(texts) != n:
             raise ShapeError("ids and texts must each have one entry per column")
         if len(set(ids)) != n:
             raise InvalidInputError("ids must be unique")
-        orig = np.asarray(self.column_norms_original, dtype=np.float64)
+        orig = np.asarray(column_norms_original, dtype=np.float64)
         if orig.shape != (n,):
             raise ShapeError("column_norms_original must have one entry per column")
         m.setflags(write=False)
         orig = orig.copy()
         orig.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "texts", texts)
-        object.__setattr__(self, "column_norms_original", orig)
+        return tuple.__new__(cls, (m, ids, texts, orig))
 
     @property
     def dim(self):

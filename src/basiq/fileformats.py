@@ -48,7 +48,7 @@ from .errors import InvalidInputError, ParseError
 EMBEDDING_MAGIC = b"QEMB"
 EMBEDDING_VERSION = 1
 
-_HEADER_RE = re.compile(r"^dim=(\d+) count=(\d+)$")
+_HEADER_RE = re.compile(r"^dim=([0-9]+) count=([0-9]+)$")
 _FIELD_BREAK_RE = re.compile(r"[\t\n\r]")
 _BLOCK = 256  # text embedding lines converted per np.loadtxt call
 _U32 = struct.Struct("<I")

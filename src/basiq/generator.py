@@ -4,7 +4,8 @@ Each query is solved against the dictionary, the coefficients are ranked
 by signed value, and the top 3 become scored supporting questions.  A
 solve that misses its duality-gap certificate is an error, never a
 record.  Scores are the raw coefficients clamped into [0, 1]; clamping
-events are counted in the batch diagnostics rather than hidden.
+events are counted in the batch diagnostics rather than hidden; a batch
+builds its ``GenerationDiagnostics`` once, at the end.
 
 A record (``BqdRecord``) is one flat tuple: image id, query text, and the
 supporting questions' texts and scores as two 3-tuples, best first.  Its
@@ -16,8 +17,8 @@ column indices; a zero score passes no concatenation threshold.
 """
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,16 +62,15 @@ class BqdRecord(checked_tuple("BqdRecord", "image_id mq_text texts scores")):
         return tuple.__new__(cls, (image_id, mq_text, texts, scores))
 
 
-@dataclass
-class GenerationDiagnostics:
-    """Counters surfaced alongside batch output."""
+class GenerationDiagnostics(NamedTuple):
+    """Counters surfaced alongside batch output: scores clamped to 1, and
+    the ``(image_id, message)`` pair of each failed query."""
 
-    clamped: int = 0
-    errors: list = field(default_factory=list)
+    clamped: int
+    errors: tuple
 
 
-@dataclass(frozen=True)
-class BatchResult:
+class BatchResult(NamedTuple):
     records: tuple
     diagnostics: GenerationDiagnostics
 
@@ -151,19 +151,18 @@ def generate_batch(d, queries, config=None, exclude_exact=False):
     queries = list(queries)
     if not queries:
         raise InvalidInputError("query batch is empty")
-    diagnostics = GenerationDiagnostics()
-    records = []
+    records, errors, total_clamped = [], [], 0
     for image_id, mq_text, vec in queries:
         exclude = mq_text if exclude_exact else None
         try:
             columns, scores, clamped = _ranked_entries(d, vec, config, exclude)
             record = BqdRecord(image_id, mq_text, [d.texts[j] for j in columns], scores)
         except BasiqError as exc:
-            diagnostics.errors.append((image_id, str(exc)))
+            errors.append((image_id, str(exc)))
         else:
-            diagnostics.clamped += clamped
+            total_clamped += clamped
             records.append(record)
-    return BatchResult(records=tuple(records), diagnostics=diagnostics)
+    return BatchResult(tuple(records), GenerationDiagnostics(total_clamped, tuple(errors)))
 
 
 def record_to_json(record):

@@ -1,4 +1,10 @@
-"""Building blocks of the package's immutable, checked value types."""
+"""Building blocks of the package's immutable, checked value types.
+
+Every value type is a tuple: a ``checked_tuple`` subclass when its one
+``__new__`` checks the fields, a ``typing.NamedTuple`` when nothing needs
+checking.  A namedtuple compiles one small ``__new__`` at import, where a
+dataclass compiles about six methods.
+"""
 
 from collections import namedtuple
 

@@ -15,44 +15,42 @@ that ratio's average (the exclusion is counted, not hidden).
 Also here: population statistics of the three score channels, the
 candidate threshold grid derived from them (avg, avg+std, avg-std per
 channel), partition accounting over a record set, and report rendering
-as dicts and aligned text tables.
+as dicts and aligned text tables.  The policy is a checked tuple; the
+statistics and counts are named tuples.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidInputError
 from .generator import check_scores
+from .immutable import checked_tuple
 
 DEFAULT_THRESHOLDS = (0.43, 0.82, 0.53)
 
 STAT_CHANNELS = ("score1", "score2_over_score1", "score3_over_score2")
 
 
-@dataclass(frozen=True)
-class ConcatenationPolicy:
+class ConcatenationPolicy(checked_tuple("ConcatenationPolicy", "s1 s2 s3")):
     """The three append thresholds, each in [0, 1]."""
 
-    s1: float = DEFAULT_THRESHOLDS[0]
-    s2: float = DEFAULT_THRESHOLDS[1]
-    s3: float = DEFAULT_THRESHOLDS[2]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("s1", "s2", "s3"):
-            v = getattr(self, name)
+    def __new__(cls, s1=DEFAULT_THRESHOLDS[0], s2=DEFAULT_THRESHOLDS[1],
+                s3=DEFAULT_THRESHOLDS[2]):
+        for name, v in (("s1", s1), ("s2", s2), ("s3", s3)):
             if not 0.0 <= v <= 1.0:
                 raise InvalidInputError(f"{name}={v!r} outside [0, 1]")
+        return tuple.__new__(cls, (s1, s2, s3))
 
 
-@dataclass(frozen=True)
-class StatEntry:
+class StatEntry(NamedTuple):
     avg: float
     std: float
-    count: int
+    count: int  # shadows tuple.count
 
 
-@dataclass(frozen=True)
-class ScoreStats:
+class ScoreStats(NamedTuple):
     """Population avg/std of score1, score2/score1, score3/score2."""
 
     score1: StatEntry
@@ -72,8 +70,7 @@ class ScoreStats:
         } | {"total": self.total}
 
 
-@dataclass(frozen=True)
-class PartitionCounts:
+class PartitionCounts(NamedTuple):
     """How many records receive 0, 1, 2, or 3 appended questions."""
 
     by_appends: tuple

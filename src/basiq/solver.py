@@ -14,12 +14,11 @@ Events are resolved in a fixed order, with ties going to the lowest
 column index, so identical inputs give bit-identical solutions.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dictionary import Dictionary
 from .errors import InvalidInputError, ShapeError, UnsupportedConfigError
+from .immutable import checked_tuple
 
 DEFAULT_LAMBDA_REL = 0.024
 DEFAULT_TOL = 1e-6
@@ -32,8 +31,7 @@ _ZERO_LAMBDA = "lambda = 0 is rejected: unpenalized least squares is out of scop
 _SPAN_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class LassoConfig:
+class LassoConfig(checked_tuple("LassoConfig", "lambda_abs lambda_rel tol max_sweeps nonnegative")):
     """Solve configuration; exactly one of lambda_abs / lambda_rel is set.
 
     ``lambda_rel`` scales ``max |A^T b|``, the critical penalty (smallest
@@ -42,31 +40,28 @@ class LassoConfig:
     makes a planted self-match against an orthogonal remainder score 0.976.
     """
 
-    lambda_abs: float | None = None
-    lambda_rel: float | None = DEFAULT_LAMBDA_REL
-    tol: float = DEFAULT_TOL
-    max_sweeps: int = DEFAULT_MAX_SWEEPS
-    nonnegative: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.lambda_abs is None) == (self.lambda_rel is None):
+    def __new__(cls, lambda_abs=None, lambda_rel=DEFAULT_LAMBDA_REL, tol=DEFAULT_TOL,
+                max_sweeps=DEFAULT_MAX_SWEEPS, nonnegative=False):
+        if (lambda_abs is None) == (lambda_rel is None):
             raise UnsupportedConfigError(
                 "exactly one of lambda_abs / lambda_rel must be set"
             )
-        if self.lambda_abs is not None and self.lambda_abs < 0:
+        if lambda_abs is not None and lambda_abs < 0:
             raise InvalidInputError("lambda_abs must be nonnegative")
-        if self.lambda_rel is not None and self.lambda_rel < 0:
+        if lambda_rel is not None and lambda_rel < 0:
             raise InvalidInputError("lambda_rel must be nonnegative")
-        if not self.tol > 0:
+        if not tol > 0:
             raise InvalidInputError("tol must be positive")
-        if self.max_sweeps < 1:
+        if max_sweeps < 1:
             raise InvalidInputError("max_sweeps must be >= 1")
-        for name in ("lambda_abs", "lambda_rel", "tol"):
-            value = getattr(self, name)
+        for name, value in (("lambda_abs", lambda_abs), ("lambda_rel", lambda_rel), ("tol", tol)):
             if value is not None and not np.isfinite(value):
                 raise InvalidInputError(f"{name} must be finite, got {value!r}")
-        if 0 in (self.lambda_abs, self.lambda_rel):
+        if 0 in (lambda_abs, lambda_rel):
             raise UnsupportedConfigError(_ZERO_LAMBDA)
+        return tuple.__new__(cls, (lambda_abs, lambda_rel, tol, max_sweeps, nonnegative))
 
     @classmethod
     def absolute(cls, lam, **kwargs):
@@ -83,23 +78,19 @@ class LassoConfig:
         return float(self.lambda_rel) * float(lam_max)
 
 
-@dataclass(frozen=True)
-class SparseSolution:
+class SparseSolution(checked_tuple(
+        "SparseSolution", "coefficients duality_gap sweeps_used objective converged")):
     """Coefficients plus the convergence certificate that produced them.
 
     ``sweeps_used`` counts homotopy path steps.
     """
 
-    coefficients: np.ndarray
-    duality_gap: float
-    sweeps_used: int
-    objective: float
-    converged: bool
+    __slots__ = ()
 
-    def __post_init__(self):
-        arr = np.asarray(self.coefficients, dtype=np.float64)
+    def __new__(cls, coefficients, duality_gap, sweeps_used, objective, converged):
+        arr = np.asarray(coefficients, dtype=np.float64)
         arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", arr)
+        return tuple.__new__(cls, (arr, duality_gap, sweeps_used, objective, converged))
 
 
 def _as_matrix(dict_or_matrix):
@@ -192,8 +183,9 @@ def solve_lasso(d, b, config=None):
     buffers, the upper band edge in column 0 and (unless nonnegative) the
     lower in column 1, gives every entry time, and one flat ``argmin``
     takes the lowest column, then the upper edge.  The active columns are
-    gathered once per event, for the next step's Gram matrix and, after
-    the last step, the residual.  ``d`` is solved afresh each step: an
+    gathered once per event, indexed from a bool mask (an O(n) scan that
+    is far cheaper on bools than on the float signs), for the next step's
+    Gram matrix and, after the last step, the residual.  ``d`` is solved afresh each step: an
     updated inverse costs as many small calls here and changes its bits.
 
     Returns a SparseSolution.  A zero penalty, a different problem, and a
@@ -214,7 +206,8 @@ def solve_lasso(d, b, config=None):
     mask = np.empty((n, edges), dtype=bool)
     x = np.zeros(n)
     sign = np.zeros(n)  # +-1 on the active set
-    idx = sign.nonzero()[0]  # the active set, ascending, so drop ties go to the lowest
+    active = np.zeros(n, dtype=bool)
+    idx = active.nonzero()[0]  # the active set, ascending, so drop ties go to the lowest
     cols, signs = a[:, idx], sign[idx]
     left = []  # the (column, edge) cells dropped since the penalty last moved
     slope = np.zeros(n)  # until the first entry; a lone coefficient never drops
@@ -276,9 +269,11 @@ def solve_lasso(d, b, config=None):
             if event == "drop":
                 left.append((k, 0 if sign[k] > 0 else 1))
                 sign[k] = x[k] = 0.0
+                active[k] = False
             else:
                 sign[j] = 1.0 if side == 0 else -1.0
-            idx = sign.nonzero()[0]
+                active[j] = True
+            idx = active.nonzero()[0]
             cols, signs = a[:, idx], sign[idx]
         if event == "target":
             break

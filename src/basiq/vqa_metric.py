@@ -10,7 +10,7 @@ matching is requested.
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fileformats
 from .dictionary import normalize_question_text
@@ -30,8 +30,7 @@ class AnswerRecord(checked_tuple("AnswerRecord", "question_id predicted annotato
         return tuple.__new__(cls, (question_id, predicted, answers))
 
 
-@dataclass(frozen=True)
-class AccuracyReport:
+class AccuracyReport(NamedTuple):
     n: int
     per_question: tuple
     mean: float

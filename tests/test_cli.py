@@ -267,9 +267,23 @@ def test_gen_bq_manifest_records_config(tmp_path, corpus_file, query_file):
                 "--lambda-rel", "0.05", "--tol", "1e-8"]) == EXIT_OK
     manifest = json.loads((tmp_path / "bqd.jsonl.manifest.json").read_text())
     assert manifest["command"] == "gen-bq"
-    assert manifest["config"]["lambda_rel"] == 0.05
-    assert manifest["config"]["tol"] == 1e-8
-    assert manifest["config"]["max_sweeps"] == 1000
+    assert manifest["config"] == {
+        "lambda_abs": None, "lambda_rel": 0.05, "tol": 1e-8, "max_sweeps": 1000,
+        "nonnegative": False, "exclude_exact": False, "keep_going": False,
+    }
+
+
+@pytest.mark.parametrize("command, flags, extra", [
+    ("concat", ["--separator", " | "], {"separator": " | "}),
+    ("partition", [], {}),
+])
+def test_policy_manifest_records_config(tmp_path, command, flags, extra):
+    bqd = _bqd_fixture(tmp_path, [(0.9, 0.8, 0.5)])
+    out = tmp_path / f"{command}.out"
+    assert run([command, "--bqd", bqd, "--out", out, "--s1", "0.5", *flags]) == EXIT_OK
+    manifest = json.loads((tmp_path / f"{command}.out.manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["config"] == {"s1": 0.5, "s2": 0.82, "s3": 0.53, **extra}
 
 
 def _bqd_fixture(tmp_path, triples):

@@ -1,11 +1,24 @@
-"""The package imports nothing but numpy and the standard library, and its
-sources parse under the declared Python floor."""
+"""The package imports nothing but numpy and the standard library, its
+sources parse under the declared Python floor, and its value types are
+checked tuples rather than generated classes."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "basiq").glob("*.py"))
+import numpy as np
+import pytest
+
+from basiq.coattention import AttentionParameters
+from basiq.dictionary import Dictionary
+from basiq.errors import InvalidInputError, ShapeError
+from basiq.policy import ConcatenationPolicy
+from basiq.solver import LassoConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "basiq").glob("*.py"))
 
 
 def _absolute_imports(path):
@@ -31,3 +44,40 @@ def test_sources_parse_as_python_3_10():
     # pyproject.toml and the README declare Python 3.10 as the floor.
     for path in SOURCES:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_import_loads_its_modules_and_no_dataclasses():
+    # A fresh process: what `import basiq` loads is what every CLI stage pays
+    # for, so its cost may be cut but not moved into a later import.
+    code = ("import basiq, sys; print('dataclasses' in sys.modules); "
+            "print(sorted(k[6:] for k in sys.modules if k.startswith('basiq.')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.splitlines()
+    assert out == ["False", str(["coattention", "dictionary", "errors", "fileformats",
+                                 "generator", "immutable", "policy", "solver", "vqa_metric"])]
+
+
+def _dictionary():
+    return Dictionary(np.eye(3), ("a", "b", "c"), ("a?", "b?", "c?"), np.ones(3))
+
+
+def _parameters():
+    return AttentionParameters(np.zeros((3, 4)), np.zeros((3, 2)), np.zeros(3))
+
+
+@pytest.mark.parametrize("make, change, error, message", [
+    (LassoConfig, {"tol": -1}, InvalidInputError, "tol must be positive"),
+    (ConcatenationPolicy, {"s1": 2}, InvalidInputError, "s1=2 outside [0, 1]"),
+    (_dictionary, {"ids": ("a", "a", "c")}, InvalidInputError, "ids must be unique"),
+    (_parameters, {"w_g": np.zeros((2, 2))}, ShapeError,
+     "w_g has 2 rows, expected 3 to match w_x"),
+], ids=["LassoConfig", "ConcatenationPolicy", "Dictionary", "AttentionParameters"])
+def test_value_types_replace_through_their_checks(make, change, error, message):
+    value = make()
+    with pytest.raises(error) as info:
+        value._replace(**change)
+    assert str(info.value) == message
+    [name] = change
+    with pytest.raises(AttributeError):
+        setattr(value, name, getattr(value, name))

@@ -379,7 +379,8 @@ _LONG_COUNT = "dim=2 count=" + "0" * 5000 + "1"  # int() reads at most 4,300 dig
 @pytest.mark.parametrize("header, message", [
     (_LONG_COUNT, f"line 1: malformed header {_LONG_COUNT!r}"),
     ("dim=1000000000000 count=1", "line 2: expected 1000000000000 values, got 2"),
-], ids=["count past the int digit limit", "huge dim"])
+    ("dim=\u0662 count=\u0661", "line 1: malformed header 'dim=\u0662 count=\u0661'"),
+], ids=["count past the int digit limit", "huge dim", "non-ASCII digits"])
 def test_text_header_sizes_no_allocation(tmp_path, header, message):
     path = tmp_path / "emb.txt"
     path.write_text(header + "\nq0\ta?\t1 2\n", encoding="utf-8")
