@@ -37,7 +37,6 @@ from .generator import (
     generate_basic_questions,
     generate_batch,
     read_bqd,
-    record_from_json,
     record_to_json,
     write_bqd,
 )

@@ -112,9 +112,11 @@ def cmd_gen_bq(args):
         dict(config._asdict(), exclude_exact=args.exclude_exact,
              keep_going=args.keep_going),
     )
-    clamped = result.diagnostics.clamped
+    counts = [f"{n} {what}" for n, what in (
+        (result.diagnostics.clamped, "scores clamped"),
+        (result.diagnostics.re_solved, "solves re-run in float64")) if n]
     print(f"wrote {len(result.records)} records to {args.out}"
-          + (f" ({clamped} scores clamped)" if clamped else ""))
+          + (f" ({', '.join(counts)})" if counts else ""))
     return EXIT_PARTIAL if errors else EXIT_OK
 
 

@@ -4,10 +4,14 @@ Duplicate questions are collapsed before the matrix is built, each
 surviving embedding is scaled to unit L2 norm, and the original norms
 are kept for audit.  The matrix is stored column-major, the layout the
 cache writes.  A built dictionary is a checked tuple of read-only arrays
-and tuples, immutable and safe to share across concurrent solves.
+and tuples, immutable and safe to share across concurrent solves.  On its
+first solve it also builds ``search_matrix``, a float32 copy of the matrix
+from which the solver places path events; the coefficients and the gap
+are still computed from the float64 ``matrix``.
 """
 
 import struct
+from functools import cached_property
 
 import numpy as np
 
@@ -28,9 +32,10 @@ def normalize_question_text(text):
 
 
 class Dictionary(checked_tuple("Dictionary", "matrix ids texts column_norms_original")):
-    """Unit-column matrix plus parallel id/text/original-norm bookkeeping."""
+    """Unit-column matrix plus parallel id/text/original-norm bookkeeping.
 
-    __slots__ = ()
+    No ``__slots__``: an instance keeps its ``search_matrix`` once built.
+    """
 
     def __new__(cls, matrix, ids, texts, column_norms_original):
         m = np.asarray(matrix, dtype=np.float64)
@@ -68,6 +73,15 @@ class Dictionary(checked_tuple("Dictionary", "matrix ids texts column_norms_orig
     def n_columns(self):
         return self.matrix.shape[1]
 
+    @cached_property
+    def search_matrix(self):
+        """A read-only float32 copy of ``matrix``, from which the solver
+        places path events.  It is built on first use, so a dictionary that
+        is never solved against never holds it."""
+        m = self.matrix.astype(np.float32)
+        m.setflags(write=False)
+        return m
+
 
 def build_dictionary(records, dedup="normalized"):
     """Build a Dictionary from question records.
@@ -86,7 +100,7 @@ def build_dictionary(records, dedup="normalized"):
         raise InvalidInputError("cannot build a dictionary from zero records")
     key_of = normalize_question_text if dedup == "normalized" else (lambda t: t)
 
-    vecs, kept = [], []
+    vecs, kept, dropped = [], [], []
     seen_keys, seen_ids = set(), set()
     dim = None
     for i, rec in enumerate(records):
@@ -106,6 +120,7 @@ def build_dictionary(records, dedup="normalized"):
         vecs.append(vec)
         key = key_of(rec.text)
         if key in seen_keys:
+            dropped.append(i)
             continue
         seen_keys.add(key)
         if rec.id in seen_ids:
@@ -113,10 +128,15 @@ def build_dictionary(records, dedup="normalized"):
         seen_ids.add(rec.id)
         kept.append(i)
 
-    bad = np.flatnonzero(~np.isfinite(np.array(vecs)).all(axis=1))  # dropped ones too
+    # One stack, survivors first: its leading rows are the matrix's columns
+    # (their transpose is column-major), and the dropped rows are checked too.
+    order = kept + dropped
+    stack = np.array([vecs[i] for i in order])
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=1))
     if bad.size:
-        raise InvalidInputError(f"record {records[bad[0]].id!r}: non-finite vector")
-    rows = np.array([vecs[i] for i in kept])  # one survivor per row; its transpose is column-major
+        first = min(order[b] for b in bad)
+        raise InvalidInputError(f"record {records[first].id!r}: non-finite vector")
+    rows = stack[:len(kept)]
     # Batched dot products: bit-identical to per-vector np.linalg.norm,
     # which einsum is not.
     norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(-1))
@@ -159,11 +179,7 @@ def load_dictionary_cache(path):
     version, dim, n = r.unpack("<HII", "header")
     if version != CACHE_VERSION:
         raise ParseError(f"{path}: unsupported cache version {version}")
-    ids = []
-    texts = []
-    for i in range(n):
-        ids.append(r.string("column %d: id", i))
-        texts.append(r.string("column %d: text", i))
+    ids, texts = r.strings(n, "column %d", ("id", "text"))
     norms = np.frombuffer(r.take(8 * n, "norms"), dtype="<f8").copy()
     matrix = (
         np.frombuffer(r.take(8 * dim * n, "matrix"), dtype="<f8")

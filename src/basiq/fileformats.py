@@ -94,6 +94,31 @@ class BinaryReader:
         except UnicodeDecodeError as exc:
             raise ParseError(f"{self.path}: {what % args}: {exc}") from None
 
+    def strings(self, count, what, fields):
+        """``count`` rows of one string per name in ``fields``, read as
+        ``string`` reads them but in one loop, returned as one list per
+        field.  A fault names ``what % row`` and the field."""
+        blob, size, unpack = self.blob, len(self.blob), _U32.unpack_from
+        pos, out = self.pos, []
+        for m in range(count * len(fields)):
+            start = pos + 4
+            if start > size:
+                self._string_fault(m, what, fields, "truncated while reading ", " length")
+            (n,) = unpack(blob, pos)
+            pos = start + n
+            if pos > size:
+                self._string_fault(m, what, fields, "truncated while reading ", "")
+            try:
+                out.append(blob[start:pos].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                self._string_fault(m, what, fields, "", f": {exc}")
+        self.pos = pos
+        return [out[i::len(fields)] for i in range(len(fields))]
+
+    def _string_fault(self, m, what, fields, before, after):
+        row, field = divmod(m, len(fields))
+        raise ParseError(f"{self.path}: {before}{what % row}: {fields[field]}{after}")
+
     def finish(self, suffix=""):
         """Reject bytes left over after the last field."""
         extra = len(self.blob) - self.pos

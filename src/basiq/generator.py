@@ -4,8 +4,10 @@ Each query is solved against the dictionary, the coefficients are ranked
 by signed value, and the top 3 become scored supporting questions.  A
 solve that misses its duality-gap certificate is an error, never a
 record.  Scores are the raw coefficients clamped into [0, 1]; clamping
-events are counted in the batch diagnostics rather than hidden; a batch
-builds its ``GenerationDiagnostics`` once, at the end.
+events are counted in the batch diagnostics rather than hidden, and so
+are the solves whose float32 event search missed the certificate and
+were solved again in float64; a batch builds its
+``GenerationDiagnostics`` once, at the end.
 
 A record (``BqdRecord``) is one flat tuple: image id, query text, and the
 supporting questions' texts and scores as two 3-tuples, best first.  Its
@@ -63,11 +65,13 @@ class BqdRecord(checked_tuple("BqdRecord", "image_id mq_text texts scores")):
 
 
 class GenerationDiagnostics(NamedTuple):
-    """Counters surfaced alongside batch output: scores clamped to 1, and
-    the ``(image_id, message)`` pair of each failed query."""
+    """Counters surfaced alongside batch output: scores clamped to 1, the
+    ``(image_id, message)`` pair of each failed query, and the solves
+    re-run in float64 (``SparseSolution.re_solved``), failed ones included."""
 
     clamped: int
     errors: tuple
+    re_solved: int
 
 
 class BatchResult(NamedTuple):
@@ -87,23 +91,27 @@ def generate_basic_questions(d, mq, config=None, exclude_text=None):
     entirely (self-match exclusion).  A solve whose duality gap exceeds
     ``config.tol`` raises ``UncertifiedSolveError``.
     """
-    columns, scores, _ = _ranked_entries(d, mq, config, exclude_text)
+    config = LassoConfig() if config is None else config
+    columns, scores, _ = _ranked_entries(d, _solve(d, mq, config), config, exclude_text)
     return columns, scores
 
 
-def _ranked_entries(d, mq, config, exclude_text):
-    """``generate_basic_questions`` plus how many of its scores were clamped to 1."""
+def _solve(d, mq, config):
     if d.n_columns < BQ_COUNT:
         raise InvalidInputError(
             f"dictionary has {d.n_columns} columns, cannot return {BQ_COUNT} distinct questions"
         )
-    if config is None:
-        config = LassoConfig()
-    solution = solve_lasso(d, mq, config)
+    return solve_lasso(d, mq, config)
+
+
+def _ranked_entries(d, solution, config, exclude_text):
+    """``generate_basic_questions`` from the query's solution, plus how many
+    of its scores were clamped to 1."""
     if not solution.converged:
         raise UncertifiedSolveError(
             f"solve not certified: duality gap {solution.duality_gap!r} > tol {config.tol!r} "
             f"after {solution.sweeps_used} path steps"
+            + (" of a float64 re-solve" if solution.re_solved else "")
         )
     coef = solution.coefficients
 
@@ -151,18 +159,22 @@ def generate_batch(d, queries, config=None, exclude_exact=False):
     queries = list(queries)
     if not queries:
         raise InvalidInputError("query batch is empty")
-    records, errors, total_clamped = [], [], 0
+    config = LassoConfig() if config is None else config
+    records, errors, total_clamped, re_solved = [], [], 0, 0
     for image_id, mq_text, vec in queries:
         exclude = mq_text if exclude_exact else None
         try:
-            columns, scores, clamped = _ranked_entries(d, vec, config, exclude)
+            solution = _solve(d, vec, config)
+            re_solved += solution.re_solved
+            columns, scores, clamped = _ranked_entries(d, solution, config, exclude)
             record = BqdRecord(image_id, mq_text, [d.texts[j] for j in columns], scores)
         except BasiqError as exc:
             errors.append((image_id, str(exc)))
         else:
             total_clamped += clamped
             records.append(record)
-    return BatchResult(tuple(records), GenerationDiagnostics(total_clamped, tuple(errors)))
+    return BatchResult(tuple(records),
+                       GenerationDiagnostics(total_clamped, tuple(errors), re_solved))
 
 
 def record_to_json(record):
@@ -174,21 +186,6 @@ def record_to_json(record):
     )
     return '{"image_id": %s, "mq": %s, "bqs": [%s]}' % (
         encode_basestring(record.image_id), encode_basestring(record.mq_text), bq_parts)
-
-
-def record_from_json(line, where="<string>"):
-    """Parse one output line back into a record."""
-    try:
-        return _parse_record(line)
-    except _MALFORMED as exc:
-        raise _record_error(exc, where) from None
-
-
-def _record_error(exc, where):
-    """The ``ParseError`` for ``exc``, raised parsing the line at ``where``."""
-    if isinstance(exc, json.JSONDecodeError):
-        return ParseError(f"{where}: {exc}")
-    return ParseError(f"{where}: malformed record: {exc}")
 
 
 def _parse_record(line):
@@ -218,6 +215,8 @@ def read_bqd(path):
     for ln, line in fileformats.read_jsonl(path):
         try:
             records.append(_parse_record(line))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{ln}: {exc}") from None
         except _MALFORMED as exc:
-            raise _record_error(exc, f"{path}:{ln}") from None
+            raise ParseError(f"{path}:{ln}: malformed record: {exc}") from None
     return records

@@ -12,6 +12,12 @@ result; it is the gap, not the path, that callers rely on.
 
 Events are resolved in a fixed order, with ties going to the lowest
 column index, so identical inputs give bit-identical solutions.
+
+Precision: against a ``Dictionary`` the events are placed from a float32
+copy of its matrix; the support, the coefficients and the gap are
+float64, and a gap that misses the tolerance triggers one float64
+re-solve, which the solution reports.  A column in the span of the active
+set never enters, whatever the search precision.
 """
 
 import numpy as np
@@ -25,10 +31,16 @@ DEFAULT_TOL = 1e-6
 DEFAULT_MAX_SWEEPS = 1000
 _ZERO_LAMBDA = "lambda = 0 is rejected: unpenalized least squares is out of scope"
 
-# Entry denominators ``1 -+ a_j^T u`` at or below this mark a column in
-# the span of the active set, which cannot enter without making the Gram
-# matrix singular.
-_SPAN_EPS = 1e-9
+# An entering column whose denominator ``1 -+ a_j^T u`` is at or below
+# _SPAN_GATE may lie in the span of the active set, where the denominator
+# of a duplicate is zero in exact arithmetic; the gate covers float32
+# rounding of the slope.  Such a column is projected onto the active span
+# in float64.  If its residual is at most _SPAN_TOL of its norm, it may
+# not enter: the Gram matrix holds the square of that residual next to
+# unit diagonal entries, so below about sqrt(eps) it is lost to rounding
+# and the Gram matrix is singular to working precision.
+_SPAN_GATE = 1e-3
+_SPAN_TOL = 2.0 * float(np.sqrt(np.finfo(np.float64).eps))
 
 
 class LassoConfig(checked_tuple("LassoConfig", "lambda_abs lambda_rel tol max_sweeps nonnegative")):
@@ -79,18 +91,21 @@ class LassoConfig(checked_tuple("LassoConfig", "lambda_abs lambda_rel tol max_sw
 
 
 class SparseSolution(checked_tuple(
-        "SparseSolution", "coefficients duality_gap sweeps_used objective converged")):
+        "SparseSolution", "coefficients duality_gap sweeps_used objective converged re_solved")):
     """Coefficients plus the convergence certificate that produced them.
 
-    ``sweeps_used`` counts homotopy path steps.
+    ``sweeps_used`` counts homotopy path steps.  ``re_solved`` says the
+    float32 event search missed the certificate, so the path was solved
+    again in float64; the other fields describe that second solve.
     """
 
     __slots__ = ()
 
-    def __new__(cls, coefficients, duality_gap, sweeps_used, objective, converged):
-        arr = np.asarray(coefficients, dtype=np.float64)
+    def __new__(cls, coefficients, duality_gap, sweeps_used, objective, converged,
+                re_solved=False):
+        arr = np.array(coefficients, dtype=np.float64)  # a copy: the caller's array stays writable
         arr.setflags(write=False)
-        return tuple.__new__(cls, (arr, duality_gap, sweeps_used, objective, converged))
+        return tuple.__new__(cls, (arr, duality_gap, sweeps_used, objective, converged, re_solved))
 
 
 def _as_matrix(dict_or_matrix):
@@ -169,11 +184,25 @@ def solve_lasso(d, b, config=None):
     penalty reaches ``lam``; ties go to the lowest column index.  At
     ``lam`` the KKT system on the final support is solved exactly.
 
+    Precision: for a Dictionary, events are placed from its float32
+    ``search_matrix``; only each step's slope ``A^T u`` reads it, and is
+    cast back to float64.  The correlations ``A^T b``, the Gram solves,
+    the final KKT solve on the support and the gap (from a fresh float64
+    ``A^T r``) are float64, so the support, the coefficients and the gap
+    are too.  If that gap misses ``config.tol``, the path is solved once
+    more entirely in float64 and the solution says so (``re_solved``).
+    A raw design is searched in its own float64.
+
     ``config.max_sweeps`` caps the number of path steps and
     ``sweeps_used`` counts them.  The returned gap is always evaluated
     at the returned coefficients, and ``converged`` says it is at most
     ``config.tol``.  A cell (column and band edge) that drops may not
     re-enter until the penalty moves, so zero-length steps cannot cycle.
+    A column about to enter with a denominator of at most ``_SPAN_GATE``
+    is projected onto the active span in float64; if it lies there (a
+    duplicate or a combination of active columns, which would make the
+    Gram matrix singular), it is passed over until the active set
+    changes, and the next candidate is taken.
 
     The correlations ``A^T r`` are linear along a path segment, so each
     step updates them by ``t * slope`` (the running correlation of LARS,
@@ -188,8 +217,9 @@ def solve_lasso(d, b, config=None):
     Gram matrix and, after the last step, the residual.  ``d`` is solved afresh each step: an
     updated inverse costs as many small calls here and changes its bits.
 
-    Returns a SparseSolution.  A zero penalty, a different problem, and a
-    singular step (numerically collinear active columns) are rejected.
+    Returns a SparseSolution; after a re-solve its ``sweeps_used`` counts
+    the float64 steps only.  A zero penalty, a different problem, is
+    rejected.
     """
     if config is None:
         config = LassoConfig()
@@ -199,6 +229,24 @@ def solve_lasso(d, b, config=None):
     lam = config.resolve_lambda(float(np.max(np.abs(corr))))
     if lam == 0:  # a zero query under a relative penalty
         raise UnsupportedConfigError(_ZERO_LAMBDA)
+    if not isinstance(d, Dictionary):
+        return _homotopy(a, a, b, corr, lam, config)
+    solution = _homotopy(a, d.search_matrix, b, corr.copy(), lam, config)
+    if solution.converged:
+        return solution
+    return _homotopy(a, a, b, corr, lam, config)._replace(re_solved=True)
+
+
+def _in_span(col, cols, gram):
+    """Whether ``col`` is within _SPAN_TOL of the span of ``cols``, whose Gram matrix is ``gram``."""
+    res = col - cols @ np.linalg.solve(gram, cols.T @ col)
+    return float(res @ res) <= _SPAN_TOL * _SPAN_TOL * float(col @ col)
+
+
+def _homotopy(a, search, b, corr, lam, config):
+    """The path of ``solve_lasso`` from the correlations ``corr = a.T @ b``,
+    which it updates in place; slopes are read from ``search``, ``a`` or a
+    lower-precision copy of it."""
     n = a.shape[1]
     lam_cur = float(np.max(corr)) if config.nonnegative else float(np.max(np.abs(corr)))
     edges = 1 if config.nonnegative else 2
@@ -218,44 +266,48 @@ def solve_lasso(d, b, config=None):
         t_out, k = np.inf, -1
         if idx.size:
             gram = cols.T @ cols
-            try:
-                d = np.linalg.solve(gram, signs)
-            except np.linalg.LinAlgError:
-                raise InvalidInputError(
-                    f"path step {steps}: the active columns are numerically collinear") from None
-            slope = a.T @ (cols @ d)
+            d = np.linalg.solve(gram, signs)
+            u = (cols @ d).astype(search.dtype, copy=False)
+            slope = (search.T @ u).astype(np.float64, copy=False)
             xs = x[idx]
             t_drop = np.full(idx.size, np.inf)
             np.divide(-xs, d, out=t_drop, where=signs * d < 0)
             i = int(t_drop.argmin())
             t_out, k = float(t_drop[i]), int(idx[i])
 
-        # Active columns and those with a denominator at most _SPAN_EPS (moving
-        # away, or in the active span) never enter; a negative numerator (past
-        # the edge by rounding) enters at once.  A coordinate dropped at this
-        # penalty may re-enter only on the other edge, with the other sign.
+        # Active columns and those with a denominator of at most zero (moving
+        # away) never enter; a negative numerator (past the edge by rounding)
+        # enters at once.  A coordinate dropped at this penalty may re-enter
+        # only on the other edge, with the other sign.
         np.subtract(lam_cur, corr, out=num.T[0])
         np.add(lam_cur, corr, out=num.T[1:])  # empty when nonnegative
         np.subtract(1.0, slope, out=den.T[0])
         np.add(1.0, slope, out=den.T[1:])
-        np.greater(den, _SPAN_EPS, out=mask)
+        np.greater(den, 0.0, out=mask)
         mask[idx] = False
         for dropped in left:
             mask[dropped] = False
         times.fill(np.inf)
         np.maximum(num, 0.0, out=num)
         np.divide(num, den, out=times, where=mask)
-        cell = int(times.argmin())
-        t_in = times.item(cell)
-        j, side = divmod(cell, edges)
 
         t_target = lam_cur - lam
-        if t_target <= min(t_in, t_out):
-            event, t = "target", t_target
-        elif t_out < t_in or (t_out == t_in and k < j):
-            event, t = "drop", t_out
-        else:
-            event, t = "enter", t_in
+        while True:
+            cell = int(times.argmin())
+            t_in = times.item(cell)
+            j, side = divmod(cell, edges)
+            if t_target <= min(t_in, t_out):
+                event, t = "target", t_target
+            elif t_out < t_in or (t_out == t_in and k < j):
+                event, t = "drop", t_out
+            else:
+                event, t = "enter", t_in
+                # Not on the first step, before ``gram`` exists: there the slope
+                # is zero and every denominator 1.
+                if den.item(cell) <= _SPAN_GATE and _in_span(a[:, j], cols, gram):
+                    times[j] = np.inf  # until this step's event changes the active set
+                    continue
+            break
         if idx.size:
             x[idx] = xs + t * d
         lam_cur -= t

@@ -13,7 +13,11 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
+import basiq.generator
 from basiq import cli
+from basiq.solver import DEFAULT_TOL
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACING = BENCH / "tracing.py"
@@ -56,6 +60,17 @@ def test_tracer_records_every_target_on_a_real_run(tmp_path, monkeypatch, capsys
         ["partition", "--bqd", bqd],
         ["eval", "--predictions", pred, "--annotations", anno],
     ]
+    # The recorder recomputes each solve's certificate from
+    # ``getattr(d, "matrix", d)``; that must be the float64 matrix, never
+    # the float32 search copy, or the check would not be independent.
+    certified_from = []
+    solve = basiq.generator.solve_lasso
+
+    def spy(d, *args, **kwargs):
+        certified_from.append(getattr(d, "matrix", d).dtype)
+        return solve(d, *args, **kwargs)
+
+    monkeypatch.setattr(basiq.generator, "solve_lasso", spy)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -67,3 +82,8 @@ def test_tracer_records_every_target_on_a_real_run(tmp_path, monkeypatch, capsys
     expected = {name for _, _, name, _ in tracing.TARGETS}
     assert sorted(expected - set(tracer.names)) == []
     assert tracer.missing == set()
+    gaps = [tracer.attrs[i]["gap_indep"] for i, name in enumerate(tracer.names)
+            if name == "solver.solve_lasso"]
+    assert len(gaps) == len(certified_from) > 0
+    assert set(certified_from) == {np.dtype(np.float64)}
+    assert max(gaps) <= DEFAULT_TOL

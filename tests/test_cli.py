@@ -202,26 +202,38 @@ def test_gen_bq_uncertified_solve_is_a_query_error(tmp_path, capsys, keep_going)
         assert not out.exists()
 
 
-@pytest.mark.parametrize("keep_going", [False, True], ids=["fail", "keep-going"])
-def test_gen_bq_singular_gram_is_a_query_error(tmp_path, capsys, keep_going):
-    a, b = near_duplicate_pairs(116)
+def _near_duplicate_inputs(tmp_path, seed):
+    """A cache of the 16 columns of ``near_duplicate_pairs(seed)`` and two
+    queries: the pair's query, then a planted column."""
+    a, b = near_duplicate_pairs(seed)
     corpus = tmp_path / "near.txt"
     fileformats.write_embeddings_text(
         corpus, [(f"q{j}", f"is item {j} in view?", a[:, j]) for j in range(16)], 8)
     queries = tmp_path / "queries.txt"
     fileformats.write_embeddings_text(queries, [("bad", "bad?", b), ("ok", "ok?", a[:, 0])], 8)
-    cache, out = _build(tmp_path, corpus), tmp_path / "bqd.jsonl"
+    return _build(tmp_path, corpus), queries
+
+
+@pytest.mark.parametrize("keep_going", [False, True], ids=["fail", "keep-going"])
+def test_gen_bq_near_duplicate_columns_are_not_a_query_error(tmp_path, capsys, keep_going):
+    # Columns about 1e-8 apart once made the active Gram matrix singular.
+    cache, queries = _near_duplicate_inputs(tmp_path, 116)
+    out = tmp_path / "bqd.jsonl"
     code = run(["gen-bq", "--dict", cache, "--queries", queries, "--out", out,
                 "--lambda-rel", "1e-3"] + (["--keep-going"] if keep_going else []))
-    err = capsys.readouterr().err
-    assert err.startswith("error: query 'bad': path step ")
-    assert "the active columns are numerically collinear\n" in err
-    if keep_going:
-        assert code == EXIT_PARTIAL
-        assert [json.loads(l)["image_id"] for l in out.read_text().splitlines()] == ["ok"]
-    else:
-        assert code == EXIT_FAIL
-        assert not out.exists()
+    captured = capsys.readouterr()
+    assert code == EXIT_OK and captured.err == ""
+    assert "re-run in float64" not in captured.out
+    assert [json.loads(l)["image_id"] for l in out.read_text().splitlines()] == ["bad", "ok"]
+
+
+def test_gen_bq_counts_float64_re_solves(tmp_path, capsys):
+    cache, queries = _near_duplicate_inputs(tmp_path, 5)
+    out = tmp_path / "bqd.jsonl"
+    assert run(["gen-bq", "--dict", cache, "--queries", queries, "--out", out,
+                "--lambda-rel", "1e-3"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith(
+        f"wrote 2 records to {out} (2 scores clamped, 1 solves re-run in float64)\n")
 
 
 @pytest.mark.parametrize("flags, name", [

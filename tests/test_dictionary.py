@@ -114,6 +114,18 @@ def test_non_finite_vector_names_record(where):
         build_dictionary(records)
 
 
+def test_first_non_finite_vector_in_file_order_wins():
+    # The dropped duplicate comes first in the file, though the kept rows
+    # come first in the stack that is checked.
+    records = [
+        QuestionRecord("good", "fine?", np.array([1.0, 0.0])),
+        QuestionRecord("dup", "FINE?", np.array([np.nan, 1.0])),
+        QuestionRecord("later", "later?", np.array([np.inf, 1.0])),
+    ]
+    with pytest.raises(InvalidInputError, match="^record 'dup': non-finite vector$"):
+        build_dictionary(records)
+
+
 def test_zero_norm_vector_loses_to_later_duplicate_id():
     records = [
         QuestionRecord("good", "fine?", np.array([1.0, 0.0])),
@@ -282,6 +294,21 @@ def test_cache_truncation_names_the_field(tmp_path, rng):
         message = f"{path}: truncated while reading {field}"
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             load_dictionary_cache(path)
+
+
+def test_cache_invalid_utf8_names_the_field(tmp_path, rng):
+    d = build_dictionary(question_records(unit_columns(rng, 4, 2)))
+    path = tmp_path / "dict.bin"
+    save_dictionary_cache(d, path)
+    raw = bytearray(path.read_bytes())
+    text_at = 6 + 10 + 4 + len(d.ids[0].encode()) + 4 + len(d.texts[0].encode()) + 4 + len(
+        d.ids[1].encode()) + 4
+    raw[text_at] = 0xFF
+    path.write_bytes(bytes(raw[:-1]))  # a truncated matrix after it loses to the bad byte
+    message = (f"{path}: column 1: text: 'utf-8' codec can't decode byte 0xff in position 0: "
+               "invalid start byte")
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_dictionary_cache(path)
 
 
 def test_cache_bad_magic_rejected(tmp_path, rng):

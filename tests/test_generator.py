@@ -11,7 +11,6 @@ from basiq.generator import (
     generate_basic_questions,
     generate_batch,
     read_bqd,
-    record_from_json,
     record_to_json,
     write_bqd,
 )
@@ -119,12 +118,14 @@ def test_records_rebuilt_from_fields_are_checked(make):
                 type(rec)._make({**rec._asdict(), **change}.values())
 
 
-def test_record_json_round_trip():
+def test_record_json_round_trip(tmp_path):
     record = BqdRecord("img9", "what is it?", ["first?", "second?", "third?"],
                        [0.976, 0.1234565, 0.0])
     line = record_to_json(record)
-    again = record_to_json(record_from_json(line))
-    assert line == again
+    path = tmp_path / "bqd.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    [back] = read_bqd(path)
+    assert record_to_json(back) == line
 
 
 def test_record_json_six_decimal_scores():
@@ -198,16 +199,39 @@ def test_uncertified_solve_raises():
 
 
 @pytest.mark.parametrize("seed, nonnegative", [(116, False), (127, True)])
-def test_singular_gram_is_a_batch_error(seed, nonnegative):
+def test_near_duplicate_columns_are_not_a_batch_error(seed, nonnegative):
+    # Columns about 1e-8 apart once made the active Gram matrix singular;
+    # a column in the active span now does not enter, and both queries
+    # give records.
     a, b = near_duplicate_pairs(seed)
     d = build_dictionary(question_records(a))
     planted = d.matrix[:, 0].copy()
     result = generate_batch(d, [("img1", "main?", b), ("img2", "other?", planted)],
                             config=LassoConfig.relative(1e-3, nonnegative=nonnegative))
-    assert [r.image_id for r in result.records] == ["img2"]
-    [(image_id, message)] = result.diagnostics.errors
-    assert image_id == "img1"
-    assert message.endswith("the active columns are numerically collinear")
+    assert [r.image_id for r in result.records] == ["img1", "img2"]
+    assert result.diagnostics.errors == ()
+    assert result.diagnostics.re_solved == 0
+
+
+def test_batch_counts_float64_re_solves():
+    # The float32 event search misses the certificate on this query (see
+    # test_solver); its float64 re-solve certifies and is counted.
+    a, b = near_duplicate_pairs(5)
+    d = build_dictionary(question_records(a))
+    result = generate_batch(d, [("img1", "main?", b), ("img2", "other?", d.matrix[:, 0])],
+                            config=LassoConfig.relative(1e-3))
+    assert [r.image_id for r in result.records] == ["img1", "img2"]
+    assert result.diagnostics.errors == ()
+    assert result.diagnostics.re_solved == 1
+
+
+def test_uncertified_re_solve_says_so():
+    # A miss of both searches is an error that names the float64 re-solve.
+    d, b, config = uncertified_case()
+    result = generate_batch(d, [("img1", "main?", b)], config=config)
+    [(_, message)] = result.diagnostics.errors
+    assert message.endswith("after 2 path steps of a float64 re-solve")
+    assert result.diagnostics.re_solved == 1
 
 
 def test_batch_propagates_program_errors(rng, monkeypatch):
@@ -257,11 +281,14 @@ _GOOD_BQS = [{"text": "a?", "score": 0.5}, {"text": "b?", "score": 0.2},
     (_GOOD_BQS + [{"text": "d?", "score": 7.0}], "score 7.0 outside [0, 1]"),
     (_GOOD_BQS[:2] + [{"text": "c?", "score": float("nan")}], "score nan outside [0, 1]"),
 ], ids=["fourth score 7.0", "NaN last score"])
-def test_record_from_json_checks_scores_first(bqs, message):
-    line = json.dumps({"image_id": "i", "mq": "m?", "bqs": bqs})
+def test_record_from_json_checks_scores_first(tmp_path, bqs, message):
+    good = json.dumps({"image_id": "i", "mq": "m?", "bqs": _GOOD_BQS})
+    path = tmp_path / "bqd.jsonl"
+    path.write_text(good + "\n" + json.dumps({"image_id": "i", "mq": "m?", "bqs": bqs}) + "\n",
+                    encoding="utf-8")
     with pytest.raises(ParseError) as exc:
-        record_from_json(line, "f.jsonl:2")
-    assert str(exc.value) == f"f.jsonl:2: malformed record: {message}"
+        read_bqd(path)
+    assert str(exc.value) == f"{path}:2: malformed record: {message}"
 
 
 @pytest.mark.parametrize("n_lines, chunk", [(7, 0), (202, 3)],
