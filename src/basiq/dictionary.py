@@ -1,26 +1,23 @@
 """The retrieval dictionary: a dense matrix of unit-normalized question columns.
 
-Duplicate questions are collapsed before the matrix is built, each
-surviving embedding is scaled to unit L2 norm, and the original norms
-are kept for audit.  The matrix is stored column-major, the layout the
-cache writes.  A built dictionary is a checked tuple of read-only arrays
-and tuples, immutable and safe to share across concurrent solves.  On its
-first solve it also builds ``search_matrix``, a float32 copy of the matrix
-from which the solver places path events; the coefficients and the gap
-are still computed from the float64 ``matrix``.
+Duplicate questions are collapsed before the matrix is built, and each
+surviving embedding is scaled to unit L2 norm.  The matrix is stored
+column-major, so its transpose is the C-contiguous ``count x dim`` value
+block of the cache, a binary embedding file of the columns.  A built
+dictionary is a checked tuple of read-only arrays and tuples, immutable
+and safe to share across concurrent solves.  On its first solve it also
+builds ``search_matrix``, a float32 copy of the matrix from which the
+solver places path events; the coefficients and the gap are still
+computed from the float64 ``matrix``.
 """
 
-import struct
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError, ShapeError
-from .fileformats import BinaryReader, encode_faults, pack_string
+from .errors import InvalidInputError, ShapeError
+from .fileformats import read_binary, write_binary
 from .immutable import checked_tuple
-
-CACHE_MAGIC = b"BQDICT"
-CACHE_VERSION = 1
 
 UNIT_NORM_TOL = 1e-9
 
@@ -31,20 +28,20 @@ def normalize_question_text(text):
     return " ".join(text.split()).casefold()
 
 
-class Dictionary(checked_tuple("Dictionary", "matrix ids texts column_norms_original")):
-    """Unit-column matrix plus parallel id/text/original-norm bookkeeping.
+class Dictionary(checked_tuple("Dictionary", "matrix ids texts")):
+    """Unit-column matrix plus parallel id/text bookkeeping.
 
     No ``__slots__``: an instance keeps its ``search_matrix`` once built.
     """
 
-    def __new__(cls, matrix, ids, texts, column_norms_original):
+    def __new__(cls, matrix, ids, texts):
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2:
             raise ShapeError(f"matrix must be 2-D, got shape {m.shape}")
         dim, n = m.shape
         if n < 1 or dim < 1:
             raise ShapeError("matrix must have at least one row and one column")
-        m = np.asfortranarray(m)  # a no-op on a column-major matrix
+        m = np.require(m, requirements="FA")  # a no-op on an aligned column-major matrix
         norms = np.sqrt(np.einsum("ij,ij->j", m, m))
         if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):  # NaN fails too
             worst = int(np.argmax(np.abs(norms - 1.0)))
@@ -57,13 +54,8 @@ class Dictionary(checked_tuple("Dictionary", "matrix ids texts column_norms_orig
             raise ShapeError("ids and texts must each have one entry per column")
         if len(set(ids)) != n:
             raise InvalidInputError("ids must be unique")
-        orig = np.asarray(column_norms_original, dtype=np.float64)
-        if orig.shape != (n,):
-            raise ShapeError("column_norms_original must have one entry per column")
         m.setflags(write=False)
-        orig = orig.copy()
-        orig.setflags(write=False)
-        return tuple.__new__(cls, (m, ids, texts, orig))
+        return tuple.__new__(cls, (m, ids, texts))
 
     @property
     def dim(self):
@@ -148,46 +140,23 @@ def build_dictionary(records, dedup="normalized"):
         matrix=rows.T,
         ids=tuple(records[i].id for i in kept),
         texts=tuple(records[i].text for i in kept),
-        column_norms_original=norms,
     )
 
 
 def save_dictionary_cache(d, path):
-    """Serialize a dictionary to a binary cache file.
+    """Write a dictionary as a binary embedding file of its columns.
 
-    Matrix and norms are stored as raw little-endian float64 so a reload
-    reproduces them bit-identically.  Ids and texts are encoded before
-    the file is opened; the matrix is written from its own buffer.
+    The values are the matrix's raw float64 bytes, written from the
+    column-major matrix's own buffer, so a reload is bit-identical.
     """
-    with encode_faults(path):
-        strings = b"".join(pack_string(s) for pair in zip(d.ids, d.texts) for s in pair)
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<HII", CACHE_VERSION, d.dim, d.n_columns))
-        fh.write(strings)
-        fh.write(np.asarray(d.column_norms_original, dtype="<f8"))
-        # The column-major matrix, transposed, is a C-contiguous buffer in that order.
-        fh.write(np.asarray(d.matrix, dtype="<f8").T)
+    write_binary(path, d.ids, d.texts, d.matrix.T)
 
 
 def load_dictionary_cache(path):
     """Load a dictionary cache written by ``save_dictionary_cache``."""
     with open(path, "rb") as fh:
-        r = BinaryReader(fh.read(), path)
-    if r.take(len(CACHE_MAGIC), "magic") != CACHE_MAGIC:
-        raise ParseError(f"{path}: bad magic, not a dictionary cache")
-    version, dim, n = r.unpack("<HII", "header")
-    if version != CACHE_VERSION:
-        raise ParseError(f"{path}: unsupported cache version {version}")
-    ids, texts = r.strings(n, "column %d", ("id", "text"))
-    norms = np.frombuffer(r.take(8 * n, "norms"), dtype="<f8").copy()
-    matrix = (
-        np.frombuffer(r.take(8 * dim * n, "matrix"), dtype="<f8")
-        .reshape((dim, n), order="F")
-        .copy(order="F")
-    )
-    r.finish()
+        ids, texts, values = read_binary(fh.read(), path)
     try:
-        return Dictionary(matrix=matrix, ids=ids, texts=texts, column_norms_original=norms)
+        return Dictionary(matrix=values.T, ids=ids, texts=texts)
     except (InvalidInputError, ShapeError) as exc:
         raise type(exc)(f"{path}: {exc}") from None

@@ -1,16 +1,17 @@
 r"""Low-level readers and writers for the on-disk formats.
 
-Three formats live here, plus the ``BinaryReader`` the dictionary cache
-also uses:
+Two formats live here:
 
 * Embedding files hold ``(id, text, vector)`` records, which
   ``load_embeddings`` reads as a list of ``QuestionRecord``, sniffing the
   variant from the first bytes.  The text variant has a
   ``dim=<D> count=<N>`` header and one ``id<TAB>text<TAB>v1 ... vD`` line
-  per record.  The binary variant is the 4-byte magic ``QEMB``, a uint16
-  version, a uint32 dim and a uint32 count, then per record a
-  uint32-length-prefixed UTF-8 id, a uint32-length-prefixed UTF-8 text and
-  dim little-endian float32 values, widened to float64 on load.  Both
+  per record.  The binary variant, which ``read_binary`` reads and
+  ``write_binary`` writes, is the 4-byte magic ``QEMB``, a uint16 version
+  (2), a uint32 dim and a uint32 count, then ``count`` pairs of a
+  uint32-length-prefixed UTF-8 id and text, then one ``count x dim``
+  block of little-endian float64 values.  The dictionary cache is a
+  binary embedding file of the dictionary's unit columns.  Both variants
   reject dimension mismatches, duplicate ids, and non-finite values.
 
 * JSON-lines files hold one pre-serialized JSON value per line.
@@ -46,84 +47,13 @@ import numpy as np
 from .errors import InvalidInputError, ParseError
 
 EMBEDDING_MAGIC = b"QEMB"
-EMBEDDING_VERSION = 1
+EMBEDDING_VERSION = 2
 
 _HEADER_RE = re.compile(r"^dim=([0-9]+) count=([0-9]+)$")
 _FIELD_BREAK_RE = re.compile(r"[\t\n\r]")
 _BLOCK = 256  # text embedding lines converted per np.loadtxt call
 _U32 = struct.Struct("<I")
 _raw_decode = json.JSONDecoder().raw_decode
-
-
-class BinaryReader:
-    """Bounded reads over the bytes of one binary file.
-
-    A read past the end names the field it was reading, ``what % args``,
-    formatted only then; strings are uint32-length-prefixed UTF-8, as
-    ``pack_string`` writes them.
-    """
-
-    def __init__(self, blob, path):
-        self.blob = blob
-        self.path = path
-        self.pos = 0
-
-    def take(self, n, what, *args):
-        end = self.pos + n
-        if end > len(self.blob):
-            raise ParseError(f"{self.path}: truncated while reading {what % args}")
-        out = self.blob[self.pos : end]
-        self.pos = end
-        return out
-
-    def unpack(self, fmt, what):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-    def string(self, what, *args):
-        blob, start = self.blob, self.pos + 4
-        try:
-            (n,) = _U32.unpack_from(blob, self.pos)
-        except struct.error:
-            raise ParseError(f"{self.path}: truncated while reading {what % args} length") from None
-        end = start + n
-        if end > len(blob):
-            raise ParseError(f"{self.path}: truncated while reading {what % args}")
-        self.pos = end
-        try:
-            return blob[start:end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{self.path}: {what % args}: {exc}") from None
-
-    def strings(self, count, what, fields):
-        """``count`` rows of one string per name in ``fields``, read as
-        ``string`` reads them but in one loop, returned as one list per
-        field.  A fault names ``what % row`` and the field."""
-        blob, size, unpack = self.blob, len(self.blob), _U32.unpack_from
-        pos, out = self.pos, []
-        for m in range(count * len(fields)):
-            start = pos + 4
-            if start > size:
-                self._string_fault(m, what, fields, "truncated while reading ", " length")
-            (n,) = unpack(blob, pos)
-            pos = start + n
-            if pos > size:
-                self._string_fault(m, what, fields, "truncated while reading ", "")
-            try:
-                out.append(blob[start:pos].decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                self._string_fault(m, what, fields, "", f": {exc}")
-        self.pos = pos
-        return [out[i::len(fields)] for i in range(len(fields))]
-
-    def _string_fault(self, m, what, fields, before, after):
-        row, field = divmod(m, len(fields))
-        raise ParseError(f"{self.path}: {before}{what % row}: {fields[field]}{after}")
-
-    def finish(self, suffix=""):
-        """Reject bytes left over after the last field."""
-        extra = len(self.blob) - self.pos
-        if extra:
-            raise ParseError(f"{self.path}: {extra} trailing bytes{suffix}")
 
 
 @contextlib.contextmanager
@@ -137,7 +67,7 @@ def encode_faults(path):
 
 
 def pack_string(s):
-    """``s`` as ``BinaryReader.string`` reads it back."""
+    """``s`` as ``read_binary`` reads a string back: uint32 length, UTF-8 bytes."""
     b = s.encode("utf-8")
     return struct.pack("<I", len(b)) + b
 
@@ -306,43 +236,91 @@ def write_embeddings_text(path, records, dim):
         fh.writelines(lines)
 
 
-def _binary_embeddings(blob, path):
-    """The records in ``blob``, the bytes of binary embedding file ``path``."""
-    r = BinaryReader(blob, path)
-    if r.take(4, "magic") != EMBEDDING_MAGIC:
-        raise ParseError(f"{path}: bad magic, not a binary embedding file")
-    (version,) = r.unpack("<H", "version")
+def _string_fault(path, m, before, after):
+    """The fault of string ``m`` of the binary layout, which is the id
+    (even ``m``) or the text (odd ``m``) of record ``m // 2``."""
+    return ParseError(f"{path}: {before}record {m // 2}: {('id', 'text')[m % 2]}{after}")
+
+
+def read_binary(blob, path):
+    """The ids, texts and ``(count, dim)`` float64 values in ``blob``, the
+    bytes of the binary file ``path``; the values are a new aligned array.
+
+    Faults come in file order, and every id and text is checked before
+    any value is: a truncated field and invalid UTF-8 name the record and
+    the field they were met in.
+    """
+    size = len(blob)
+    if size < 4:
+        raise ParseError(f"{path}: truncated while reading magic")
+    if blob[:4] != EMBEDDING_MAGIC:
+        raise ParseError(f"{path}: bad magic {blob[:4]!r}, expected {EMBEDDING_MAGIC!r}")
+    if size < 6:
+        raise ParseError(f"{path}: truncated while reading version")
+    (version,) = struct.unpack_from("<H", blob, 4)
     if version != EMBEDDING_VERSION:
-        raise ParseError(f"{path}: unsupported version {version}")
-    dim, count = r.unpack("<II", "header")
+        raise ParseError(f"{path}: unsupported version {version}, expected {EMBEDDING_VERSION}")
+    if size < 14:
+        raise ParseError(f"{path}: truncated while reading header")
+    dim, count = struct.unpack_from("<II", blob, 6)
     if dim < 1:
         raise ParseError(f"{path}: dim must be >= 1")
-    ids, texts, payloads, seen = [], [], [], set()
-    for i in range(count):
-        ids.append(r.string("record %d: id", i))
-        texts.append(r.string("record %d: text", i))
-        payloads.append(r.take(4 * dim, "record %d: values", i))
-        _check_record(ids[i], texts[i], seen, "%s: record %d", path, i)
-    r.finish(" after last record")
-    values = np.frombuffer(b"".join(payloads), dtype="<f4").reshape(count, dim)
+    pos, strings, unpack = 14, [], _U32.unpack_from
+    for m in range(2 * count):
+        start = pos + 4
+        if start > size:
+            raise _string_fault(path, m, "truncated while reading ", " length")
+        (n,) = unpack(blob, pos)
+        pos = start + n
+        if pos > size:
+            raise _string_fault(path, m, "truncated while reading ", "")
+        try:
+            strings.append(blob[start:pos].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise _string_fault(path, m, "", f": {exc}") from None
+    ids, texts = strings[0::2], strings[1::2]
+    # Whole-list checks first; only a file that fails one is walked again
+    # record by record, to raise its first fault.
+    if len(set(ids)) < count or not all(ids) or not all(map(str.strip, texts)):
+        seen = set()
+        for i, (rec_id, text) in enumerate(zip(ids, texts)):
+            _check_record(rec_id, text, seen, "%s: record %d", path, i)
+    end = pos + 8 * dim * count
+    if end > size:
+        raise ParseError(f"{path}: truncated while reading record {(size - pos) // (8 * dim)}: values")
+    if end < size:
+        raise ParseError(f"{path}: {size - end} trailing bytes after last record")
+    values = np.frombuffer(blob, dtype="<f8", count=dim * count, offset=pos).reshape(count, dim)
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise ParseError(f"{path}: record {bad[0]}: non-finite value")
-    return list(map(QuestionRecord, ids, texts, values.astype(np.float64)))
+    # The block starts wherever the strings end, so a view of it is rarely
+    # 8-byte aligned, and BLAS skips (and rounds differently on) such arrays.
+    return ids, texts, values.copy()
+
+
+def write_binary(path, ids, texts, values):
+    """Write ids, texts and their ``(count, dim)`` values in the layout
+    ``read_binary`` reads.  Ids and texts are encoded before the file is
+    opened, so a string UTF-8 cannot hold leaves no file; a C-contiguous
+    float64 ``values`` is written from its own buffer."""
+    count, dim = values.shape
+    with encode_faults(path):
+        strings = b"".join([pack_string(s) for pair in zip(ids, texts) for s in pair])
+    with open(path, "wb") as fh:
+        fh.write(EMBEDDING_MAGIC + struct.pack("<HII", EMBEDDING_VERSION, dim, count))
+        fh.write(strings)
+        fh.write(np.ascontiguousarray(values, dtype="<f8"))
 
 
 def write_embeddings_binary(path, records, dim):
     """Write (id, text, vector) tuples as a binary embedding file; every
     record is checked and encoded first, so a bad one leaves no file."""
-    with encode_faults(path):
-        chunks = [EMBEDDING_MAGIC, struct.pack("<HII", EMBEDDING_VERSION, dim, len(records))]
-        for rec_id, text, vec in records:
-            if len(vec) != dim:
-                raise ValueError(f"record {rec_id!r}: vector length {len(vec)} != dim {dim}")
-            chunks += (pack_string(rec_id), pack_string(text),
-                       np.asarray(vec, dtype="<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.writelines(chunks)
+    for rec_id, _, vec in records:
+        if len(vec) != dim:
+            raise ValueError(f"record {rec_id!r}: vector length {len(vec)} != dim {dim}")
+    values = np.array([vec for _, _, vec in records], dtype=np.float64).reshape(len(records), dim)
+    write_binary(path, [rec[0] for rec in records], [rec[1] for rec in records], values)
 
 
 class QuestionRecord(NamedTuple):
@@ -358,7 +336,7 @@ def load_embeddings(path):
     a binary file on a pipe must deliver its magic in the first read."""
     with open(path, "rb") as fh:
         if fh.peek(4)[:4] == EMBEDDING_MAGIC:
-            return _binary_embeddings(fh.read(), path)
+            return list(map(QuestionRecord, *read_binary(fh.read(), path)))
         return _text_embeddings(fh, path)
 
 

@@ -66,14 +66,19 @@ class LassoConfig(checked_tuple("LassoConfig", "lambda_abs lambda_rel tol max_sw
             raise InvalidInputError("lambda_rel must be nonnegative")
         if not tol > 0:
             raise InvalidInputError("tol must be positive")
+        # bool is an int subclass, but True is not a count of sweeps.
+        if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer)):
+            raise InvalidInputError(f"max_sweeps must be an integer, got {max_sweeps!r}")
         if max_sweeps < 1:
             raise InvalidInputError("max_sweeps must be >= 1")
+        if not isinstance(nonnegative, (bool, np.bool_)):
+            raise InvalidInputError(f"nonnegative must be a bool, got {nonnegative!r}")
         for name, value in (("lambda_abs", lambda_abs), ("lambda_rel", lambda_rel), ("tol", tol)):
             if value is not None and not np.isfinite(value):
                 raise InvalidInputError(f"{name} must be finite, got {value!r}")
         if 0 in (lambda_abs, lambda_rel):
             raise UnsupportedConfigError(_ZERO_LAMBDA)
-        return tuple.__new__(cls, (lambda_abs, lambda_rel, tol, max_sweeps, nonnegative))
+        return tuple.__new__(cls, (lambda_abs, lambda_rel, tol, int(max_sweeps), bool(nonnegative)))
 
     @classmethod
     def absolute(cls, lam, **kwargs):

@@ -8,11 +8,9 @@ import threading
 import numpy as np
 import pytest
 
-from basiq.dictionary import (
-    CACHE_MAGIC, CACHE_VERSION, Dictionary, build_dictionary, save_dictionary_cache,
-)
+from basiq.dictionary import Dictionary, build_dictionary, save_dictionary_cache
 from basiq.errors import InvalidInputError, ParseError, ShapeError
-from basiq.fileformats import QuestionRecord, pack_string
+from basiq.fileformats import EMBEDDING_MAGIC, EMBEDDING_VERSION, QuestionRecord, pack_string
 
 # verdict lines recorded by the acceptance tests, echoed after the run
 ACCEPTANCE_LINES = []
@@ -100,8 +98,7 @@ def question_records(vectors, prefix="q"):
 
 def corrupt_cache(path, kind):
     """Save a valid 2-column cache at ``path``, then break it as ``kind`` says."""
-    d = Dictionary(matrix=np.eye(2), ids=("a", "b"), texts=("a?", "b?"),
-                   column_norms_original=np.ones(2))
+    d = Dictionary(matrix=np.eye(2), ids=("a", "b"), texts=("a?", "b?"))
     save_dictionary_cache(d, path)
     blob = path.read_bytes()
     if kind == "duplicate ids":
@@ -110,18 +107,37 @@ def corrupt_cache(path, kind):
         matrix_at = len(blob) - 8 * 2 * 2
         blob = blob[:matrix_at] + struct.pack("<d", 2.0) + blob[matrix_at + 8:]
     elif kind == "no columns":
-        blob = CACHE_MAGIC + struct.pack("<HII", CACHE_VERSION, 2, 0)
+        blob = EMBEDDING_MAGIC + struct.pack("<HII", EMBEDDING_VERSION, 2, 0)
     else:  # "version 9"
-        blob = blob[:6] + struct.pack("<H", 9) + blob[8:]
+        blob = blob[:4] + struct.pack("<H", 9) + blob[6:]
     path.write_bytes(blob)
 
 
 CACHE_FAULTS = {  # kind: (exception type, message after the path)
-    "duplicate ids": (InvalidInputError, "ids must be unique"),
+    "duplicate ids": (ParseError, "record 1: duplicate id 'a'"),
     "norm 2": (InvalidInputError, "column 0 has norm 2.0, expected 1 within 1e-09"),
     "no columns": (ShapeError, "matrix must have at least one row and one column"),
-    "version 9": (ParseError, "unsupported cache version 9"),
+    "version 9": (ParseError, "unsupported version 9, expected 2"),
 }
+
+
+def write_old_binary_files(tmp_path):
+    """Write the two version-1 binary formats byte by byte, holding the same
+    two records, and return their paths: ``old-dict.bin``, a ``BQDICT``
+    cache (magic, uint16 version, uint32 dim and count, the id and text
+    pairs, the original norms, then the column-major matrix), and
+    ``old-emb.bin``, a ``QEMB`` file (the header, then per record an id,
+    a text and ``dim`` float32 values)."""
+    ids, texts, matrix = ("a", "b"), ("a?", "b?"), np.eye(2)
+    strings = b"".join(pack_string(s) for pair in zip(ids, texts) for s in pair)
+    cache = tmp_path / "old-dict.bin"
+    cache.write_bytes(b"BQDICT" + struct.pack("<HII", 1, 2, 2) + strings
+                      + np.ones(2).tobytes() + matrix.tobytes(order="F"))
+    embeddings = tmp_path / "old-emb.bin"
+    embeddings.write_bytes(b"QEMB" + struct.pack("<HII", 1, 2, 2) + b"".join(
+        pack_string(i) + pack_string(t) + col.astype("<f4").tobytes()
+        for i, t, col in zip(ids, texts, matrix.T)))
+    return cache, embeddings
 
 
 def orthogonal_dictionary(dim, n, seed=0):

@@ -13,7 +13,7 @@ from basiq.vqa_metric import AnswerRecord, aggregate_by_type, evaluate
 
 from conftest import (
     CACHE_FAULTS, corrupt_cache, near_duplicate_pairs, needs_fifo, read_through_pipe,
-    unit_columns,
+    unit_columns, write_old_binary_files,
 )
 
 
@@ -272,6 +272,30 @@ def test_gen_bq_corrupt_cache_error_names_the_file(tmp_path, query_file, capsys,
     assert capsys.readouterr().err == f"error: {cache}: {CACHE_FAULTS[kind][1]}\n"
 
 
+def test_gen_bq_rejects_a_version_1_cache(tmp_path, query_file, capsys):
+    # Caches written before the one binary layout must be rebuilt with build-dict.
+    cache, _ = write_old_binary_files(tmp_path)
+    out = tmp_path / "bqd.jsonl"
+    assert run(["gen-bq", "--dict", cache, "--queries", query_file, "--out", out]) == EXIT_FAIL
+    assert capsys.readouterr().err == f"error: {cache}: bad magic b'BQDI', expected b'QEMB'\n"
+    assert not out.exists()
+
+
+def test_text_and_binary_inputs_give_the_same_outputs(tmp_path, corpus_file, query_file):
+    outputs = {}
+    for fmt in ("text", "binary"):
+        corpus, queries = corpus_file, query_file
+        if fmt == "binary":
+            corpus, queries = tmp_path / "corpus.bin", tmp_path / "queries.bin"
+            for src, dst in ((corpus_file, corpus), (query_file, queries)):
+                fileformats.write_embeddings_binary(dst, fileformats.load_embeddings(src), 8)
+        cache, bq = tmp_path / f"{fmt}-dict.bin", tmp_path / f"{fmt}-bq.jsonl"
+        assert run(["build-dict", corpus, "--out", cache]) == EXIT_OK
+        assert run(["gen-bq", "--dict", cache, "--queries", queries, "--out", bq]) == EXIT_OK
+        outputs[fmt] = cache.read_bytes(), bq.read_bytes()
+    assert outputs["binary"] == outputs["text"]
+
+
 def test_gen_bq_manifest_records_config(tmp_path, corpus_file, query_file):
     cache = _build(tmp_path, corpus_file)
     out = tmp_path / "bqd.jsonl"
@@ -442,13 +466,13 @@ def test_gen_bq_cache_with_invalid_utf8_id_fails_cleanly(tmp_path, corpus_file, 
                                                          capsys):
     cache = _build(tmp_path, corpus_file)
     raw = bytearray(cache.read_bytes())
-    raw[6 + 10 + 4] = 0xFF  # first byte of column 0's id, after magic, header, length
+    raw[4 + 2 + 8 + 4] = 0xFF  # first byte of record 0's id, after magic, header, length
     cache.write_bytes(bytes(raw))
     code = run(["gen-bq", "--dict", cache, "--queries", query_file,
                 "--out", tmp_path / "x.jsonl"])
     assert code == EXIT_FAIL
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "column 0: id" in err and "dict.bin" in err
+    assert err.startswith("error:") and "record 0: id" in err and "dict.bin" in err
 
 
 def test_build_dict_invalid_utf8_corpus_fails_cleanly(tmp_path, corpus_file, capsys):

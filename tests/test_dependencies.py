@@ -59,7 +59,7 @@ def test_import_loads_its_modules_and_no_dataclasses():
 
 
 def _dictionary():
-    return Dictionary(np.eye(3), ("a", "b", "c"), ("a?", "b?", "c?"), np.ones(3))
+    return Dictionary(np.eye(3), ("a", "b", "c"), ("a?", "b?", "c?"))
 
 
 def _parameters():

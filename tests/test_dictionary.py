@@ -14,7 +14,8 @@ from basiq.dictionary import (
     save_dictionary_cache,
 )
 from basiq.errors import InvalidInputError, ParseError, ShapeError
-from basiq.fileformats import QuestionRecord
+from basiq.fileformats import QuestionRecord, load_embeddings
+from basiq.generator import generate_batch
 
 from conftest import CACHE_FAULTS, corrupt_cache, question_records, unit_columns
 
@@ -41,7 +42,6 @@ def test_exact_dedup_keeps_case_variants():
 def test_three_four_five_normalization():
     d = build_dictionary([QuestionRecord("a", "ok?", np.array([3.0, 4.0]))])
     assert np.allclose(d.matrix[:, 0], [0.6, 0.8], atol=1e-15)
-    assert d.column_norms_original[0] == 5.0
 
 
 @pytest.mark.parametrize("dim", [64, 300])
@@ -49,9 +49,7 @@ def test_columns_match_per_record_normalization(rng, dim):
     vectors = 10.0 ** rng.uniform(-3, 3, size=50) * rng.standard_normal((dim, 50))
     d = build_dictionary(question_records(vectors))
     for j, vec in enumerate(vectors.T):
-        norm = float(np.linalg.norm(vec))
-        assert d.column_norms_original[j] == norm
-        assert d.matrix[:, j].tobytes() == (vec / norm).tobytes()
+        assert d.matrix[:, j].tobytes() == (vec / float(np.linalg.norm(vec))).tobytes()
 
 
 def test_matrix_shape_contract(rng):
@@ -170,12 +168,9 @@ def test_build_dictionary_record_faults(records, dedup, error, message):
     (dict(ids=("a", "b")), ShapeError, "ids and texts must each have one entry per column"),
     (dict(texts=("a?",) * 4), ShapeError, "ids and texts must each have one entry per column"),
     (dict(ids=("a", "b", "a")), InvalidInputError, "ids must be unique"),
-    (dict(column_norms_original=np.ones(2)), ShapeError,
-     "column_norms_original must have one entry per column"),
-], ids=["1-D", "no columns", "norm 2", "short ids", "long texts", "repeated id", "short norms"])
+], ids=["1-D", "no columns", "norm 2", "short ids", "long texts", "repeated id"])
 def test_dictionary_constructor_faults(fields, error, message):
-    good = dict(matrix=np.eye(3), ids=("a", "b", "c"), texts=("a?", "b?", "c?"),
-                column_norms_original=np.ones(3))
+    good = dict(matrix=np.eye(3), ids=("a", "b", "c"), texts=("a?", "b?", "c?"))
     with pytest.raises(error) as info:
         Dictionary(**dict(good, **fields))
     assert type(info.value) is error and str(info.value) == message
@@ -185,8 +180,7 @@ def test_nan_column_rejected():
     m = np.eye(3)
     m[:, 1] = np.nan
     with pytest.raises(InvalidInputError, match="column 1 has norm nan"):
-        Dictionary(matrix=m, ids=("a", "b", "c"), texts=("a?", "b?", "c?"),
-                   column_norms_original=np.ones(3))
+        Dictionary(matrix=m, ids=("a", "b", "c"), texts=("a?", "b?", "c?"))
 
 
 def test_cache_with_nan_column_rejected(tmp_path):
@@ -197,8 +191,9 @@ def test_cache_with_nan_column_rejected(tmp_path):
     column_1 = len(blob) - 8 * 3 * 3 + 8 * 3  # column-major float64 payload ends the file
     blob[column_1 : column_1 + 8] = struct.pack("<d", np.nan)
     path.write_bytes(bytes(blob))
-    with pytest.raises(InvalidInputError, match="column 1 has norm nan"):
+    with pytest.raises(ParseError) as info:
         load_dictionary_cache(path)
+    assert str(info.value) == f"{path}: record 1: non-finite value"
 
 
 @pytest.mark.parametrize("kind", list(CACHE_FAULTS))
@@ -256,14 +251,51 @@ def test_cache_round_trip_bit_identical(tmp_path, rng):
     assert loaded.matrix.flags["F_CONTIGUOUS"]
     assert loaded.ids == d.ids
     assert loaded.texts == d.texts
-    assert np.array_equal(loaded.column_norms_original, d.column_norms_original)
-    blob = path.read_bytes()
-    assert blob.endswith(d.column_norms_original.tobytes() + d.matrix.tobytes(order="F"))
+    assert path.read_bytes().endswith(d.matrix.tobytes(order="F"))
+
+
+def test_cache_round_trip_at_retrieval_shape(tmp_path):
+    # n >> dim, as in retrieval: the reload is the same dictionary and solves the same.
+    rng = np.random.default_rng(4096)
+    d = build_dictionary(question_records(rng.standard_normal((64, 4096))))
+    path = tmp_path / "dict.bin"
+    save_dictionary_cache(d, path)
+    loaded = load_dictionary_cache(path)
+    assert loaded.matrix.tobytes(order="F") == d.matrix.tobytes(order="F")
+    assert loaded.matrix.flags["F_CONTIGUOUS"] and loaded.matrix.flags["ALIGNED"]
+    assert (loaded.ids, loaded.texts) == (d.ids, d.texts)
+    assert loaded.search_matrix.tobytes() == d.search_matrix.tobytes()
+    # half planted near a column, half random
+    picks = rng.choice(d.n_columns, 18, replace=False)
+    vectors = [*(d.matrix[:, picks].T + 0.05 * rng.standard_normal((18, 64))),
+               *rng.standard_normal((18, 64))]
+    queries = [(f"img{k}", f"query {k}?", vec) for k, vec in enumerate(vectors)]
+    result = generate_batch(loaded, queries)
+    assert len(result.records) == 36
+    assert result == generate_batch(d, queries)
+
+
+def test_cache_is_an_embedding_file_of_the_columns(tmp_path, rng):
+    d = build_dictionary(question_records(3.0 * unit_columns(rng, 5, 7)))
+    path = tmp_path / "dict.bin"
+    save_dictionary_cache(d, path)
+    records = load_embeddings(path)
+    assert [(rec.id, rec.text) for rec in records] == list(zip(d.ids, d.texts))
+    assert np.array([rec.vector for rec in records]).tobytes() == d.matrix.T.tobytes()
+
+
+def test_unaligned_matrix_is_stored_aligned():
+    # BLAS skips a float64 array off 8-byte alignment, and rounds differently without it.
+    raw = b"x" + np.eye(3).tobytes(order="F")
+    m = np.frombuffer(raw, dtype=np.float64, offset=1).reshape((3, 3), order="F")
+    assert not m.flags["ALIGNED"]
+    d = Dictionary(matrix=m, ids=("a", "b", "c"), texts=("a?", "b?", "c?"))
+    assert d.matrix.flags["ALIGNED"] and d.matrix.flags["F_CONTIGUOUS"]
+    assert np.array_equal(d.matrix, np.eye(3))
 
 
 def test_cache_save_encodes_strings_before_opening(tmp_path):
-    d = Dictionary(matrix=np.eye(2), ids=("a", "b\ud800"), texts=("a?", "b?"),
-                   column_norms_original=np.ones(2))
+    d = Dictionary(matrix=np.eye(2), ids=("a", "b\ud800"), texts=("a?", "b?"))
     path = tmp_path / "dict.bin"
     with pytest.raises(InvalidInputError) as info:
         save_dictionary_cache(d, path)
@@ -285,11 +317,14 @@ def test_cache_truncation_names_the_field(tmp_path, rng):
     path = tmp_path / "dict.bin"
     save_dictionary_cache(d, path)
     raw = path.read_bytes()
-    # magic, header, then column 0's id and text, each a uint32 length and UTF-8 bytes
-    start = 6 + 10 + 4 + len(d.ids[0].encode()) + 4 + len(d.texts[0].encode())
+    # magic, version, dim and count, then record 0's id and text, each a uint32
+    # length and UTF-8 bytes
+    start = 4 + 2 + 8 + 4 + len(d.ids[0].encode()) + 4 + len(d.texts[0].encode())
     text_at = start + 4 + len(d.ids[1].encode())
-    for cut, field in [(start + 3, "column 1: id length"), (text_at - 1, "column 1: id"),
-                       (text_at + 2, "column 1: text length"), (text_at + 5, "column 1: text")]:
+    for cut, field in [(start + 3, "record 1: id length"), (text_at - 1, "record 1: id"),
+                       (text_at + 2, "record 1: text length"), (text_at + 5, "record 1: text"),
+                       (text_at + 4 + len(d.texts[1].encode()) + 17, "record 0: values"),
+                       (len(raw) - 1, "record 1: values")]:
         path.write_bytes(raw[:cut])
         message = f"{path}: truncated while reading {field}"
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
@@ -301,11 +336,11 @@ def test_cache_invalid_utf8_names_the_field(tmp_path, rng):
     path = tmp_path / "dict.bin"
     save_dictionary_cache(d, path)
     raw = bytearray(path.read_bytes())
-    text_at = 6 + 10 + 4 + len(d.ids[0].encode()) + 4 + len(d.texts[0].encode()) + 4 + len(
+    text_at = 4 + 2 + 8 + 4 + len(d.ids[0].encode()) + 4 + len(d.texts[0].encode()) + 4 + len(
         d.ids[1].encode()) + 4
     raw[text_at] = 0xFF
     path.write_bytes(bytes(raw[:-1]))  # a truncated matrix after it loses to the bad byte
-    message = (f"{path}: column 1: text: 'utf-8' codec can't decode byte 0xff in position 0: "
+    message = (f"{path}: record 1: text: 'utf-8' codec can't decode byte 0xff in position 0: "
                "invalid start byte")
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         load_dictionary_cache(path)

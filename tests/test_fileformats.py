@@ -12,7 +12,7 @@ from basiq import fileformats
 from basiq.dictionary import build_dictionary, load_dictionary_cache, save_dictionary_cache
 from basiq.errors import InvalidInputError, ParseError
 
-from conftest import needs_fifo, question_records, read_through_pipe
+from conftest import needs_fifo, question_records, read_through_pipe, write_old_binary_files
 
 
 def _sample_records(dim=16, count=3, seed=5):
@@ -446,9 +446,35 @@ def test_binary_round_trip(tmp_path):
     fileformats.write_embeddings_binary(path, records, 16)
     loaded = fileformats.load_embeddings(path)
     assert [(r[0], r[1]) for r in loaded] == [(r[0], r[1]) for r in records]
-    # payload is 32-bit; loaded values match to float32 precision
+    # the payload is float64, so the loaded values are the written bits
     for (_, _, wvec), (_, _, rvec) in zip(records, loaded):
-        assert np.array_equal(np.asarray(wvec, dtype=np.float32).astype(np.float64), rvec)
+        assert rvec.dtype == np.float64 and rvec.tobytes() == wvec.tobytes()
+
+
+def test_text_and_binary_embeddings_load_the_same_bits(tmp_path):
+    rng = np.random.default_rng(7)
+    records = [(rid, text, vec * 10.0 ** rng.uniform(-300, 300, size=16))
+               for rid, text, vec in _sample_records(count=40)]
+    records[0][2][:3] = (5e-324, -0.0, 2.0 ** -1074 * 3)  # subnormals and a signed zero
+    fileformats.write_embeddings_text(tmp_path / "emb.txt", records, 16)
+    fileformats.write_embeddings_binary(tmp_path / "emb.bin", records, 16)
+    text = fileformats.load_embeddings(tmp_path / "emb.txt")
+    binary = fileformats.load_embeddings(tmp_path / "emb.bin")
+    assert [(r.id, r.text) for r in binary] == [(r.id, r.text) for r in text]
+    for t, b, (_, _, vec) in zip(text, binary, records):
+        assert b.vector.tobytes() == t.vector.tobytes() == vec.tobytes()
+        assert b.vector.flags["ALIGNED"] and b.vector.flags["WRITEABLE"]
+
+
+def test_version_1_files_are_rejected(tmp_path):
+    cache, embeddings = write_old_binary_files(tmp_path)
+    with pytest.raises(ParseError) as info:
+        load_dictionary_cache(cache)
+    assert str(info.value) == f"{cache}: bad magic b'BQDI', expected b'QEMB'"
+    for load in (load_dictionary_cache, fileformats.load_embeddings):
+        with pytest.raises(ParseError) as info:
+            load(embeddings)
+        assert str(info.value) == f"{embeddings}: unsupported version 1, expected 2"
 
 
 def test_binary_truncation_rejected(tmp_path):
@@ -500,7 +526,8 @@ def test_binary_version_check(tmp_path):
 
 def test_binary_dim_zero_rejected(tmp_path):
     path = tmp_path / "dim0.bin"
-    path.write_bytes(fileformats.EMBEDDING_MAGIC + struct.pack("<HII", 1, 0, 0))
+    path.write_bytes(fileformats.EMBEDDING_MAGIC
+                     + struct.pack("<HII", fileformats.EMBEDDING_VERSION, 0, 0))
     with pytest.raises(ParseError) as info:
         fileformats.load_embeddings(path)
     assert str(info.value) == f"{path}: dim must be >= 1"
@@ -532,6 +559,20 @@ def test_binary_later_field_error_reported_before_bad_value(tmp_path):
     with pytest.raises(ParseError) as info:
         fileformats.load_embeddings(path)
     assert str(info.value) == f"{path}: truncated while reading record 2: values"
+
+
+@pytest.mark.parametrize("ids, texts, message", [
+    (["q0", "", "q0"], ["a?", "b?", "c?"], "record 1: empty id"),
+    (["q0", "q1", "q0"], ["a?", " \t", "c?"], "record 1: empty text"),
+    (["q0", "q1", "q2"], ["a?", "b?", "\n"], "record 2: empty text"),
+], ids=["empty id", "empty text", "last text"])
+def test_binary_first_field_fault_wins(tmp_path, ids, texts, message):
+    path = tmp_path / "fields.bin"
+    fileformats.write_embeddings_binary(
+        path, [(i, t, vec) for i, t, (_, _, vec) in zip(ids, texts, _sample_records())], 16)
+    with pytest.raises(ParseError) as info:
+        fileformats.load_embeddings(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_binary_vectors_are_rows_of_one_array(tmp_path):

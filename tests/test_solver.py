@@ -223,8 +223,20 @@ def test_config_validation():
         LassoConfig.relative(0.1, tol=0.0)
     with pytest.raises(InvalidInputError, match="^tol must be positive$"):
         LassoConfig.relative(0.1, tol=np.nan)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^max_sweeps must be >= 1$"):
         LassoConfig.relative(0.1, max_sweeps=0)
+    # A NaN cap ran no path step, and a truthy "no" chose the nonnegative problem.
+    for cap in (np.nan, np.inf, 2.5, 3.0, True, "3"):
+        with pytest.raises(InvalidInputError) as info:
+            LassoConfig.relative(0.1, max_sweeps=cap)
+        assert str(info.value) == f"max_sweeps must be an integer, got {cap!r}"
+    for flag in ("no", "", 0, 1, None, np.int64(1)):
+        with pytest.raises(InvalidInputError) as info:
+            LassoConfig.relative(0.1, nonnegative=flag)
+        assert str(info.value) == f"nonnegative must be a bool, got {flag!r}"
+    config = LassoConfig.relative(0.1, max_sweeps=np.int32(7), nonnegative=np.True_)
+    assert type(config.max_sweeps) is int and type(config.nonnegative) is bool
+    assert (config.max_sweeps, config.nonnegative) == (7, True)
 
 
 @pytest.mark.parametrize("make, name, value", [
