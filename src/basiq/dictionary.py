@@ -31,7 +31,9 @@ def normalize_question_text(text):
 class Dictionary(checked_tuple("Dictionary", "matrix ids texts")):
     """Unit-column matrix plus parallel id/text bookkeeping.
 
-    No ``__slots__``: an instance keeps its ``search_matrix`` once built.
+    A read-only aligned column-major ``matrix`` is kept as it is; any other
+    is copied, so the caller's array is never frozen.  No ``__slots__``: an
+    instance keeps its ``search_matrix`` once built.
     """
 
     def __new__(cls, matrix, ids, texts):
@@ -41,7 +43,8 @@ class Dictionary(checked_tuple("Dictionary", "matrix ids texts")):
         dim, n = m.shape
         if n < 1 or dim < 1:
             raise ShapeError("matrix must have at least one row and one column")
-        m = np.require(m, requirements="FA")  # a no-op on an aligned column-major matrix
+        if m.flags.writeable or not (m.flags.f_contiguous and m.flags.aligned):
+            m = np.array(m, order="F")
         norms = np.sqrt(np.einsum("ij,ij->j", m, m))
         if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):  # NaN fails too
             worst = int(np.argmax(np.abs(norms - 1.0)))
@@ -136,6 +139,7 @@ def build_dictionary(records, dedup="normalized"):
     if zero.size:
         raise InvalidInputError(f"record {records[kept[zero[0]]].id!r} has a zero-norm vector")
     rows /= norms[:, None]
+    rows.setflags(write=False)  # no one else holds it: Dictionary keeps it as it is
     return Dictionary(
         matrix=rows.T,
         ids=tuple(records[i].id for i in kept),
@@ -155,7 +159,8 @@ def save_dictionary_cache(d, path):
 def load_dictionary_cache(path):
     """Load a dictionary cache written by ``save_dictionary_cache``."""
     with open(path, "rb") as fh:
-        ids, texts, values = read_binary(fh.read(), path)
+        ids, texts, values = read_binary(fh, path)
+    values.setflags(write=False)  # the reader's own array: Dictionary keeps it as it is
     try:
         return Dictionary(matrix=values.T, ids=ids, texts=texts)
     except (InvalidInputError, ShapeError) as exc:

@@ -29,8 +29,11 @@ Text files stream as lines ending at "\n", "\r\n" or a lone "\r", each
 decoded as UTF-8 with its end, so invalid UTF-8 is met in file order and
 raises the error a whole-file decode gives.  The text embedding reader's
 peak memory is the vectors, ids and texts plus one block of lines, not
-the whole text, unless every line ends at a lone "\r".  Only a regular
-file's size lets its header size an allocation.
+the whole text, unless every line ends at a lone "\r".  The binary reader
+walks the header, ids and texts from the open file and reads the value
+block straight into its own array, so its peak memory is that array plus
+the strings.  Only a regular file's size lets its header size an
+allocation.
 """
 
 import contextlib
@@ -52,6 +55,7 @@ EMBEDDING_VERSION = 2
 _HEADER_RE = re.compile(r"^dim=([0-9]+) count=([0-9]+)$")
 _FIELD_BREAK_RE = re.compile(r"[\t\n\r]")
 _BLOCK = 256  # text embedding lines converted per np.loadtxt call
+_CHUNK = 1 << 16  # most bytes a binary read asks for at once when a length comes from the file
 _U32 = struct.Struct("<I")
 _raw_decode = json.JSONDecoder().raw_decode
 
@@ -242,61 +246,103 @@ def _string_fault(path, m, before, after):
     return ParseError(f"{path}: {before}record {m // 2}: {('id', 'text')[m % 2]}{after}")
 
 
-def read_binary(blob, path):
-    """The ids, texts and ``(count, dim)`` float64 values in ``blob``, the
-    bytes of the binary file ``path``; the values are a new aligned array.
+def _read_upto(fh, n):
+    """Up to ``n`` bytes of ``fh``, fewer only at end of file, read in steps
+    of at most ``_CHUNK`` bytes: a length taken from the file allocates
+    no more than the bytes that arrive."""
+    buf = bytearray()
+    while len(buf) < n and (part := fh.read(min(n - len(buf), _CHUNK))):
+        buf += part
+    return buf
+
+
+def _read_string(fh, path, m):
+    """String ``m`` of the binary layout, read from ``fh``."""
+    head = fh.read(4)
+    if len(head) < 4:
+        raise _string_fault(path, m, "truncated while reading ", " length")
+    (n,) = _U32.unpack(head)
+    raw = fh.read(n) if n <= _CHUNK else _read_upto(fh, n)
+    if len(raw) < n:
+        raise _string_fault(path, m, "truncated while reading ", "")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _string_fault(path, m, "", f": {exc}") from None
+
+
+def _read_values(fh, count, dim, path):
+    """The ``(count, dim)`` little-endian float64 block that ends binary file
+    ``path``, read from ``fh`` into an array of its own.
+
+    Only a regular file with room for the block lets the header size the
+    array, which the block is then read straight into; otherwise (a pipe,
+    or a file shorter than its header claims) the bytes are kept as they
+    arrive.
+    """
+    nbytes = 8 * dim * count
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode) and st.st_size - fh.tell() >= nbytes:
+        values = np.empty((count, dim), dtype="<f8")
+        got = fh.readinto(values.reshape(-1).view(np.uint8))  # fills it unless the file ends
+    else:  # a bytearray is malloc'd, so its values are aligned, and writable
+        raw = _read_upto(fh, nbytes)
+        got = len(raw)
+        values = np.frombuffer(raw, dtype="<f8", count=got // 8)
+    if got < nbytes:
+        raise ParseError(f"{path}: truncated while reading record {got // (8 * dim)}: values")
+    trailing = sum(map(len, iter(lambda: fh.read(_CHUNK), b"")))
+    if trailing:
+        raise ParseError(f"{path}: {trailing} trailing bytes after last record")
+    return values.reshape(count, dim)
+
+
+def read_binary(fh, path):
+    """The ids, texts and ``(count, dim)`` float64 values of the binary file
+    ``path``, read from its open handle ``fh``; the values are a new,
+    aligned, writable array.
+
+    The header, then each id and text, is read from the stream, and the
+    value block straight into its array, so a regular file's peak memory
+    is that array plus the strings.  Only a regular file large enough for
+    the block lets the header size the array; on a pipe, or a file shorter
+    than its header claims, the reader keeps only the bytes that arrive.
 
     Faults come in file order, and every id and text is checked before
     any value is: a truncated field and invalid UTF-8 name the record and
     the field they were met in.
     """
-    size = len(blob)
+    head = fh.read(14)
+    size = len(head)
     if size < 4:
         raise ParseError(f"{path}: truncated while reading magic")
-    if blob[:4] != EMBEDDING_MAGIC:
-        raise ParseError(f"{path}: bad magic {blob[:4]!r}, expected {EMBEDDING_MAGIC!r}")
+    if head[:4] != EMBEDDING_MAGIC:
+        raise ParseError(f"{path}: bad magic {head[:4]!r}, expected {EMBEDDING_MAGIC!r}")
     if size < 6:
         raise ParseError(f"{path}: truncated while reading version")
-    (version,) = struct.unpack_from("<H", blob, 4)
+    (version,) = struct.unpack_from("<H", head, 4)
     if version != EMBEDDING_VERSION:
         raise ParseError(f"{path}: unsupported version {version}, expected {EMBEDDING_VERSION}")
     if size < 14:
         raise ParseError(f"{path}: truncated while reading header")
-    dim, count = struct.unpack_from("<II", blob, 6)
+    dim, count = struct.unpack_from("<II", head, 6)
     if dim < 1:
         raise ParseError(f"{path}: dim must be >= 1")
-    pos, strings, unpack = 14, [], _U32.unpack_from
-    for m in range(2 * count):
-        start = pos + 4
-        if start > size:
-            raise _string_fault(path, m, "truncated while reading ", " length")
-        (n,) = unpack(blob, pos)
-        pos = start + n
-        if pos > size:
-            raise _string_fault(path, m, "truncated while reading ", "")
-        try:
-            strings.append(blob[start:pos].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise _string_fault(path, m, "", f": {exc}") from None
-    ids, texts = strings[0::2], strings[1::2]
+    ids, texts = [], []
+    for i in range(count):
+        ids.append(_read_string(fh, path, 2 * i))
+        texts.append(_read_string(fh, path, 2 * i + 1))
     # Whole-list checks first; only a file that fails one is walked again
     # record by record, to raise its first fault.
     if len(set(ids)) < count or not all(ids) or not all(map(str.strip, texts)):
         seen = set()
         for i, (rec_id, text) in enumerate(zip(ids, texts)):
             _check_record(rec_id, text, seen, "%s: record %d", path, i)
-    end = pos + 8 * dim * count
-    if end > size:
-        raise ParseError(f"{path}: truncated while reading record {(size - pos) // (8 * dim)}: values")
-    if end < size:
-        raise ParseError(f"{path}: {size - end} trailing bytes after last record")
-    values = np.frombuffer(blob, dtype="<f8", count=dim * count, offset=pos).reshape(count, dim)
+    values = _read_values(fh, count, dim, path)
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise ParseError(f"{path}: record {bad[0]}: non-finite value")
-    # The block starts wherever the strings end, so a view of it is rarely
-    # 8-byte aligned, and BLAS skips (and rounds differently on) such arrays.
-    return ids, texts, values.copy()
+    return ids, texts, values
 
 
 def write_binary(path, ids, texts, values):
@@ -336,7 +382,7 @@ def load_embeddings(path):
     a binary file on a pipe must deliver its magic in the first read."""
     with open(path, "rb") as fh:
         if fh.peek(4)[:4] == EMBEDDING_MAGIC:
-            return list(map(QuestionRecord, *read_binary(fh.read(), path)))
+            return list(map(QuestionRecord, *read_binary(fh, path)))
         return _text_embeddings(fh, path)
 
 

@@ -60,6 +60,12 @@ class LassoConfig(checked_tuple("LassoConfig", "lambda_abs lambda_rel tol max_sw
             raise UnsupportedConfigError(
                 "exactly one of lambda_abs / lambda_rel must be set"
             )
+        for name, value in (("lambda_abs", lambda_abs), ("lambda_rel", lambda_rel), ("tol", tol)):
+            if value is None and name != "tol":
+                continue
+            # bool is an int subclass, but True is not a penalty or a tolerance.
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise InvalidInputError(f"{name} must be a real number, got {value!r}")
         if lambda_abs is not None and lambda_abs < 0:
             raise InvalidInputError("lambda_abs must be nonnegative")
         if lambda_rel is not None and lambda_rel < 0:

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,34 @@ def test_unaligned_matrix_is_stored_aligned():
     d = Dictionary(matrix=m, ids=("a", "b", "c"), texts=("a?", "b?", "c?"))
     assert d.matrix.flags["ALIGNED"] and d.matrix.flags["F_CONTIGUOUS"]
     assert np.array_equal(d.matrix, np.eye(3))
+
+
+def test_constructor_leaves_the_callers_array_writable():
+    a = np.asfortranarray(np.eye(2))
+    d = Dictionary(a, ("a", "b"), ("a?", "b?"))
+    assert a.flags.writeable and not d.matrix.flags.writeable
+    a[0, 0] = 7.0
+    assert d.matrix[0, 0] == 1.0
+    frozen = np.asfortranarray(np.eye(2))
+    frozen.setflags(write=False)
+    assert Dictionary(frozen, ("a", "b"), ("a?", "b?")).matrix is frozen  # no copy needed
+
+
+def test_cache_load_peak_memory_is_one_value_block(tmp_path):
+    # The values are read straight into the dictionary's matrix: no whole-file
+    # bytes and no second array (numpy reports its buffers to tracemalloc).
+    rng = np.random.default_rng(4096)
+    d = build_dictionary(question_records(rng.standard_normal((64, 4096))))
+    path = tmp_path / "dict.bin"
+    save_dictionary_cache(d, path)
+    tracemalloc.start()
+    try:
+        loaded = load_dictionary_cache(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.n_columns == 4096
+    assert peak < 1.5 * d.matrix.nbytes
 
 
 def test_cache_save_encodes_strings_before_opening(tmp_path):

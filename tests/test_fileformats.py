@@ -583,6 +583,60 @@ def test_binary_vectors_are_rows_of_one_array(tmp_path):
     assert all(vec.dtype == np.float64 and vec.base is vectors[0].base for vec in vectors)
 
 
+_RECORD_0 = fileformats.pack_string("a") + fileformats.pack_string("a?")
+_HOSTILE_BINARY = {  # kind: (header dim and count, bytes after the header, fault)
+    "huge dim": ((2**32 - 1, 1), _RECORD_0 + b"\x00" * 5, "record 0: values"),
+    "huge count": ((2, 2**32 - 1), _RECORD_0 + b"\x00" * 3, "record 1: id length"),
+    "huge string length": ((2, 2), _RECORD_0 + b"\xff" * 4 + b"abc", "record 1: id"),
+}
+
+
+@pytest.mark.parametrize("source", ["file", pytest.param("pipe", marks=needs_fifo)])
+@pytest.mark.parametrize("kind", list(_HOSTILE_BINARY))
+def test_binary_header_sizes_no_allocation(tmp_path, kind, source):
+    # A header or length prefix the bytes cannot back allocates nothing of its
+    # size: the reader keeps what arrives and fails as a short regular file does.
+    (dim, count), body, fault = _HOSTILE_BINARY[kind]
+    data = (fileformats.EMBEDDING_MAGIC
+            + struct.pack("<HII", fileformats.EMBEDDING_VERSION, dim, count) + body)
+    if source == "file":
+        path = tmp_path / "hostile.bin"
+        path.write_bytes(data)
+        read = fileformats.load_embeddings
+    else:
+        path = tmp_path / "input.fifo"
+        read = lambda p: read_through_pipe(tmp_path, data, fileformats.load_embeddings)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{path}: truncated while reading {fault}"
+    assert peak < 1 << 20
+
+
+@needs_fifo
+def test_binary_pipe_names_cut_record_and_trailing_bytes(tmp_path):
+    path = tmp_path / "emb.bin"
+    fileformats.write_embeddings_binary(path, _sample_records(), 16)
+    raw = path.read_bytes()
+    fifo = tmp_path / "input.fifo"
+    with pytest.raises(ParseError) as info:
+        read_through_pipe(tmp_path, raw[:-8 * 16 - 3], fileformats.load_embeddings)
+    assert str(info.value) == f"{fifo}: truncated while reading record 1: values"
+    fifo.unlink()
+    with pytest.raises(ParseError) as info:
+        read_through_pipe(tmp_path, raw + b"\x00" * 70000, fileformats.load_embeddings)
+    assert str(info.value) == f"{fifo}: 70000 trailing bytes after last record"
+    fifo.unlink()
+    loaded = read_through_pipe(tmp_path, raw, fileformats.load_embeddings)
+    vectors = np.array([rec.vector for rec in loaded])
+    assert vectors.tobytes() == np.array([vec for _, _, vec in _sample_records()]).tobytes()
+    assert loaded[0].vector.flags["ALIGNED"] and loaded[0].vector.flags["WRITEABLE"]
+
+
 def test_binary_empty_body(tmp_path):
     path = tmp_path / "empty.bin"
     fileformats.write_embeddings_binary(path, [], 16)

@@ -234,6 +234,19 @@ def test_config_validation():
         with pytest.raises(InvalidInputError) as info:
             LassoConfig.relative(0.1, nonnegative=flag)
         assert str(info.value) == f"nonnegative must be a bool, got {flag!r}"
+    # A bool is not a penalty or a tolerance, and a string is not a number.
+    for name, make, value in [("lambda_abs", LassoConfig.absolute, True),
+                              ("lambda_abs", LassoConfig.absolute, "0.1"),
+                              ("lambda_rel", LassoConfig.relative, False),
+                              ("lambda_rel", LassoConfig.relative, np.True_),
+                              ("tol", lambda v: LassoConfig.relative(0.1, tol=v), True),
+                              ("tol", lambda v: LassoConfig.relative(0.1, tol=v), "1e-6"),
+                              ("tol", lambda v: LassoConfig.relative(0.1, tol=v), None)]:
+        with pytest.raises(InvalidInputError) as info:
+            make(value)
+        assert str(info.value) == f"{name} must be a real number, got {value!r}"
+    config = LassoConfig.absolute(np.float32(0.5), tol=np.int64(1))
+    assert (config.lambda_abs, config.tol) == (0.5, 1)
     config = LassoConfig.relative(0.1, max_sweeps=np.int32(7), nonnegative=np.True_)
     assert type(config.max_sweeps) is int and type(config.nonnegative) is bool
     assert (config.max_sweeps, config.nonnegative) == (7, True)
