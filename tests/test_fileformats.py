@@ -602,14 +602,14 @@ def test_binary_header_sizes_no_allocation(tmp_path, kind, source):
     if source == "file":
         path = tmp_path / "hostile.bin"
         path.write_bytes(data)
-        read = fileformats.load_embeddings
+        read = lambda: fileformats.load_embeddings(path)
     else:
         path = tmp_path / "input.fifo"
-        read = lambda p: read_through_pipe(tmp_path, data, fileformats.load_embeddings)
+        read = lambda: read_through_pipe(tmp_path, data, fileformats.load_embeddings)
     tracemalloc.start()
     try:
         with pytest.raises(ParseError) as info:
-            read(path)
+            read()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
