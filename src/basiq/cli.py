@@ -74,7 +74,7 @@ def _policy_from_args(args):
 
 
 def _lasso_config_from_args(args):
-    knobs = dict(tol=args.tol, max_sweeps=args.max_sweeps, nonnegative=args.nonneg)
+    knobs = dict(tol=args.tol, max_sweeps=args.max_sweeps)
     if args.lambda_abs is not None:
         return LassoConfig.absolute(args.lambda_abs, **knobs)
     rel = DEFAULT_LAMBDA_REL if args.lambda_rel is None else args.lambda_rel
@@ -257,8 +257,6 @@ def build_parser():
                    help="duality-gap stopping tolerance")
     p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS,
                    help="homotopy path-step limit")
-    p.add_argument("--nonneg", action="store_true",
-                   help="constrain coefficients to be nonnegative")
     p.add_argument("--exclude-exact", action="store_true",
                    help="skip dictionary questions whose text equals the query text")
     p.add_argument("--keep-going", action="store_true",

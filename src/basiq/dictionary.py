@@ -31,9 +31,10 @@ def normalize_question_text(text):
 class Dictionary(checked_tuple("Dictionary", "matrix ids texts")):
     """Unit-column matrix plus parallel id/text bookkeeping.
 
-    A read-only aligned column-major ``matrix`` is kept as it is; any other
-    is copied, so the caller's array is never frozen.  No ``__slots__``: an
-    instance keeps its ``search_matrix`` once built.
+    An aligned column-major ``matrix`` is kept as it is when it and the
+    array owning its memory (itself or its ``base``) are read-only; any
+    other is copied, so no writable array can change the columns.  No
+    ``__slots__``: an instance keeps its ``search_matrix`` once built.
     """
 
     def __new__(cls, matrix, ids, texts):
@@ -43,7 +44,9 @@ class Dictionary(checked_tuple("Dictionary", "matrix ids texts")):
         dim, n = m.shape
         if n < 1 or dim < 1:
             raise ShapeError("matrix must have at least one row and one column")
-        if m.flags.writeable or not (m.flags.f_contiguous and m.flags.aligned):
+        owner = m if m.base is None else m.base
+        if (m.flags.writeable or not isinstance(owner, np.ndarray) or owner.flags.writeable
+                or not (m.flags.f_contiguous and m.flags.aligned)):
             m = np.array(m, order="F")
         norms = np.sqrt(np.einsum("ij,ij->j", m, m))
         if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):  # NaN fails too
@@ -123,15 +126,15 @@ def build_dictionary(records, dedup="normalized"):
         seen_ids.add(rec.id)
         kept.append(i)
 
-    # One stack, survivors first: its leading rows are the matrix's columns
-    # (their transpose is column-major), and the dropped rows are checked too.
+    # One stack, survivors first: the dropped rows are checked, then cut off,
+    # and the transpose of the rest is the column-major matrix.
     order = kept + dropped
-    stack = np.array([vecs[i] for i in order])
-    bad = np.flatnonzero(~np.isfinite(stack).all(axis=1))
+    rows = np.array([vecs[i] for i in order])
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         first = min(order[b] for b in bad)
         raise InvalidInputError(f"record {records[first].id!r}: non-finite vector")
-    rows = stack[:len(kept)]
+    rows.resize((len(kept), dim), refcheck=False)  # no view of it exists yet
     # Batched dot products: bit-identical to per-vector np.linalg.norm,
     # which einsum is not.
     norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(-1))
@@ -160,7 +163,8 @@ def load_dictionary_cache(path):
     """Load a dictionary cache written by ``save_dictionary_cache``."""
     with open(path, "rb") as fh:
         ids, texts, values = read_binary(fh, path)
-    values.setflags(write=False)  # the reader's own array: Dictionary keeps it as it is
+    values.setflags(write=False)  # and its base, the array owning the block: Dictionary keeps it
+    values.base.setflags(write=False)
     try:
         return Dictionary(matrix=values.T, ids=ids, texts=texts)
     except (InvalidInputError, ShapeError) as exc:

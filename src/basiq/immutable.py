@@ -25,6 +25,12 @@ def readonly_array(arr, name, ndim):
     return a
 
 
+def is_real(value):
+    """Whether ``value`` is a Python or numpy int or float.  A bool is an
+    int subclass, but True is not a threshold, a penalty or a tolerance."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def checked_tuple(typename, field_names):
     """The namedtuple base of a tuple record whose ``__new__`` checks it.
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .errors import InvalidInputError
 from .generator import check_scores
-from .immutable import checked_tuple
+from .immutable import checked_tuple, is_real
 
 DEFAULT_THRESHOLDS = (0.43, 0.82, 0.53)
 
@@ -39,6 +39,8 @@ class ConcatenationPolicy(checked_tuple("ConcatenationPolicy", "s1 s2 s3")):
     def __new__(cls, s1=DEFAULT_THRESHOLDS[0], s2=DEFAULT_THRESHOLDS[1],
                 s3=DEFAULT_THRESHOLDS[2]):
         for name, v in (("s1", s1), ("s2", s2), ("s3", s3)):
+            if not is_real(v):
+                raise InvalidInputError(f"{name} must be a real number, got {v!r}")
             if not 0.0 <= v <= 1.0:
                 raise InvalidInputError(f"{name}={v!r} outside [0, 1]")
         return tuple.__new__(cls, (s1, s2, s3))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dictionary import Dictionary
 from .errors import InvalidInputError, ShapeError, UnsupportedConfigError
-from .immutable import checked_tuple
+from .immutable import checked_tuple, is_real
 
 DEFAULT_LAMBDA_REL = 0.024
 DEFAULT_TOL = 1e-6
@@ -43,19 +43,18 @@ _SPAN_GATE = 1e-3
 _SPAN_TOL = 2.0 * float(np.sqrt(np.finfo(np.float64).eps))
 
 
-class LassoConfig(checked_tuple("LassoConfig", "lambda_abs lambda_rel tol max_sweeps nonnegative")):
+class LassoConfig(checked_tuple("LassoConfig", "lambda_abs lambda_rel tol max_sweeps")):
     """Solve configuration; exactly one of lambda_abs / lambda_rel is set.
 
     ``lambda_rel`` scales ``max |A^T b|``, the critical penalty (smallest
-    with an all-zero solution) of the signed problem, even in nonnegative
-    mode, whose critical penalty is ``max(A^T b, 0)``.  The default 0.024
-    makes a planted self-match against an orthogonal remainder score 0.976.
+    with an all-zero solution).  The default 0.024 makes a planted
+    self-match against an orthogonal remainder score 0.976.
     """
 
     __slots__ = ()
 
     def __new__(cls, lambda_abs=None, lambda_rel=DEFAULT_LAMBDA_REL, tol=DEFAULT_TOL,
-                max_sweeps=DEFAULT_MAX_SWEEPS, nonnegative=False):
+                max_sweeps=DEFAULT_MAX_SWEEPS):
         if (lambda_abs is None) == (lambda_rel is None):
             raise UnsupportedConfigError(
                 "exactly one of lambda_abs / lambda_rel must be set"
@@ -63,8 +62,7 @@ class LassoConfig(checked_tuple("LassoConfig", "lambda_abs lambda_rel tol max_sw
         for name, value in (("lambda_abs", lambda_abs), ("lambda_rel", lambda_rel), ("tol", tol)):
             if value is None and name != "tol":
                 continue
-            # bool is an int subclass, but True is not a penalty or a tolerance.
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            if not is_real(value):
                 raise InvalidInputError(f"{name} must be a real number, got {value!r}")
         if lambda_abs is not None and lambda_abs < 0:
             raise InvalidInputError("lambda_abs must be nonnegative")
@@ -77,14 +75,12 @@ class LassoConfig(checked_tuple("LassoConfig", "lambda_abs lambda_rel tol max_sw
             raise InvalidInputError(f"max_sweeps must be an integer, got {max_sweeps!r}")
         if max_sweeps < 1:
             raise InvalidInputError("max_sweeps must be >= 1")
-        if not isinstance(nonnegative, (bool, np.bool_)):
-            raise InvalidInputError(f"nonnegative must be a bool, got {nonnegative!r}")
         for name, value in (("lambda_abs", lambda_abs), ("lambda_rel", lambda_rel), ("tol", tol)):
             if value is not None and not np.isfinite(value):
                 raise InvalidInputError(f"{name} must be finite, got {value!r}")
         if 0 in (lambda_abs, lambda_rel):
             raise UnsupportedConfigError(_ZERO_LAMBDA)
-        return tuple.__new__(cls, (lambda_abs, lambda_rel, tol, int(max_sweeps), bool(nonnegative)))
+        return tuple.__new__(cls, (lambda_abs, lambda_rel, tol, int(max_sweeps)))
 
     @classmethod
     def absolute(cls, lam, **kwargs):
@@ -143,33 +139,27 @@ def _check_query(a, b):
 
 
 def lambda_max(dict_or_matrix, b):
-    """max |A^T b|: the smallest penalty with a zero solution, unless x >= 0."""
+    """max |A^T b|: the smallest penalty with a zero solution."""
     a = _as_matrix(dict_or_matrix)
     b = _check_query(a, b)
     return float(np.max(np.abs(a.T @ b)))
 
 
-def _gap_from_residual(a, b, lam, r, r_norm2, l1, nonnegative=False):
-    """Primal minus dual objective at the residual-scaled dual point.
-
-    With ``nonnegative`` the dual feasible set is one-sided,
-    ``max(A^T r) <= lam``, so only positive correlations are scaled away.
-    """
+def _gap_from_residual(a, b, lam, r, r_norm2, l1):
+    """Primal minus dual objective at the residual-scaled dual point."""
     primal = 0.5 * r_norm2 + lam * l1
-    corr = a.T @ r
-    dual_norm = max(float(np.max(corr)), 0.0) if nonnegative else float(np.max(np.abs(corr)))
+    dual_norm = float(np.max(np.abs(a.T @ r)))
     const = 1.0 if dual_norm <= lam else lam / dual_norm
     dual = const * float(r @ b) - 0.5 * const * const * r_norm2
     return primal - dual
 
 
-def duality_gap(dict_or_matrix, b, lam, x, nonnegative=False):
+def duality_gap(dict_or_matrix, b, lam, x):
     """Certificate of near-optimality for a candidate coefficient vector.
 
     Nonnegative up to rounding; zero exactly at an optimum.  The penalty
     must be positive: the certificate is undefined in this form at
-    lambda = 0.  ``nonnegative`` certifies against the problem with
-    ``x >= 0``, whose dual feasible set is one-sided.
+    lambda = 0.
     """
     a = _as_matrix(dict_or_matrix)
     b = _check_query(a, b)
@@ -179,9 +169,7 @@ def duality_gap(dict_or_matrix, b, lam, x, nonnegative=False):
     if x.shape != (a.shape[1],):
         raise ShapeError(f"x has shape {x.shape}, expected ({a.shape[1]},)")
     r = b - a @ x
-    return _gap_from_residual(
-        a, b, lam, r, float(r @ r), float(np.sum(np.abs(x))), nonnegative
-    )
+    return _gap_from_residual(a, b, lam, r, float(r @ r), float(np.sum(np.abs(x))))
 
 
 def solve_lasso(d, b, config=None):
@@ -219,14 +207,15 @@ def solve_lasso(d, b, config=None):
     step updates them by ``t * slope`` (the running correlation of LARS,
     Efron et al. 2004) rather than recomputing them; drift in them can
     only move event times, never the result, which comes from the exact
-    KKT solve and a fresh ``A^T r``.  One fused pass over ``(n, edges)``
-    buffers, the upper band edge in column 0 and (unless nonnegative) the
-    lower in column 1, gives every entry time, and one flat ``argmin``
-    takes the lowest column, then the upper edge.  The active columns are
-    gathered once per event, indexed from a bool mask (an O(n) scan that
-    is far cheaper on bools than on the float signs), for the next step's
-    Gram matrix and, after the last step, the residual.  ``d`` is solved afresh each step: an
-    updated inverse costs as many small calls here and changes its bits.
+    KKT solve and a fresh ``A^T r``.  One fused pass over ``(n, 2)``
+    buffers, the upper band edge in column 0 and the lower in column 1,
+    gives every entry time, and one flat ``argmin`` takes the lowest
+    column, then the upper edge.  The active columns are gathered once
+    per event, indexed from a bool mask (an O(n) scan that is far cheaper
+    on bools than on the float signs), for the next step's Gram matrix
+    and, after the last step, the residual.  ``d`` is solved afresh each
+    step: an updated inverse costs as many small calls here and changes
+    its bits.
 
     Returns a SparseSolution; after a re-solve its ``sweeps_used`` counts
     the float64 steps only.  A zero penalty, a different problem, is
@@ -237,15 +226,16 @@ def solve_lasso(d, b, config=None):
     a = _as_matrix(d)
     b = _check_query(a, b)
     corr = a.T @ b
-    lam = config.resolve_lambda(float(np.max(np.abs(corr))))
+    lam_max = float(np.max(np.abs(corr)))
+    lam = config.resolve_lambda(lam_max)
     if lam == 0:  # a zero query under a relative penalty
         raise UnsupportedConfigError(_ZERO_LAMBDA)
     if not isinstance(d, Dictionary):
-        return _homotopy(a, a, b, corr, lam, config)
-    solution = _homotopy(a, d.search_matrix, b, corr.copy(), lam, config)
+        return _homotopy(a, a, b, corr, lam_max, lam, config)
+    solution = _homotopy(a, d.search_matrix, b, corr.copy(), lam_max, lam, config)
     if solution.converged:
         return solution
-    return _homotopy(a, a, b, corr, lam, config)._replace(re_solved=True)
+    return _homotopy(a, a, b, corr, lam_max, lam, config)._replace(re_solved=True)
 
 
 def _in_span(col, cols, gram):
@@ -254,15 +244,13 @@ def _in_span(col, cols, gram):
     return float(res @ res) <= _SPAN_TOL * _SPAN_TOL * float(col @ col)
 
 
-def _homotopy(a, search, b, corr, lam, config):
-    """The path of ``solve_lasso`` from the correlations ``corr = a.T @ b``,
-    which it updates in place; slopes are read from ``search``, ``a`` or a
-    lower-precision copy of it."""
+def _homotopy(a, search, b, corr, lam_cur, lam, config):
+    """The path of ``solve_lasso`` from ``corr = a.T @ b``, which it updates
+    in place, and ``lam_cur = max |corr|`` down to ``lam``; slopes are read
+    from ``search``, ``a`` or a lower-precision copy of it."""
     n = a.shape[1]
-    lam_cur = float(np.max(corr)) if config.nonnegative else float(np.max(np.abs(corr)))
-    edges = 1 if config.nonnegative else 2
-    num, den, times = np.empty((3, n, edges))
-    mask = np.empty((n, edges), dtype=bool)
+    num, den, times = np.empty((3, n, 2))
+    mask = np.empty((n, 2), dtype=bool)
     x = np.zeros(n)
     sign = np.zeros(n)  # +-1 on the active set
     active = np.zeros(n, dtype=bool)
@@ -291,9 +279,9 @@ def _homotopy(a, search, b, corr, lam, config):
         # enters at once.  A coordinate dropped at this penalty may re-enter
         # only on the other edge, with the other sign.
         np.subtract(lam_cur, corr, out=num.T[0])
-        np.add(lam_cur, corr, out=num.T[1:])  # empty when nonnegative
+        np.add(lam_cur, corr, out=num.T[1])
         np.subtract(1.0, slope, out=den.T[0])
-        np.add(1.0, slope, out=den.T[1:])
+        np.add(1.0, slope, out=den.T[1])
         np.greater(den, 0.0, out=mask)
         mask[idx] = False
         for dropped in left:
@@ -306,7 +294,7 @@ def _homotopy(a, search, b, corr, lam, config):
         while True:
             cell = int(times.argmin())
             t_in = times.item(cell)
-            j, side = divmod(cell, edges)
+            j, side = divmod(cell, 2)
             if t_target <= min(t_in, t_out):
                 event, t = "target", t_target
             elif t_out < t_in or (t_out == t_in and k < j):
@@ -345,7 +333,7 @@ def _homotopy(a, search, b, corr, lam, config):
     r = b - cols @ x[idx]
     r_norm2 = float(r @ r)
     l1 = float(np.sum(np.abs(x)))
-    gap = _gap_from_residual(a, b, lam, r, r_norm2, l1, config.nonnegative)
+    gap = _gap_from_residual(a, b, lam, r, r_norm2, l1)
     return SparseSolution(
         coefficients=x,
         duality_gap=float(gap),

@@ -78,8 +78,8 @@ def unit_columns(rng, dim, n):
 
 def near_duplicate_pairs(seed):
     """An 8x16 unit-column design whose columns 2k and 2k+1 differ by about
-    1e-8, and a Gaussian query.  At ``lambda_rel = 1e-3`` seed 116 (signed)
-    and seed 127 (nonnegative) reach a singular active Gram matrix."""
+    1e-8, and a Gaussian query.  At ``lambda_rel = 1e-3`` seed 116 reaches
+    a singular active Gram matrix."""
     rng = np.random.default_rng(seed)
     a = unit_columns(rng, 8, 16)
     a[:, 1::2] = a[:, ::2] + 1e-8 * rng.standard_normal((8, 8)).T

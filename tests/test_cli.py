@@ -1,12 +1,13 @@
 """Subcommand wiring: exit codes, outputs, manifests, determinism."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from basiq import fileformats
-from basiq.cli import EXIT_FAIL, EXIT_OK, EXIT_PARTIAL, _write_json, main
+from basiq.cli import EXIT_FAIL, EXIT_OK, EXIT_PARTIAL, _write_json, build_parser, main
 from basiq.errors import ParseError
 from basiq.generator import BqdRecord, read_bqd, write_bqd
 from basiq.vqa_metric import AnswerRecord, aggregate_by_type, evaluate
@@ -39,6 +40,29 @@ def query_file(tmp_path, rng):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+# Every subcommand's arguments, positionals by name, in parser order, without -h.
+CLI_SURFACE = {
+    "build-dict": ("corpus", "--out", "--dedup"),
+    "gen-bq": ("--dict", "--queries", "--out", "--lambda", "--lambda-rel", "--tol",
+               "--max-sweeps", "--exclude-exact", "--keep-going"),
+    "concat": ("--bqd", "--out", "--s1", "--s2", "--s3", "--separator"),
+    "stats": ("--bqd", "--out", "--candidates"),
+    "partition": ("--bqd", "--out", "--s1", "--s2", "--s3"),
+    "eval": ("--predictions", "--annotations", "--out", "--per-type", "--raw"),
+}
+
+
+def test_cli_surface_is_pinned():
+    # Adding or removing a flag is an edit to CLI_SURFACE.
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: tuple(s for action in sub._actions if "-h" not in action.option_strings
+                    for s in action.option_strings or [action.dest])
+        for name, sub in commands.choices.items()
+    }
+    assert surface == CLI_SURFACE
 
 
 def test_build_dict_reports_columns(tmp_path, corpus_file, capsys):
@@ -305,7 +329,7 @@ def test_gen_bq_manifest_records_config(tmp_path, corpus_file, query_file):
     assert manifest["command"] == "gen-bq"
     assert manifest["config"] == {
         "lambda_abs": None, "lambda_rel": 0.05, "tol": 1e-8, "max_sweeps": 1000,
-        "nonnegative": False, "exclude_exact": False, "keep_going": False,
+        "exclude_exact": False, "keep_going": False,
     }
 
 

@@ -306,6 +306,26 @@ def test_constructor_leaves_the_callers_array_writable():
     assert Dictionary(frozen, ("a", "b"), ("a?", "b?")).matrix is frozen  # no copy needed
 
 
+def test_read_only_view_of_a_writable_array_is_copied():
+    # The view is read-only, but the array that owns its memory is not.
+    a = np.asfortranarray(np.eye(2))
+    v = a.view()
+    v.setflags(write=False)
+    d = Dictionary(v, ("a", "b"), ("a?", "b?"))
+    a[0, 0] = 5.0
+    assert d.matrix[0, 0] == 1.0
+
+
+def test_dropped_duplicates_hold_no_rows():
+    records = [QuestionRecord("a", "Is it red?", np.array([3.0, 4.0])),
+               QuestionRecord("b", "is it  RED?", np.array([0.0, 1.0])),
+               QuestionRecord("c", "Is it blue?", np.array([0.0, 2.0]))]
+    d = build_dictionary(records)
+    assert d.ids == ("a", "c")
+    assert d.matrix.base.shape == (2, 2) and not d.matrix.base.flags.writeable
+    assert np.array_equal(d.matrix, [[0.6, 0.0], [0.8, 1.0]])
+
+
 def test_cache_load_peak_memory_is_one_value_block(tmp_path):
     # The values are read straight into the dictionary's matrix: no whole-file
     # bytes and no second array (numpy reports its buffers to tracemalloc).

@@ -198,16 +198,15 @@ def test_uncertified_solve_raises():
         generate_basic_questions(d, b, config=config)
 
 
-@pytest.mark.parametrize("seed, nonnegative", [(116, False), (127, True)])
-def test_near_duplicate_columns_are_not_a_batch_error(seed, nonnegative):
+def test_near_duplicate_columns_are_not_a_batch_error():
     # Columns about 1e-8 apart once made the active Gram matrix singular;
     # a column in the active span now does not enter, and both queries
     # give records.
-    a, b = near_duplicate_pairs(seed)
+    a, b = near_duplicate_pairs(116)
     d = build_dictionary(question_records(a))
     planted = d.matrix[:, 0].copy()
     result = generate_batch(d, [("img1", "main?", b), ("img2", "other?", planted)],
-                            config=LassoConfig.relative(1e-3, nonnegative=nonnegative))
+                            config=LassoConfig.relative(1e-3))
     assert [r.image_id for r in result.records] == ["img1", "img2"]
     assert result.diagnostics.errors == ()
     assert result.diagnostics.re_solved == 0

@@ -1,5 +1,6 @@
 """Threshold cascade, score statistics, partition accounting."""
 
+import numpy as np
 import pytest
 
 from basiq.errors import InvalidInputError
@@ -86,6 +87,15 @@ def test_policy_and_record_share_one_score_law(scores, message):
 def test_threshold_out_of_range_rejected():
     with pytest.raises(InvalidInputError):
         ConcatenationPolicy(1.5, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("s1", True), ("s2", "0.5"), ("s3", np.array([0.5])), ("s1", np.True_),
+], ids=["bool", "string", "array", "numpy-bool"])
+def test_threshold_must_be_a_real_number(field, value):
+    with pytest.raises(InvalidInputError) as info:
+        ConcatenationPolicy(**{field: value})
+    assert str(info.value) == f"{field} must be a real number, got {value!r}"
 
 
 def test_monotone_in_each_threshold():

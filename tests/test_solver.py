@@ -21,7 +21,7 @@ from basiq.solver import (
 from conftest import near_duplicate_pairs, orthogonal_dictionary, question_records, unit_columns
 
 
-def kkt_violation(a, b, lam, x, nonnegative=False):
+def kkt_violation(a, b, lam, x):
     """Stationarity residual of the penalized least-squares problem.
 
     Active coordinates must have gradient equal to the (signed) penalty;
@@ -37,8 +37,6 @@ def kkt_violation(a, b, lam, x, nonnegative=False):
             worst = max(worst, abs(gj - lam))
         elif x[j] < 0:
             worst = max(worst, abs(gj + lam))
-        elif nonnegative:
-            worst = max(worst, max(0.0, gj - lam))
         else:
             worst = max(worst, max(0.0, abs(gj) - lam))
     return worst
@@ -225,15 +223,11 @@ def test_config_validation():
         LassoConfig.relative(0.1, tol=np.nan)
     with pytest.raises(InvalidInputError, match="^max_sweeps must be >= 1$"):
         LassoConfig.relative(0.1, max_sweeps=0)
-    # A NaN cap ran no path step, and a truthy "no" chose the nonnegative problem.
+    # A NaN cap ran no path step.
     for cap in (np.nan, np.inf, 2.5, 3.0, True, "3"):
         with pytest.raises(InvalidInputError) as info:
             LassoConfig.relative(0.1, max_sweeps=cap)
         assert str(info.value) == f"max_sweeps must be an integer, got {cap!r}"
-    for flag in ("no", "", 0, 1, None, np.int64(1)):
-        with pytest.raises(InvalidInputError) as info:
-            LassoConfig.relative(0.1, nonnegative=flag)
-        assert str(info.value) == f"nonnegative must be a bool, got {flag!r}"
     # A bool is not a penalty or a tolerance, and a string is not a number.
     for name, make, value in [("lambda_abs", LassoConfig.absolute, True),
                               ("lambda_abs", LassoConfig.absolute, "0.1"),
@@ -247,9 +241,9 @@ def test_config_validation():
         assert str(info.value) == f"{name} must be a real number, got {value!r}"
     config = LassoConfig.absolute(np.float32(0.5), tol=np.int64(1))
     assert (config.lambda_abs, config.tol) == (0.5, 1)
-    config = LassoConfig.relative(0.1, max_sweeps=np.int32(7), nonnegative=np.True_)
-    assert type(config.max_sweeps) is int and type(config.nonnegative) is bool
-    assert (config.max_sweeps, config.nonnegative) == (7, True)
+    config = LassoConfig.relative(0.1, max_sweeps=np.int32(7))
+    assert type(config.max_sweeps) is int and config.max_sweeps == 7
+    assert LassoConfig._fields == ("lambda_abs", "lambda_rel", "tol", "max_sweeps")
 
 
 @pytest.mark.parametrize("make, name, value", [
@@ -262,21 +256,6 @@ def test_config_validation():
 def test_config_rejects_non_finite(make, name, value):
     with pytest.raises(InvalidInputError, match=f"^{name} must be finite, got {value!r}$"):
         make(value)
-
-
-def test_nonnegative_mode(rng):
-    for trial in range(10):
-        a = unit_columns(rng, 10, 30)
-        b = rng.standard_normal(10)
-        lam = 0.1 * lambda_max(a, b)
-        sol = solve_lasso(a, b, LassoConfig.absolute(lam, nonnegative=True))
-        x = sol.coefficients
-        assert np.all(x >= 0.0)
-        assert kkt_violation(a, b, lam, x, nonnegative=True) <= 1e-6
-        assert sol.converged and sol.duality_gap <= 1e-6
-        assert sol.duality_gap == pytest.approx(
-            duality_gap(a, b, lam, x, nonnegative=True), rel=1e-12, abs=1e-15
-        )
 
 
 def _degenerate_design(rng, kind):
@@ -297,34 +276,31 @@ def test_degenerate_design_certifies(rng, kind):
     for trial in range(20):
         a = _degenerate_design(rng, kind)
         b = rng.standard_normal(12)
-        for nonnegative in (False, True):
-            for frac in (0.02, 0.1, 0.5):
-                lam = frac * lambda_max(a, b)
-                sol = solve_lasso(a, b, LassoConfig.absolute(lam, nonnegative=nonnegative))
-                assert sol.converged and sol.duality_gap <= 1e-6
-                assert kkt_violation(a, b, lam, sol.coefficients, nonnegative) <= 1e-6
+        for frac in (0.02, 0.1, 0.5):
+            lam = frac * lambda_max(a, b)
+            sol = solve_lasso(a, b, LassoConfig.absolute(lam))
+            assert sol.converged and sol.duality_gap <= 1e-6
+            assert kkt_violation(a, b, lam, sol.coefficients) <= 1e-6
 
 
-@pytest.mark.parametrize("seed, nonnegative", [(116, False), (127, True)])
-def test_column_in_active_span_does_not_enter(seed, nonnegative):
+def test_column_in_active_span_does_not_enter():
     # Columns about 1e-8 apart, whose Gram matrix is singular to working
     # precision.  The second of a pair to reach its edge lies in the active
     # span, so it does not enter, and the solve certifies.
-    a, b = near_duplicate_pairs(seed)
-    config = LassoConfig.relative(1e-3, nonnegative=nonnegative)
+    a, b = near_duplicate_pairs(116)
+    config = LassoConfig.relative(1e-3)
     sol = solve_lasso(a, b, config)
     lam = config.resolve_lambda(lambda_max(a, b))
     assert sol.converged and sol.duality_gap <= 1e-6
-    assert kkt_violation(a, b, lam, sol.coefficients, nonnegative) <= 1e-6
+    assert kkt_violation(a, b, lam, sol.coefficients) <= 1e-6
     support = np.flatnonzero(sol.coefficients)
     assert len(set(support // 2)) == len(support)  # at most one column of each pair
 
 
-@pytest.mark.parametrize("nonnegative", [False, True], ids=["signed", "nonnegative"])
-def test_near_duplicate_pairs_never_raise(nonnegative):
-    # At the parent of the span test, 21 signed and 9 nonnegative raw solves
-    # of these 300 designs raised on a singular Gram matrix.
-    config = LassoConfig.relative(1e-3, nonnegative=nonnegative)
+def test_near_duplicate_pairs_never_raise():
+    # Before the span test, 21 raw solves of these 300 designs raised on a
+    # singular Gram matrix.
+    config = LassoConfig.relative(1e-3)
     for seed in range(300):
         a, b = near_duplicate_pairs(seed)
         for design in (a, build_dictionary(question_records(a))):
@@ -457,23 +433,10 @@ def test_max_sweeps_reports_honest_gap(rng):
     )
 
 
-def test_nonnegative_with_no_positive_correlation_exits_in_one_step():
-    # A^T b <= 0 everywhere: the nonnegative path starts below lam.
-    a = np.asfortranarray(np.eye(4))
-    b = -np.array([1.0, 0.5, 0.2, 0.1])
-    for config in (LassoConfig.relative(0.1, nonnegative=True),
-                   LassoConfig.absolute(0.1, nonnegative=True)):
-        sol = solve_lasso(a, b, config)
-        assert np.all(sol.coefficients == 0.0)
-        assert sol.sweeps_used == 1
-        assert sol.duality_gap == 0.0 and sol.converged
-
-
-@pytest.mark.parametrize("nonnegative", [False, True])
-def test_lambda_abs_above_lambda_max_exits_in_one_step(rng, nonnegative):
+def test_lambda_abs_above_lambda_max_exits_in_one_step(rng):
     a = unit_columns(rng, 10, 25)
     b = rng.standard_normal(10)
-    config = LassoConfig.absolute(1.5 * lambda_max(a, b), nonnegative=nonnegative)
+    config = LassoConfig.absolute(1.5 * lambda_max(a, b))
     sol = solve_lasso(a, b, config)
     assert np.all(sol.coefficients == 0.0)
     assert sol.sweeps_used == 1
@@ -500,7 +463,7 @@ def _reference_solve(a, b, config):
     lam = config.resolve_lambda(float(np.max(np.abs(corr))))
     n = a.shape[1]
     x = np.zeros(n)
-    lam_cur = float(np.max(corr)) if config.nonnegative else float(np.max(np.abs(corr)))
+    lam_cur = float(np.max(np.abs(corr)))
     active = []
     sign = np.zeros(n)
     left = []  # (column, sign) of the coordinates dropped since lam_cur last moved
@@ -518,10 +481,7 @@ def _reference_solve(a, b, config):
         free = np.ones(n, dtype=bool)
         free[active] = False
         t_up = entry_times(lam_cur - corr, 1.0 - slope, free)
-        if config.nonnegative:
-            t_down = np.full(n, np.inf)
-        else:
-            t_down = entry_times(lam_cur + corr, 1.0 + slope, free)
+        t_down = entry_times(lam_cur + corr, 1.0 + slope, free)
         for col, left_sign in left:
             (t_up if left_sign > 0 else t_down)[col] = np.inf
 
@@ -575,7 +535,7 @@ def _reference_solve(a, b, config):
 
     r_norm2 = float(r @ r)
     l1 = float(np.sum(np.abs(x)))
-    gap = _gap_from_residual(a, b, lam, r, r_norm2, l1, config.nonnegative)
+    gap = _gap_from_residual(a, b, lam, r, r_norm2, l1)
     return x, history, steps, gap <= config.tol, float(gap), 0.5 * r_norm2 + lam * l1
 
 
@@ -583,16 +543,14 @@ def _reference_pool():
     rng = np.random.default_rng(2024)
     for _ in range(12):
         a, b = unit_columns(rng, 32, 128), rng.standard_normal(32)
-        for nonnegative in (False, True):
-            yield a, b, LassoConfig.relative(0.1, nonnegative=nonnegative)
+        yield a, b, LassoConfig.relative(0.1)
     for _ in range(3):
         yield unit_columns(rng, 64, 1024), rng.standard_normal(64), LassoConfig()
     for kind in ("duplicate", "antipodal", "zero"):
         for _ in range(3):
             a, b = _degenerate_design(rng, kind), rng.standard_normal(12)
-            for nonnegative in (False, True):
-                for frac in (0.02, 0.1, 0.5):
-                    yield a, b, LassoConfig.relative(frac, nonnegative=nonnegative)
+            for frac in (0.02, 0.1, 0.5):
+                yield a, b, LassoConfig.relative(frac)
     for seed in range(10):
         reentry = np.random.default_rng(seed)
         a, b = unit_columns(reentry, 64, 20), reentry.standard_normal(64)
@@ -606,8 +564,7 @@ def _reference_pool():
         a[:, 3] = a[:, 9] + 1e-8 * near.standard_normal(8)
         a[:, 3] /= np.linalg.norm(a[:, 3])
         b = near.standard_normal(8)
-        for nonnegative in (False, True):
-            yield a, b, LassoConfig.relative(0.02, nonnegative=nonnegative)
+        yield a, b, LassoConfig.relative(0.02)
     for a, b in _zero_step_cycles():
         yield a, b, LassoConfig.relative(1e-3)
 
@@ -646,15 +603,14 @@ def _planted_near_duplicate_dictionary():
     return d, queries, np.arange(32)
 
 
-@pytest.mark.parametrize("nonnegative", [False, True], ids=["signed", "nonnegative"])
-def test_float32_search_matches_float64_search(nonnegative):
+def test_float32_search_matches_float64_search():
     # On a Dictionary the events are placed from a float32 copy; the
     # support, the coefficients and the gap stay float64.  Where no
     # near-duplicate column is in either support, the two searches give
     # the same bits.
     d, queries, near = _planted_near_duplicate_dictionary()
     assert d.search_matrix.dtype == np.float32 and d.matrix.dtype == np.float64
-    config = LassoConfig(nonnegative=nonnegative)
+    config = LassoConfig()
     compared = 0
     for b in queries:
         fast, exact = solve_lasso(d, b, config), solve_lasso(d.matrix, b, config)
