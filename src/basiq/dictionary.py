@@ -3,12 +3,15 @@
 Duplicate questions are collapsed before the matrix is built, and each
 surviving embedding is scaled to unit L2 norm.  The matrix is stored
 column-major, so its transpose is the C-contiguous ``count x dim`` value
-block of the cache, a binary embedding file of the columns.  A built
-dictionary is a checked tuple of read-only arrays and tuples, immutable
-and safe to share across concurrent solves.  On its first solve it also
-builds ``search_matrix``, a float32 copy of the matrix from which the
-solver places path events; the coefficients and the gap are still
-computed from the float64 ``matrix``.
+block of the cache, a binary embedding file of the columns.  The matrix
+of a built dictionary, or of one loaded from a regular file, lives in an
+anonymous mapping of its own, which goes back to the operating system as
+soon as the dictionary is dropped.  A built dictionary is a checked
+tuple of read-only arrays and tuples, immutable and safe to share across
+concurrent solves.  On its first solve it also builds ``search_matrix``,
+a float32 copy of the matrix from which the solver places path events;
+the coefficients and the gap are still computed from the float64
+``matrix``.
 """
 
 from functools import cached_property
@@ -16,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, ShapeError
-from .fileformats import read_binary, write_binary
+from .fileformats import _block, read_binary, write_binary
 from .immutable import checked_tuple
 
 UNIT_NORM_TOL = 1e-9
@@ -89,7 +92,8 @@ def build_dictionary(records, dedup="normalized"):
     (trim/collapse/case-insensitive) or ``"exact"`` (byte equality).
     Fields come before values: the first bad id, text or vector shape
     raises; then the first non-finite vector (dropped duplicates
-    included), then the first zero-norm kept one.
+    included), then the first zero-norm kept one.  Only the kept rows are
+    copied, into a block of their own that the matrix views.
     """
     if dedup not in ("normalized", "exact"):
         raise InvalidInputError(f"unknown dedup mode {dedup!r}")
@@ -126,15 +130,20 @@ def build_dictionary(records, dedup="normalized"):
         seen_ids.add(rec.id)
         kept.append(i)
 
-    # One stack, survivors first: the dropped rows are checked, then cut off,
-    # and the transpose of the rest is the column-major matrix.
-    order = kept + dropped
-    rows = np.array([vecs[i] for i in order])
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    # The survivors fill one block of their own, whose transpose is the
+    # column-major matrix; the dropped rows are checked, then let go.
+    rows = _block(len(kept), dim)
+    np.concatenate([vecs[i] for i in kept], out=rows.reshape(-1))
+    finite = [np.isfinite(rows).all(axis=1)]
+    if dropped:
+        gone = np.concatenate([vecs[i] for i in dropped])
+        finite.append(np.isfinite(gone).reshape(-1, dim).all(axis=1))
+        del gone
+    bad = np.flatnonzero(~np.concatenate(finite))
     if bad.size:
+        order = kept + dropped
         first = min(order[b] for b in bad)
         raise InvalidInputError(f"record {records[first].id!r}: non-finite vector")
-    rows.resize((len(kept), dim), refcheck=False)  # no view of it exists yet
     # Batched dot products: bit-identical to per-vector np.linalg.norm,
     # which einsum is not.
     norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(-1))

@@ -33,11 +33,14 @@ the whole text, unless every line ends at a lone "\r".  The binary reader
 walks the header, ids and texts from the open file and reads the value
 block straight into its own array, so its peak memory is that array plus
 the strings.  Only a regular file's size lets its header size an
-allocation.
+allocation.  Such a header-sized value block lives in an anonymous
+mapping of its own, which goes back to the operating system as soon as
+the last array viewing it is dropped.
 """
 
 import contextlib
 import json
+import mmap
 import os
 import re
 import stat
@@ -68,6 +71,21 @@ def encode_faults(path):
         yield
     except UnicodeEncodeError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
+
+
+def _block(count, dim):
+    """A new zero-filled, writable ``(count, dim)`` float64 array in an
+    anonymous mapping of its own (page-aligned, C-contiguous).
+
+    Dropping the last array that views it unmaps it at once.  Its memory
+    never passes through malloc, so a large block neither stays in the
+    heap once freed nor raises malloc's threshold for later ones.
+    """
+    if count == 0:  # a mapping cannot be empty
+        return np.empty((0, dim))
+    values = np.frombuffer(mmap.mmap(-1, 8 * count * dim), np.float64)
+    values.shape = (count, dim)
+    return values
 
 
 def pack_string(s):
@@ -182,12 +200,12 @@ def _text_embeddings(fh, path):
             raise ParseError(f"{path}: line 1: malformed header {header!r}")
         raise ParseError(f"{path}: line 1: dim must be >= 1")
     # A record line takes at least 2 * dim + 3 bytes.  A regular file with room
-    # for ``count`` of them is read into one preallocated array; otherwise (a
+    # for ``count`` of them is read into one preallocated ``_block``; otherwise (a
     # pipe, or a header the file's size cannot hold) the header sizes nothing
     # and each block's values are kept as they are converted.
     st = os.fstat(fh.fileno())
     room = stat.S_ISREG(st.st_mode) and st.st_size >= count * (2 * dim + 3)
-    matrix = np.empty((count, dim), dtype=np.float64) if room else None
+    matrix = _block(count, dim) if room else None
     ids, texts, rows, blocks, seen = [], [], [], [], set()
     fault = value_fault = None
     n = 0  # body lines read
@@ -276,14 +294,14 @@ def _read_values(fh, count, dim, path):
     ``path``, read from ``fh`` into an array of its own.
 
     Only a regular file with room for the block lets the header size the
-    array, which the block is then read straight into; otherwise (a pipe,
-    or a file shorter than its header claims) the bytes are kept as they
-    arrive.
+    array, a mapping of its own that the block is then read straight
+    into; otherwise (a pipe, or a file shorter than its header claims) the
+    bytes are kept as they arrive.
     """
     nbytes = 8 * dim * count
     st = os.fstat(fh.fileno())
     if stat.S_ISREG(st.st_mode) and st.st_size - fh.tell() >= nbytes:
-        values = np.empty((count, dim), dtype="<f8")
+        values = _block(count, dim).view("<f8")
         got = fh.readinto(values.reshape(-1).view(np.uint8))  # fills it unless the file ends
     else:  # a bytearray is malloc'd, so its values are aligned, and writable
         raw = _read_upto(fh, nbytes)
@@ -304,9 +322,11 @@ def read_binary(fh, path):
 
     The header, then each id and text, is read from the stream, and the
     value block straight into its array, so a regular file's peak memory
-    is that array plus the strings.  Only a regular file large enough for
-    the block lets the header size the array; on a pipe, or a file shorter
-    than its header claims, the reader keeps only the bytes that arrive.
+    is that array plus the strings.  That array is a mapping of its own,
+    returned to the operating system when the last view of it is dropped.
+    Only a regular file large enough for the block lets the header size
+    the array; on a pipe, or a file shorter than its header claims, the
+    reader keeps only the bytes that arrive.
 
     Faults come in file order, and every id and text is checked before
     any value is: a truncated field and invalid UTF-8 name the record and

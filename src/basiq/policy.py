@@ -32,7 +32,7 @@ STAT_CHANNELS = ("score1", "score2_over_score1", "score3_over_score2")
 
 
 class ConcatenationPolicy(checked_tuple("ConcatenationPolicy", "s1 s2 s3")):
-    """The three append thresholds, each in [0, 1]."""
+    """The three append thresholds, each in [0, 1], kept as Python floats."""
 
     __slots__ = ()
 
@@ -43,7 +43,7 @@ class ConcatenationPolicy(checked_tuple("ConcatenationPolicy", "s1 s2 s3")):
                 raise InvalidInputError(f"{name} must be a real number, got {v!r}")
             if not 0.0 <= v <= 1.0:
                 raise InvalidInputError(f"{name}={v!r} outside [0, 1]")
-        return tuple.__new__(cls, (s1, s2, s3))
+        return tuple.__new__(cls, (float(s1), float(s2), float(s3)))
 
 
 class StatEntry(NamedTuple):

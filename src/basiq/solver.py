@@ -48,7 +48,8 @@ class LassoConfig(checked_tuple("LassoConfig", "lambda_abs lambda_rel tol max_sw
 
     ``lambda_rel`` scales ``max |A^T b|``, the critical penalty (smallest
     with an all-zero solution).  The default 0.024 makes a planted
-    self-match against an orthogonal remainder score 0.976.
+    self-match against an orthogonal remainder score 0.976.  Penalties
+    and the tolerance are kept as Python floats, so ``_asdict()`` is JSON.
     """
 
     __slots__ = ()
@@ -80,7 +81,8 @@ class LassoConfig(checked_tuple("LassoConfig", "lambda_abs lambda_rel tol max_sw
                 raise InvalidInputError(f"{name} must be finite, got {value!r}")
         if 0 in (lambda_abs, lambda_rel):
             raise UnsupportedConfigError(_ZERO_LAMBDA)
-        return tuple.__new__(cls, (lambda_abs, lambda_rel, tol, int(max_sweeps)))
+        lambda_abs, lambda_rel = (None if v is None else float(v) for v in (lambda_abs, lambda_rel))
+        return tuple.__new__(cls, (lambda_abs, lambda_rel, float(tol), int(max_sweeps)))
 
     @classmethod
     def absolute(cls, lam, **kwargs):
@@ -93,8 +95,8 @@ class LassoConfig(checked_tuple("LassoConfig", "lambda_abs lambda_rel tol max_sw
     def resolve_lambda(self, lam_max):
         """Absolute penalty for a query whose critical penalty is ``lam_max``."""
         if self.lambda_abs is not None:
-            return float(self.lambda_abs)
-        return float(self.lambda_rel) * float(lam_max)
+            return self.lambda_abs
+        return self.lambda_rel * float(lam_max)
 
 
 class SparseSolution(checked_tuple(
