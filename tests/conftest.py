@@ -1,6 +1,7 @@
 """Shared builders for solver, dictionary and file-reading tests."""
 
 import contextlib
+import mmap
 import os
 import struct
 import threading
@@ -8,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+from basiq import fileformats
 from basiq.dictionary import Dictionary, build_dictionary, save_dictionary_cache
 from basiq.errors import InvalidInputError, ParseError, ShapeError
 from basiq.fileformats import EMBEDDING_MAGIC, EMBEDDING_VERSION, QuestionRecord, pack_string
@@ -151,3 +153,28 @@ def orthogonal_dictionary(dim, n, seed=0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def block_bytes(monkeypatch):
+    """The size in bytes of every value block the readers ask ``_block`` for.
+
+    ``tracemalloc`` does not see an anonymous mapping, so memory tests add
+    these sizes to its peak, and header tests check that none is large.
+    """
+    sizes, block = [], fileformats._block
+
+    def recording(count, dim):
+        sizes.append(8 * count * dim)
+        return block(count, dim)
+
+    monkeypatch.setattr(fileformats, "_block", recording)
+    return sizes
+
+
+def mapping_of(arr):
+    """The anonymous mapping that holds ``arr``'s memory, found through its ``base`` chain."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    assert isinstance(arr, memoryview) and isinstance(arr.obj, mmap.mmap)
+    return arr.obj

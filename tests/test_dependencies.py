@@ -1,8 +1,9 @@
 """The package imports nothing but numpy and the standard library, its
 sources parse under the declared Python floor, and its value types are
-checked tuples rather than generated classes."""
+checked tuples rather than generated classes, whose configs write as JSON."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -81,3 +82,17 @@ def test_value_types_replace_through_their_checks(make, change, error, message):
     [name] = change
     with pytest.raises(AttributeError):
         setattr(value, name, getattr(value, name))
+
+
+@pytest.mark.parametrize("config, fields", [
+    (LassoConfig.absolute(np.float32(0.5), tol=np.float32(0.25), max_sweeps=np.int64(7)),
+     {"lambda_abs": 0.5, "lambda_rel": None, "tol": 0.25, "max_sweeps": 7}),
+    (LassoConfig.relative(np.int64(1), tol=np.float64(1e-6)),
+     {"lambda_abs": None, "lambda_rel": 1.0, "tol": 1e-6, "max_sweeps": 1000}),
+    (ConcatenationPolicy(np.float32(0.5), np.int64(1), np.float64(0.25)),
+     {"s1": 0.5, "s2": 1.0, "s3": 0.25}),
+], ids=["LassoConfig.absolute", "LassoConfig.relative", "ConcatenationPolicy"])
+def test_configs_from_numpy_scalars_serialize(config, fields):
+    # A manifest writes ``_asdict()``: numpy scalars are stored as Python numbers.
+    assert json.dumps(config._asdict()) == json.dumps(fields)
+    assert all(type(v) in (float, int, type(None)) for v in config)

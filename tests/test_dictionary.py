@@ -3,6 +3,7 @@
 import re
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from basiq.errors import InvalidInputError, ParseError, ShapeError
 from basiq.fileformats import QuestionRecord, load_embeddings
 from basiq.generator import generate_batch
 
-from conftest import CACHE_FAULTS, corrupt_cache, question_records, unit_columns
+from conftest import CACHE_FAULTS, corrupt_cache, mapping_of, question_records, unit_columns
 
 
 def test_duplicate_normalized_text_collapses():
@@ -326,9 +327,10 @@ def test_dropped_duplicates_hold_no_rows():
     assert np.array_equal(d.matrix, [[0.6, 0.0], [0.8, 1.0]])
 
 
-def test_cache_load_peak_memory_is_one_value_block(tmp_path):
+def test_cache_load_peak_memory_is_one_value_block(tmp_path, block_bytes):
     # The values are read straight into the dictionary's matrix: no whole-file
     # bytes and no second array (numpy reports its buffers to tracemalloc).
+    # The matrix is a mapping tracemalloc cannot see, so its size is added.
     rng = np.random.default_rng(4096)
     d = build_dictionary(question_records(rng.standard_normal((64, 4096))))
     path = tmp_path / "dict.bin"
@@ -340,7 +342,21 @@ def test_cache_load_peak_memory_is_one_value_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded.n_columns == 4096
-    assert peak < 1.5 * d.matrix.nbytes
+    assert block_bytes == [d.matrix.nbytes]
+    assert peak + sum(block_bytes) < 1.5 * d.matrix.nbytes
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_dropped_dictionary_unmaps_its_matrix(tmp_path, rng, source):
+    # Nothing but the dictionary views its matrix's mapping, so dropping the
+    # dictionary returns the memory at once, with no garbage collection.
+    d = build_dictionary(question_records(unit_columns(rng, 8, 5)))
+    if source == "loaded":
+        save_dictionary_cache(d, tmp_path / "dict.bin")
+        d = load_dictionary_cache(tmp_path / "dict.bin")
+    mapping = weakref.ref(mapping_of(d.matrix))
+    del d
+    assert mapping() is None
 
 
 def test_cache_save_encodes_strings_before_opening(tmp_path):

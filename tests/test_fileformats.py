@@ -4,6 +4,7 @@ import builtins
 import struct
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,13 @@ from basiq import fileformats
 from basiq.dictionary import build_dictionary, load_dictionary_cache, save_dictionary_cache
 from basiq.errors import InvalidInputError, ParseError
 
-from conftest import needs_fifo, question_records, read_through_pipe, write_old_binary_files
+from conftest import (
+    mapping_of,
+    needs_fifo,
+    question_records,
+    read_through_pipe,
+    write_old_binary_files,
+)
 
 
 def _sample_records(dim=16, count=3, seed=5):
@@ -381,12 +388,13 @@ _LONG_COUNT = "dim=2 count=" + "0" * 5000 + "1"  # int() reads at most 4,300 dig
     ("dim=1000000000000 count=1", "line 2: expected 1000000000000 values, got 2"),
     ("dim=\u0662 count=\u0661", "line 1: malformed header 'dim=\u0662 count=\u0661'"),
 ], ids=["count past the int digit limit", "huge dim", "non-ASCII digits"])
-def test_text_header_sizes_no_allocation(tmp_path, header, message):
+def test_text_header_sizes_no_allocation(tmp_path, header, message, block_bytes):
     path = tmp_path / "emb.txt"
     path.write_text(header + "\nq0\ta?\t1 2\n", encoding="utf-8")
     with pytest.raises(ParseError) as info:
         fileformats.load_embeddings(path)
     assert str(info.value) == f"{path}: {message}"
+    assert all(size <= 1 << 20 for size in block_bytes)
 
 
 @needs_fifo
@@ -407,8 +415,9 @@ def test_jsonl_reads_a_pipe(tmp_path):
     assert loaded == [(1, '{"a": 1}'), (3, '{"b": 2}')]
 
 
-def test_text_reader_peak_memory_is_below_file_size(tmp_path):
+def test_text_reader_peak_memory_is_below_file_size(tmp_path, block_bytes):
     # The peak is the output array plus one block of lines, not the file's text.
+    # The array is a mapping tracemalloc cannot see, so its size is added.
     path = tmp_path / "emb.txt"
     fileformats.write_embeddings_text(path, _sample_records(dim=64, count=2000, seed=2000), 64)
     tracemalloc.start()
@@ -418,7 +427,20 @@ def test_text_reader_peak_memory_is_below_file_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(loaded) == 2000
-    assert peak < path.stat().st_size
+    assert block_bytes == [2000 * 64 * 8]
+    assert peak + sum(block_bytes) < path.stat().st_size
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_dropped_records_unmap_their_vectors(tmp_path, fmt):
+    # The vectors are rows of one mapping, unmapped with the last of them.
+    path = tmp_path / "emb"
+    _WRITERS[fmt](path, _sample_records(count=4), 16)
+    loaded = fileformats.load_embeddings(path)
+    mapping = weakref.ref(mapping_of(loaded[0].vector))
+    assert all(mapping_of(rec.vector) is mapping() for rec in loaded)
+    del loaded
+    assert mapping() is None
 
 
 _WRITERS = {"text": fileformats.write_embeddings_text,
@@ -593,7 +615,7 @@ _HOSTILE_BINARY = {  # kind: (header dim and count, bytes after the header, faul
 
 @pytest.mark.parametrize("source", ["file", pytest.param("pipe", marks=needs_fifo)])
 @pytest.mark.parametrize("kind", list(_HOSTILE_BINARY))
-def test_binary_header_sizes_no_allocation(tmp_path, kind, source):
+def test_binary_header_sizes_no_allocation(tmp_path, kind, source, block_bytes):
     # A header or length prefix the bytes cannot back allocates nothing of its
     # size: the reader keeps what arrives and fails as a short regular file does.
     (dim, count), body, fault = _HOSTILE_BINARY[kind]
@@ -615,6 +637,7 @@ def test_binary_header_sizes_no_allocation(tmp_path, kind, source):
         tracemalloc.stop()
     assert str(info.value) == f"{path}: truncated while reading {fault}"
     assert peak < 1 << 20
+    assert all(size <= 1 << 20 for size in block_bytes)
 
 
 @needs_fifo
