@@ -87,9 +87,7 @@ def _block(count, dim):
     """
     if count == 0:  # a mapping cannot be empty
         return np.empty((0, dim))
-    values = np.frombuffer(mmap.mmap(-1, 8 * count * dim, **_MAP_ARGS), np.float64)
-    values.shape = (count, dim)
-    return values
+    return np.ndarray((count, dim), np.float64, mmap.mmap(-1, 8 * count * dim, **_MAP_ARGS))
 
 
 def pack_string(s):

@@ -176,5 +176,5 @@ def mapping_of(arr):
     """The anonymous mapping that holds ``arr``'s memory, found through its ``base`` chain."""
     while isinstance(arr, np.ndarray):
         arr = arr.base
-    assert isinstance(arr, memoryview) and isinstance(arr.obj, mmap.mmap)
-    return arr.obj
+    assert isinstance(arr, mmap.mmap)
+    return arr
