@@ -11,6 +11,7 @@ record-level failures were skipped under ``--keep-going``.
 """
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring, encode_basestring_ascii
@@ -301,10 +302,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser ``main`` uses: built on its first call, then kept for the process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         if exc.code in (None, 0):
             raise

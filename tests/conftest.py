@@ -110,6 +110,10 @@ def corrupt_cache(path, kind):
         blob = blob[:matrix_at] + struct.pack("<d", 2.0) + blob[matrix_at + 8:]
     elif kind == "no columns":
         blob = EMBEDDING_MAGIC + struct.pack("<HII", EMBEDDING_VERSION, 2, 0)
+    elif kind == "length into values":  # the last text claims 4 bytes of the value block
+        blob = blob.replace(pack_string("b?"), struct.pack("<I", 6) + b"b?")
+    elif kind == "section ends early":  # the last text leaves 1 byte before the value block
+        blob = blob.replace(pack_string("b?"), struct.pack("<I", 1) + b"b?")
     else:  # "version 9"
         blob = blob[:4] + struct.pack("<H", 9) + blob[6:]
     path.write_bytes(blob)
@@ -120,6 +124,8 @@ CACHE_FAULTS = {  # kind: (exception type, message after the path)
     "norm 2": (InvalidInputError, "column 0 has norm 2.0, expected 1 within 1e-09"),
     "no columns": (ShapeError, "matrix must have at least one row and one column"),
     "version 9": (ParseError, "unsupported version 9, expected 2"),
+    "length into values": (ParseError, "truncated while reading record 1: values"),
+    "section ends early": (ParseError, "1 trailing bytes after last record"),
 }
 
 

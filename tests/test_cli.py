@@ -65,6 +65,30 @@ def test_cli_surface_is_pinned():
     assert surface == CLI_SURFACE
 
 
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()
+
+
+def test_flags_do_not_carry_over_between_main_calls(tmp_path, corpus_file, query_file):
+    # ``main`` keeps one parser per process; each call still starts from the defaults.
+    cache = _build(tmp_path, corpus_file)
+    out, stats = tmp_path / "bqd.jsonl", tmp_path / "stats.json"
+    gen_bq = ["gen-bq", "--dict", cache, "--queries", query_file, "--out", out]
+    configs = []
+    for flags in (["--exclude-exact", "--keep-going"], []):
+        assert run(gen_bq + flags) == EXIT_OK
+        config = json.loads((tmp_path / "bqd.jsonl.manifest.json").read_text())["config"]
+        configs.append((config["exclude_exact"], config["keep_going"]))
+    assert configs == [(True, True), (False, False)]
+    reports = []
+    for flags in (["--candidates"], []):
+        assert run(["stats", "--bqd", out, "--out", stats] + flags) == EXIT_OK
+        manifest = json.loads((tmp_path / "stats.json.manifest.json").read_text())
+        reports.append((manifest["config"]["candidates"], "candidates" in json.loads(
+            stats.read_text())))
+    assert reports == [(True, True), (False, False)]
+
+
 def test_build_dict_reports_columns(tmp_path, corpus_file, capsys):
     out = tmp_path / "dict.bin"
     assert run(["build-dict", corpus_file, "--out", out]) == EXIT_OK

@@ -1,6 +1,7 @@
 """The package imports nothing but numpy and the standard library, its
-sources parse under the declared Python floor, and its value types are
-checked tuples rather than generated classes, whose configs write as JSON."""
+sources parse under the declared Python floor, a cold import builds no
+CLI parser, and its value types are checked tuples rather than generated
+classes, whose configs write as JSON."""
 
 import ast
 import json
@@ -57,6 +58,20 @@ def test_import_loads_its_modules_and_no_dataclasses():
                          text=True, check=True, timeout=60).stdout.splitlines()
     assert out == ["False", str(["coattention", "dictionary", "errors", "fileformats",
                                  "generator", "immutable", "policy", "solver", "vqa_metric"])]
+
+
+def test_import_builds_no_argument_parser():
+    # A fresh process: the CLI's parser is built on the first ``main`` call,
+    # once, so a cold import does not pay for it.
+    code = ("import argparse; built = []; init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k): built.append(1); init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import basiq, basiq.cli; print(len(built))\n"
+            "for _ in range(2): basiq.cli.main(['stats']); print(len(built))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.split()
+    assert out[0] == "0" and out[1] == out[2] != "0"
 
 
 def _dictionary():

@@ -15,11 +15,15 @@ from basiq.dictionary import (
     normalize_question_text,
     save_dictionary_cache,
 )
-from basiq.errors import InvalidInputError, ParseError, ShapeError
+from basiq import fileformats
+from basiq.errors import BasiqError, InvalidInputError, ParseError, ShapeError
 from basiq.fileformats import QuestionRecord, load_embeddings
 from basiq.generator import generate_batch
 
-from conftest import CACHE_FAULTS, corrupt_cache, mapping_of, question_records, unit_columns
+from conftest import (
+    CACHE_FAULTS, corrupt_cache, mapping_of, needs_fifo, question_records, read_through_pipe,
+    unit_columns,
+)
 
 
 def test_duplicate_normalized_text_collapses():
@@ -206,6 +210,49 @@ def test_cache_faults_name_the_file(tmp_path, kind):
     with pytest.raises(error) as info:
         load_dictionary_cache(path)
     assert type(info.value) is error and str(info.value) == f"{path}: {message}"
+
+
+@needs_fifo
+@pytest.mark.parametrize("kind", [None, *CACHE_FAULTS], ids=["intact", *CACHE_FAULTS])
+def test_cache_file_and_pipe_read_alike(tmp_path, kind):
+    # A regular file's strings are read in one call and walked in memory, a
+    # pipe's one at a time: both give the same dictionary, or the same fault.
+    path = tmp_path / "dict.bin"
+    if kind is None:
+        save_dictionary_cache(Dictionary(np.eye(2), ("a", "b"), ("a?", "b?")), path)
+    else:
+        corrupt_cache(path, kind)
+
+    def outcome(read, where):
+        try:
+            d = read()
+        except BasiqError as exc:
+            return type(exc), str(exc).removeprefix(f"{where}: ")
+        return d.ids, d.texts, d.matrix.tobytes()
+
+    from_file = outcome(lambda: load_dictionary_cache(path), path)
+    from_pipe = outcome(lambda: read_through_pipe(tmp_path, path.read_bytes(),
+                                                  load_dictionary_cache),
+                        tmp_path / "input.fifo")
+    assert from_pipe == from_file
+    assert (kind is None) == (len(from_file) == 3)
+
+
+def test_regular_cache_reads_its_strings_in_one_call(tmp_path, monkeypatch):
+    # Multi-byte and longer-than-one-read texts are walked in memory: the
+    # per-string reader, kept for pipes and faulty files, is never called.
+    texts = ("caf\u00e9 \u2603?", "x" * (fileformats._CHUNK + 5) + "?", "\U0001f600?")
+    d = Dictionary(np.eye(3), ("a", "\u00df", "c"), texts)
+    path = tmp_path / "dict.bin"
+    save_dictionary_cache(d, path)
+
+    def refuse(*args):
+        raise AssertionError("read a string at a time")
+
+    monkeypatch.setattr(fileformats, "_read_string", refuse)
+    loaded = load_dictionary_cache(path)
+    assert (loaded.ids, loaded.texts) == (d.ids, d.texts)
+    assert loaded.matrix.tobytes() == d.matrix.tobytes()
 
 
 def test_empty_input_rejected():

@@ -219,6 +219,24 @@ def _read_lines(path):
     return lines
 
 
+def _reference_fields(line, seen, path, lineno):
+    """Split one text record and check everything but its values."""
+    fields = line.split("\t")
+    if len(fields) != 3:
+        raise ParseError(
+            f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
+        )
+    rec_id, text, _ = fields
+    if not rec_id:
+        raise ParseError(f"{path}: line {lineno}: empty id")
+    if rec_id in seen:
+        raise ParseError(f"{path}: line {lineno}: duplicate id {rec_id!r}")
+    seen.add(rec_id)
+    if not text.strip():
+        raise ParseError(f"{path}: line {lineno}: empty text")
+    return fields
+
+
 def _reference_read_text(path):
     """The whole-file text reader written plainly: every line is read, then checked.
 
@@ -239,7 +257,7 @@ def _reference_read_text(path):
             f"{path}: header declares {count} records but file has {len(lines) - 1} lines"
         )
     seen = set()
-    records = [fileformats._record_fields(line, seen, path, lineno)
+    records = [_reference_fields(line, seen, path, lineno)
                for lineno, line in enumerate(lines[1:], start=2)]
     values = fileformats._parse_rows([rec[2] for rec in records], dim, path, 2)
     return [(rec_id, text, vec) for (rec_id, text, _), vec in zip(records, values)]
@@ -298,6 +316,13 @@ def _diff_case(case, seed):
     elif kind == "value then field":
         body[at // 2] = _VALUE_FAULTS["bad token"](body[at // 2])
         body[at // 2 + 300] = _FIELD_FAULTS["empty id"](body[at // 2 + 300])
+    elif kind in ("empty id then fields", "duplicate id then fields", "fields then empty text"):
+        first, then = kind.split(" then ")  # two faults, 299 lines apart
+        faults = dict(_FIELD_FAULTS, fields=_FIELD_FAULTS["four fields"],
+                      **{"duplicate id": lambda line: "q0" + line[line.index("\t"):]})
+        i = 1 + at // 2
+        body[i] = faults[first](body[i])
+        body[i + 299] = faults[then](body[i + 299])
     elif kind == "field then utf-8":
         body[3] = _FIELD_FAULTS["four fields"](body[3])
         splice = 20025
@@ -323,6 +348,7 @@ _DIFF_CASES = [
     "count low", "count high", "huge count", "huge dim", "value then count", "value then field",
     "utf-8", "field then utf-8", "header then utf-8", "count then utf-8",
     "duplicate id", *_FIELD_FAULTS,
+    "empty id then fields", "duplicate id then fields", "fields then empty text",
     *[f"{kind}@{line}" for kind in _VALUE_FAULTS for line in (2, 256, 257, 258, 513, 514, 601)],
 ]
 
