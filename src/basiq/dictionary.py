@@ -4,9 +4,9 @@ Duplicate questions are collapsed before the matrix is built, and each
 surviving embedding is scaled to unit L2 norm.  The matrix is stored
 column-major, so its transpose is the C-contiguous ``count x dim`` value
 block of the cache, a binary embedding file of the columns.  The matrix
-of a built dictionary, or of one loaded from a regular file, lives in an
-anonymous mapping of its own, which goes back to the operating system as
-soon as the dictionary is dropped.  A built dictionary is a checked
+of a built dictionary, or of one loaded from a cache file or pipe, lives
+in an anonymous mapping of its own, which goes back to the operating
+system as soon as the dictionary is dropped.  A built dictionary is a checked
 tuple of read-only arrays and tuples, immutable and safe to share across
 concurrent solves.  On its first solve it also builds ``search_matrix``,
 a float32 copy of the matrix from which the solver places path events;

@@ -31,14 +31,14 @@ Text files stream as lines ending at "\n", "\r\n" or a lone "\r", each
 decoded as UTF-8 with its end, so invalid UTF-8 is met in file order and
 raises the error a whole-file decode gives.  The text embedding reader's
 peak memory is the vectors, ids and texts plus one block of lines, not
-the whole text, unless every line ends at a lone "\r".  The binary reader
-reads a regular file's ids and texts in one call and walks them in
-memory (a pipe's it reads one at a time), then reads the value block
-straight into its own array, so its peak memory is that array, the
-strings and the bytes they were read from.  Only a regular file's size
-lets its header size an allocation.  Such a header-sized value block
-lives in an anonymous mapping of its own, which goes back to the
-operating system as soon as the last array viewing it is dropped.
+the whole text, unless every line ends at a lone "\r"; only a regular
+file's size lets its header size an allocation.  The binary reader reads
+a pipe to its end once, and its bytes stand in for the file, so both take
+one path that checks every length and the header against the bytes that
+are there.  It walks the ids and texts in memory and reads the value block
+straight into its own array.  Each header-sized value block lives in an
+anonymous mapping of its own, which goes back to the operating system as
+soon as the last array viewing it is dropped.
 """
 
 import contextlib
@@ -47,6 +47,7 @@ import json
 import mmap
 import os
 import re
+import shutil
 import stat
 import struct
 import warnings
@@ -62,7 +63,6 @@ EMBEDDING_VERSION = 2
 _HEADER_RE = re.compile(r"^dim=([0-9]+) count=([0-9]+)$")
 _FIELD_BREAK_RE = re.compile(r"[\t\n\r]")
 _BLOCK = 256  # text embedding lines converted per np.loadtxt call
-_CHUNK = 1 << 16  # most bytes a binary read asks for at once when a length comes from the file
 _U32 = struct.Struct("<I")
 _raw_decode = json.JSONDecoder().raw_decode
 # Where the platform has it, MAP_POPULATE has the kernel fill a new block's
@@ -268,23 +268,13 @@ def _string_fault(path, m, before, after):
     return ParseError(f"{path}: {before}record {m // 2}: {('id', 'text')[m % 2]}{after}")
 
 
-def _read_upto(fh, n):
-    """Up to ``n`` bytes of ``fh``, fewer only at end of file, read in steps
-    of at most ``_CHUNK`` bytes: a length taken from the file allocates
-    no more than the bytes that arrive."""
-    buf = bytearray()
-    while len(buf) < n and (part := fh.read(min(n - len(buf), _CHUNK))):
-        buf += part
-    return buf
-
-
-def _read_string(fh, path, m):
-    """String ``m`` of the binary layout, read from ``fh``."""
+def _read_string(fh, path, m, end):
+    """String ``m`` of the binary layout, read from ``fh``, which ends at ``end``."""
     head = fh.read(4)
     if len(head) < 4:
         raise _string_fault(path, m, "truncated while reading ", " length")
     (n,) = _U32.unpack(head)
-    raw = fh.read(n) if n <= _CHUNK else _read_upto(fh, n)
+    raw = fh.read(n) if n <= end - fh.tell() else b""  # a length past the end reads nothing
     if len(raw) < n:
         raise _string_fault(path, m, "truncated while reading ", "")
     try:
@@ -293,18 +283,15 @@ def _read_string(fh, path, m):
         raise _string_fault(path, m, "", f": {exc}") from None
 
 
-def _section_strings(fh, count, dim):
-    """The ``2 * count`` ids and texts of a regular binary file, read from
-    ``fh`` in one call and walked in memory, leaving ``fh`` at the value
-    block; None, with ``fh`` where it was, when the file is not regular or
-    its string lengths do not add up to exactly the bytes before the
-    ``count x dim`` value block, or a string is not UTF-8.
+def _section_strings(fh, count, dim, end):
+    """The ``2 * count`` ids and texts of a binary file that ends at ``end``,
+    read from ``fh`` in one call and walked in memory, leaving ``fh`` at the
+    value block; None, with ``fh`` where it was, when their lengths do not
+    add up to exactly the bytes before the ``count x dim`` value block, or
+    a string is not UTF-8.
     """
-    st = os.fstat(fh.fileno())
-    if not (stat.S_ISREG(st.st_mode) and count):
-        return None
-    start = fh.tell()  # a pipe cannot tell
-    size = st.st_size - start - 8 * count * dim  # the string section, if the header is right
+    start = fh.tell()
+    size = end - start - 8 * count * dim  # the string section, if the header is right
     if size < 8 * count:
         return None
     # One byte of the value block more, so a length running past the section shows.
@@ -321,51 +308,24 @@ def _section_strings(fh, count, dim):
     return strings
 
 
-def _read_values(fh, count, dim, path):
-    """The ``(count, dim)`` little-endian float64 block that ends binary file
-    ``path``, read from ``fh`` into an array of its own.
-
-    Only a regular file with room for the block lets the header size the
-    array, a mapping of its own that the block is then read straight
-    into; otherwise (a pipe, or a file shorter than its header claims) the
-    bytes are kept as they arrive.
-    """
-    nbytes = 8 * dim * count
-    st = os.fstat(fh.fileno())
-    if stat.S_ISREG(st.st_mode) and st.st_size - fh.tell() >= nbytes:
-        values = _block(count, dim).view("<f8")
-        got = fh.readinto(values.reshape(-1).view(np.uint8))  # fills it unless the file ends
-    else:  # a bytearray is malloc'd, so its values are aligned, and writable
-        raw = _read_upto(fh, nbytes)
-        got = len(raw)
-        values = np.frombuffer(raw, dtype="<f8", count=got // 8)
-    if got < nbytes:
-        raise ParseError(f"{path}: truncated while reading record {got // (8 * dim)}: values")
-    trailing = sum(map(len, iter(lambda: fh.read(_CHUNK), b"")))
-    if trailing:
-        raise ParseError(f"{path}: {trailing} trailing bytes after last record")
-    return values.reshape(count, dim)
-
-
 def read_binary(fh, path):
     """The ids, texts and ``(count, dim)`` float64 values of the binary file
     ``path``, read from its open handle ``fh``; the values are a new,
     aligned, writable array.
 
-    A regular file's ids and texts, the bytes between the header and the
-    value block, are read in one call and walked in memory, and the value
-    block straight into its array.  So a regular file's peak memory is
-    that array, the strings and their bytes (about 0.2 MB at 4,096
-    columns).  The array is a mapping of its own, returned to the
-    operating system when the last view of it is dropped.  A pipe, or a
-    file whose string lengths do not add up to exactly that section, is
-    walked one string at a time, as it arrives; only a regular file large
-    enough for the block lets the header size the array.
+    A pipe is read to its end once, and its bytes stand in for the file,
+    so a regular file and a pipe take one path, on which every length and
+    the header are checked against the bytes that are there before they
+    size anything.  The ids and texts, the bytes between the header and
+    the value block, are read in one call and walked in memory, and the
+    value block straight into its array, a mapping of its own that goes
+    back to the operating system when the last view of it is dropped.  So
+    the peak memory is that array, the strings and their bytes (about
+    0.2 MB at 4,096 columns), and on a pipe the whole file's bytes too.
 
     Faults come in file order, and every id and text is checked before
     any value is: a truncated field and invalid UTF-8 name the record and
-    the field they were met in.  Only the one-string-at-a-time walk
-    names them.
+    the field they were met in, found by a walk one string at a time.
     """
     head = fh.read(14)
     size = len(head)
@@ -383,12 +343,29 @@ def read_binary(fh, path):
     dim, count = struct.unpack_from("<II", head, 6)
     if dim < 1:
         raise ParseError(f"{path}: dim must be >= 1")
-    strings = _section_strings(fh, count, dim)
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode):
+        end = st.st_size
+    else:  # a pipe: its bytes, copied to the end once, stand in for the file
+        fh, pipe = io.BytesIO(), fh
+        shutil.copyfileobj(pipe, fh)
+        end = fh.tell()
+        fh.seek(0)
+    strings = _section_strings(fh, count, dim, end)
     if strings is None:
-        strings = [_read_string(fh, path, m) for m in range(2 * count)]
+        strings = [_read_string(fh, path, m, end) for m in range(2 * count)]
     ids, texts = strings[::2], strings[1::2]
     _check_records(ids, texts, "%s: record %d", path, 0)
-    values = _read_values(fh, count, dim, path)
+    nbytes = 8 * count * dim
+    left = end - fh.tell()
+    if left < nbytes:
+        raise ParseError(f"{path}: truncated while reading record {left // (8 * dim)}: values")
+    if left > nbytes:
+        raise ParseError(f"{path}: {left - nbytes} trailing bytes after last record")
+    values = _block(count, dim).view("<f8")
+    got = fh.readinto(values.reshape(-1).view(np.uint8))
+    if got < nbytes:  # the file shrank while it was read
+        raise ParseError(f"{path}: truncated while reading record {got // (8 * dim)}: values")
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise ParseError(f"{path}: record {bad[0]}: non-finite value")

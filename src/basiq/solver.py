@@ -309,27 +309,25 @@ def _homotopy(a, search, b, corr, lam_cur, lam, config):
                     times[j] = np.inf  # until this step's event changes the active set
                     continue
             break
+        if event == "target":
+            if idx.size:
+                x[idx] = np.linalg.solve(gram, cols.T @ b - lam * signs)
+            break
         if idx.size:
             x[idx] = xs + t * d
         lam_cur -= t
         if t > 0:
             left.clear()
 
-        if event == "target":
-            if idx.size:
-                x[idx] = np.linalg.solve(gram, cols.T @ b - lam * signs)
+        if event == "drop":
+            left.append((k, 0 if sign[k] > 0 else 1))
+            sign[k] = x[k] = 0.0
+            active[k] = False
         else:
-            if event == "drop":
-                left.append((k, 0 if sign[k] > 0 else 1))
-                sign[k] = x[k] = 0.0
-                active[k] = False
-            else:
-                sign[j] = 1.0 if side == 0 else -1.0
-                active[j] = True
-            idx = active.nonzero()[0]
-            cols, signs = a[:, idx], sign[idx]
-        if event == "target":
-            break
+            sign[j] = 1.0 if side == 0 else -1.0
+            active[j] = True
+        idx = active.nonzero()[0]
+        cols, signs = a[:, idx], sign[idx]
         corr -= t * slope
 
     r = b - cols @ x[idx]

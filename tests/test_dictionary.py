@@ -215,8 +215,8 @@ def test_cache_faults_name_the_file(tmp_path, kind):
 @needs_fifo
 @pytest.mark.parametrize("kind", [None, *CACHE_FAULTS], ids=["intact", *CACHE_FAULTS])
 def test_cache_file_and_pipe_read_alike(tmp_path, kind):
-    # A regular file's strings are read in one call and walked in memory, a
-    # pipe's one at a time: both give the same dictionary, or the same fault.
+    # A pipe is read to its end and its bytes stand in for the file, so both
+    # take one path: they give the same dictionary, or the same fault.
     path = tmp_path / "dict.bin"
     if kind is None:
         save_dictionary_cache(Dictionary(np.eye(2), ("a", "b"), ("a?", "b?")), path)
@@ -239,9 +239,9 @@ def test_cache_file_and_pipe_read_alike(tmp_path, kind):
 
 
 def test_regular_cache_reads_its_strings_in_one_call(tmp_path, monkeypatch):
-    # Multi-byte and longer-than-one-read texts are walked in memory: the
-    # per-string reader, kept for pipes and faulty files, is never called.
-    texts = ("caf\u00e9 \u2603?", "x" * (fileformats._CHUNK + 5) + "?", "\U0001f600?")
+    # Multi-byte texts and one longer than 64 KiB are walked in memory: the
+    # per-string reader, kept to name a faulty file's first fault, is never called.
+    texts = ("caf\u00e9 \u2603?", "x" * ((1 << 16) + 5) + "?", "\U0001f600?")
     d = Dictionary(np.eye(3), ("a", "\u00df", "c"), texts)
     path = tmp_path / "dict.bin"
     save_dictionary_cache(d, path)
@@ -393,14 +393,37 @@ def test_cache_load_peak_memory_is_one_value_block(tmp_path, block_bytes):
     assert peak + sum(block_bytes) < 1.5 * d.matrix.nbytes
 
 
-@pytest.mark.parametrize("source", ["built", "loaded"])
+@needs_fifo
+def test_piped_cache_load_peak_memory(tmp_path, block_bytes):
+    # A pipe is copied to its end before its value block is read into the
+    # matrix, so the file's bytes (1.09 blocks) add to the peak.
+    rng = np.random.default_rng(4096)
+    d = build_dictionary(question_records(rng.standard_normal((64, 4096))))
+    path = tmp_path / "dict.bin"
+    save_dictionary_cache(d, path)
+    data = path.read_bytes()
+    tracemalloc.start()
+    try:
+        loaded = read_through_pipe(tmp_path, data, load_dictionary_cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.matrix.tobytes() == d.matrix.tobytes()
+    assert block_bytes == [d.matrix.nbytes]
+    assert peak + sum(block_bytes) < 3 * d.matrix.nbytes
+
+
+@pytest.mark.parametrize("source", ["built", "loaded", pytest.param("piped", marks=needs_fifo)])
 def test_dropped_dictionary_unmaps_its_matrix(tmp_path, rng, source):
     # Nothing but the dictionary views its matrix's mapping, so dropping the
     # dictionary returns the memory at once, with no garbage collection.
     d = build_dictionary(question_records(unit_columns(rng, 8, 5)))
-    if source == "loaded":
+    if source != "built":
         save_dictionary_cache(d, tmp_path / "dict.bin")
+    if source == "loaded":
         d = load_dictionary_cache(tmp_path / "dict.bin")
+    elif source == "piped":
+        d = read_through_pipe(tmp_path, (tmp_path / "dict.bin").read_bytes(), load_dictionary_cache)
     mapping = weakref.ref(mapping_of(d.matrix))
     del d
     assert mapping() is None

@@ -643,7 +643,8 @@ _HOSTILE_BINARY = {  # kind: (header dim and count, bytes after the header, faul
 @pytest.mark.parametrize("kind", list(_HOSTILE_BINARY))
 def test_binary_header_sizes_no_allocation(tmp_path, kind, source, block_bytes):
     # A header or length prefix the bytes cannot back allocates nothing of its
-    # size: the reader keeps what arrives and fails as a short regular file does.
+    # size: every bound is checked against the bytes that are there, so a pipe
+    # fails as a short regular file does.
     (dim, count), body, fault = _HOSTILE_BINARY[kind]
     data = (fileformats.EMBEDDING_MAGIC
             + struct.pack("<HII", fileformats.EMBEDDING_VERSION, dim, count) + body)
