@@ -35,10 +35,11 @@ the whole text, unless every line ends at a lone "\r"; only a regular
 file's size lets its header size an allocation.  The binary reader reads
 a pipe to its end once, and its bytes stand in for the file, so both take
 one path that checks every length and the header against the bytes that
-are there.  It walks the ids and texts in memory and reads the value block
-straight into its own array.  Each header-sized value block lives in an
-anonymous mapping of its own, which goes back to the operating system as
-soon as the last array viewing it is dropped.
+are there before it reads what they size.  It reads the ids and texts one
+at a time and the value block straight into its own array.  Each
+header-sized value block lives in an anonymous mapping of its own, which
+goes back to the operating system as soon as the last array viewing it is
+dropped.
 """
 
 import contextlib
@@ -268,43 +269,27 @@ def _string_fault(path, m, before, after):
     return ParseError(f"{path}: {before}record {m // 2}: {('id', 'text')[m % 2]}{after}")
 
 
-def _read_string(fh, path, m, end):
-    """String ``m`` of the binary layout, read from ``fh``, which ends at ``end``."""
-    head = fh.read(4)
-    if len(head) < 4:
-        raise _string_fault(path, m, "truncated while reading ", " length")
-    (n,) = _U32.unpack(head)
-    raw = fh.read(n) if n <= end - fh.tell() else b""  # a length past the end reads nothing
-    if len(raw) < n:
-        raise _string_fault(path, m, "truncated while reading ", "")
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _string_fault(path, m, "", f": {exc}") from None
-
-
-def _section_strings(fh, count, dim, end):
-    """The ``2 * count`` ids and texts of a binary file that ends at ``end``,
-    read from ``fh`` in one call and walked in memory, leaving ``fh`` at the
-    value block; None, with ``fh`` where it was, when their lengths do not
-    add up to exactly the bytes before the ``count x dim`` value block, or
-    a string is not UTF-8.
-    """
-    start = fh.tell()
-    size = end - start - 8 * count * dim  # the string section, if the header is right
-    if size < 8 * count:
-        return None
-    # One byte of the value block more, so a length running past the section shows.
-    section = io.BytesIO(fh.read(size + 1))
-    read, unpack = section.read, _U32.unpack
-    try:
-        strings = [read(*unpack(read(4))).decode("utf-8") for _ in range(2 * count)]
-    except (struct.error, UnicodeDecodeError):
-        strings = None
-    if strings is None or section.tell() != size:
-        fh.seek(start)
-        return None
-    fh.seek(start + size)
+def _read_strings(fh, path, count, end):
+    """The ``2 * count`` ids and texts of the binary file ``path``, read from
+    ``fh`` one at a time, leaving ``fh`` at the value block.  A length
+    prefix running past ``end``, where ``fh`` ends, reads nothing, so a
+    header or length the bytes cannot back sizes no read."""
+    read, unpack = fh.read, _U32.unpack
+    at = fh.tell()  # where the strings read so far end
+    strings = []
+    for m in range(2 * count):
+        head = read(4)
+        if len(head) < 4:
+            raise _string_fault(path, m, "truncated while reading ", " length")
+        (n,) = unpack(head)
+        at += 4 + n
+        raw = read(n) if at <= end else b""
+        if len(raw) < n:  # past the end, or the file shrank
+            raise _string_fault(path, m, "truncated while reading ", "")
+        try:
+            strings.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise _string_fault(path, m, "", f": {exc}") from None
     return strings
 
 
@@ -316,16 +301,15 @@ def read_binary(fh, path):
     A pipe is read to its end once, and its bytes stand in for the file,
     so a regular file and a pipe take one path, on which every length and
     the header are checked against the bytes that are there before they
-    size anything.  The ids and texts, the bytes between the header and
-    the value block, are read in one call and walked in memory, and the
-    value block straight into its array, a mapping of its own that goes
-    back to the operating system when the last view of it is dropped.  So
-    the peak memory is that array, the strings and their bytes (about
-    0.2 MB at 4,096 columns), and on a pipe the whole file's bytes too.
+    size a read or an allocation.  The ids and texts are read one at a
+    time, and the value block straight into its array, a mapping of its
+    own that goes back to the operating system when the last view of it
+    is dropped.  So the peak memory is that array and the strings, and on
+    a pipe the whole file's bytes too.
 
     Faults come in file order, and every id and text is checked before
     any value is: a truncated field and invalid UTF-8 name the record and
-    the field they were met in, found by a walk one string at a time.
+    the field they were met in.
     """
     head = fh.read(14)
     size = len(head)
@@ -351,9 +335,7 @@ def read_binary(fh, path):
         shutil.copyfileobj(pipe, fh)
         end = fh.tell()
         fh.seek(0)
-    strings = _section_strings(fh, count, dim, end)
-    if strings is None:
-        strings = [_read_string(fh, path, m, end) for m in range(2 * count)]
+    strings = _read_strings(fh, path, count, end)
     ids, texts = strings[::2], strings[1::2]
     _check_records(ids, texts, "%s: record %d", path, 0)
     nbytes = 8 * count * dim

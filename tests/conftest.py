@@ -98,6 +98,14 @@ def question_records(vectors, prefix="q"):
     ]
 
 
+def qemb_bytes(dim, count, strings=(), tail=b""):
+    """The bytes of a ``QEMB`` file: its header declaring ``dim`` and
+    ``count``, each of ``strings`` as a uint32 length and UTF-8 bytes, then
+    ``tail`` (the value block, or anything else) as it is."""
+    return (EMBEDDING_MAGIC + struct.pack("<HII", EMBEDDING_VERSION, dim, count)
+            + b"".join(map(pack_string, strings)) + tail)
+
+
 def corrupt_cache(path, kind):
     """Save a valid 2-column cache at ``path``, then break it as ``kind`` says."""
     d = Dictionary(matrix=np.eye(2), ids=("a", "b"), texts=("a?", "b?"))
@@ -109,7 +117,7 @@ def corrupt_cache(path, kind):
         matrix_at = len(blob) - 8 * 2 * 2
         blob = blob[:matrix_at] + struct.pack("<d", 2.0) + blob[matrix_at + 8:]
     elif kind == "no columns":
-        blob = EMBEDDING_MAGIC + struct.pack("<HII", EMBEDDING_VERSION, 2, 0)
+        blob = qemb_bytes(2, 0)
     elif kind == "length into values":  # the last text claims 4 bytes of the value block
         blob = blob.replace(pack_string("b?"), struct.pack("<I", 6) + b"b?")
     elif kind == "section ends early":  # the last text leaves 1 byte before the value block

@@ -15,7 +15,6 @@ from basiq.dictionary import (
     normalize_question_text,
     save_dictionary_cache,
 )
-from basiq import fileformats
 from basiq.errors import BasiqError, InvalidInputError, ParseError, ShapeError
 from basiq.fileformats import QuestionRecord, load_embeddings
 from basiq.generator import generate_batch
@@ -238,19 +237,18 @@ def test_cache_file_and_pipe_read_alike(tmp_path, kind):
     assert (kind is None) == (len(from_file) == 3)
 
 
-def test_regular_cache_reads_its_strings_in_one_call(tmp_path, monkeypatch):
-    # Multi-byte texts and one longer than 64 KiB are walked in memory: the
-    # per-string reader, kept to name a faulty file's first fault, is never called.
+@pytest.mark.parametrize("source", ["file", pytest.param("pipe", marks=needs_fifo)])
+def test_cache_round_trips_multibyte_and_long_strings(tmp_path, source):
+    # Multi-byte ids and texts, and one text longer than 64 KiB, come back as
+    # written, from a file and from a pipe.
     texts = ("caf\u00e9 \u2603?", "x" * ((1 << 16) + 5) + "?", "\U0001f600?")
-    d = Dictionary(np.eye(3), ("a", "\u00df", "c"), texts)
+    d = Dictionary(np.eye(3), ("a", "\u00df", "\u6f22"), texts)
     path = tmp_path / "dict.bin"
     save_dictionary_cache(d, path)
-
-    def refuse(*args):
-        raise AssertionError("read a string at a time")
-
-    monkeypatch.setattr(fileformats, "_read_string", refuse)
-    loaded = load_dictionary_cache(path)
+    if source == "file":
+        loaded = load_dictionary_cache(path)
+    else:
+        loaded = read_through_pipe(tmp_path, path.read_bytes(), load_dictionary_cache)
     assert (loaded.ids, loaded.texts) == (d.ids, d.texts)
     assert loaded.matrix.tobytes() == d.matrix.tobytes()
 

@@ -10,14 +10,21 @@ import numpy as np
 import pytest
 
 from basiq import fileformats
-from basiq.dictionary import build_dictionary, load_dictionary_cache, save_dictionary_cache
-from basiq.errors import InvalidInputError, ParseError
+from basiq.dictionary import (
+    Dictionary,
+    build_dictionary,
+    load_dictionary_cache,
+    save_dictionary_cache,
+)
+from basiq.errors import BasiqError, InvalidInputError, ParseError, ShapeError
 
 from conftest import (
     mapping_of,
     needs_fifo,
+    qemb_bytes,
     question_records,
     read_through_pipe,
+    unit_columns,
     write_old_binary_files,
 )
 
@@ -574,8 +581,7 @@ def test_binary_version_check(tmp_path):
 
 def test_binary_dim_zero_rejected(tmp_path):
     path = tmp_path / "dim0.bin"
-    path.write_bytes(fileformats.EMBEDDING_MAGIC
-                     + struct.pack("<HII", fileformats.EMBEDDING_VERSION, 0, 0))
+    path.write_bytes(qemb_bytes(0, 0))
     with pytest.raises(ParseError) as info:
         fileformats.load_embeddings(path)
     assert str(info.value) == f"{path}: dim must be >= 1"
@@ -646,8 +652,7 @@ def test_binary_header_sizes_no_allocation(tmp_path, kind, source, block_bytes):
     # size: every bound is checked against the bytes that are there, so a pipe
     # fails as a short regular file does.
     (dim, count), body, fault = _HOSTILE_BINARY[kind]
-    data = (fileformats.EMBEDDING_MAGIC
-            + struct.pack("<HII", fileformats.EMBEDDING_VERSION, dim, count) + body)
+    data = qemb_bytes(dim, count, tail=body)
     if source == "file":
         path = tmp_path / "hostile.bin"
         path.write_bytes(data)
@@ -665,6 +670,158 @@ def test_binary_header_sizes_no_allocation(tmp_path, kind, source, block_bytes):
     assert str(info.value) == f"{path}: truncated while reading {fault}"
     assert peak < 1 << 20
     assert all(size <= 1 << 20 for size in block_bytes)
+
+
+@pytest.mark.parametrize("source", ["file", pytest.param("pipe", marks=needs_fifo)])
+def test_binary_long_tail_is_rejected_unread(tmp_path, source, block_bytes):
+    # One record and a 20 MiB tail: the strings are read one at a time, so
+    # the tail is measured, not read, before it is rejected.  A pipe is
+    # copied to its end first, so only the file read is bounded.
+    data = qemb_bytes(2, 1, ["a", "a?"], bytes(16 + (20 << 20)))
+    if source == "file":
+        path = tmp_path / "tail.bin"
+        path.write_bytes(data)
+        read = lambda: fileformats.load_embeddings(path)
+    else:
+        path = tmp_path / "input.fifo"
+        read = lambda: read_through_pipe(tmp_path, data, fileformats.load_embeddings)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            read()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{path}: 20971520 trailing bytes after last record"
+    if source == "file":
+        assert peak + sum(block_bytes) < 1 << 20
+
+
+def _reference_read_binary(path):
+    """The binary reader written plainly: the whole file's bytes are read,
+    then walked.
+
+    An oracle for ``read_binary``: the same ids, texts and values, or the
+    same exception type and message.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    magic, version = fileformats.EMBEDDING_MAGIC, fileformats.EMBEDDING_VERSION
+    if len(data) < 4:
+        raise ParseError(f"{path}: truncated while reading magic")
+    if data[:4] != magic:
+        raise ParseError(f"{path}: bad magic {data[:4]!r}, expected {magic!r}")
+    if len(data) < 6:
+        raise ParseError(f"{path}: truncated while reading version")
+    (got,) = struct.unpack_from("<H", data, 4)
+    if got != version:
+        raise ParseError(f"{path}: unsupported version {got}, expected {version}")
+    if len(data) < 14:
+        raise ParseError(f"{path}: truncated while reading header")
+    dim, count = struct.unpack_from("<II", data, 6)
+    if dim < 1:
+        raise ParseError(f"{path}: dim must be >= 1")
+    at, strings = 14, []
+    for m in range(2 * count):
+        field = f"record {m // 2}: {('id', 'text')[m % 2]}"
+        if len(data) - at < 4:
+            raise ParseError(f"{path}: truncated while reading {field} length")
+        (n,) = struct.unpack_from("<I", data, at)
+        at += 4
+        if len(data) - at < n:
+            raise ParseError(f"{path}: truncated while reading {field}")
+        try:
+            strings.append(data[at:at + n].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {field}: {exc}") from None
+        at += n
+    ids, texts = strings[::2], strings[1::2]
+    seen = set()
+    for i, (rec_id, text) in enumerate(zip(ids, texts)):
+        if not rec_id:
+            raise ParseError(f"{path}: record {i}: empty id")
+        if rec_id in seen:
+            raise ParseError(f"{path}: record {i}: duplicate id {rec_id!r}")
+        seen.add(rec_id)
+        if not text.strip():
+            raise ParseError(f"{path}: record {i}: empty text")
+    left, nbytes = len(data) - at, 8 * count * dim
+    if left < nbytes:
+        raise ParseError(f"{path}: truncated while reading record {left // (8 * dim)}: values")
+    if left > nbytes:
+        raise ParseError(f"{path}: {left - nbytes} trailing bytes after last record")
+    values = np.frombuffer(data, "<f8", count * dim, at).reshape(count, dim)
+    for i, row in enumerate(values):
+        if not np.isfinite(row).all():
+            raise ParseError(f"{path}: record {i}: non-finite value")
+    return ids, texts, values
+
+
+def _reference_load_embeddings(path):
+    with open(path, "rb") as fh:
+        if fh.read(4) != fileformats.EMBEDDING_MAGIC:
+            return _reference_read_text(path)
+    return list(zip(*_reference_read_binary(path)))
+
+
+def _reference_load_cache(path):
+    ids, texts, values = _reference_read_binary(path)
+    try:
+        return Dictionary(matrix=values.T, ids=ids, texts=texts)
+    except (InvalidInputError, ShapeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _load_outcome(load, path):
+    """What ``load()`` gives: None and the ids, texts and value bits, or the
+    type and message of its fault, the message without its leading ``path``."""
+    try:
+        result = load()
+    except BasiqError as exc:
+        return type(exc), str(exc).removeprefix(f"{path}: ")
+    if isinstance(result, Dictionary):
+        return None, result.ids, result.texts, result.matrix.tobytes()
+    return None, [(rec_id, text, vec.tobytes()) for rec_id, text, vec in result]
+
+
+def _oracle_blobs(family):
+    """Broken copies of a 3-record cache with multi-byte strings: ``family``
+    is every truncation, 300 seeded single-byte flips, or appended tails."""
+    rng = np.random.default_rng(29)
+    strings = ["a", "caf\u00e9?", "\u00df", "b \u2603?", "\U0001f600", "c?"]
+    blob = qemb_bytes(4, 3, strings, unit_columns(rng, 4, 3).T.tobytes())
+    if family == "truncations":
+        return [blob[:cut] for cut in range(len(blob) + 1)]
+    if family == "flips":
+        flips = []
+        for at, byte in zip(rng.integers(len(blob), size=300), rng.integers(1, 256, size=300)):
+            flipped = bytearray(blob)
+            flipped[at] ^= int(byte)
+            flips.append(bytes(flipped))
+        return flips
+    return [blob + tail for tail in (b"\x00", b"\xff" * 7, bytes(32), qemb_bytes(4, 1),
+                                     bytes(70000))]
+
+
+@pytest.mark.parametrize("source", ["file", pytest.param("pipe", marks=needs_fifo)])
+@pytest.mark.parametrize("family", ["truncations", "flips", "tails"])
+def test_binary_reader_matches_whole_file_reference(tmp_path, family, source):
+    path, fifo = tmp_path / "emb.bin", tmp_path / "input.fifo"
+    seen = set()  # fault messages, and None for a load
+    for blob in _oracle_blobs(family):
+        path.write_bytes(blob)
+        for load, reference in ((fileformats.load_embeddings, _reference_load_embeddings),
+                                (load_dictionary_cache, _reference_load_cache)):
+            expected = _load_outcome(lambda: reference(path), path)
+            if source == "file":
+                got = _load_outcome(lambda: load(path), path)
+            else:
+                got = _load_outcome(lambda: read_through_pipe(tmp_path, blob, load), fifo)
+                fifo.unlink()
+            assert got == expected, blob
+            seen.add(expected[0] and expected[1])
+    # each family meets several faults; some truncations and flips still load
+    assert len(seen - {None}) >= 5 and (None in seen) == (family != "tails")
 
 
 @needs_fifo
