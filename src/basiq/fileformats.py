@@ -20,11 +20,15 @@ Fields come before values: a reader checks the structure of the whole
 file (headers, ids, texts, field counts, lengths), raising its first
 fault, before any bad value, where the first one wins.  Ids and texts
 are checked as whole lists, and walked one by one only to name the
-first fault of a list that fails.  Text values go
-through one ``np.loadtxt`` call per block of 256 lines of a text
-embedding file; rows it rejects or reads as non-finite are parsed again
-one at a time with ``float()``, which accepts every token ``loadtxt``
-does (with the same bits) and a few more, such as ``1_0``.
+first fault of a list that fails.  Text values are read with the bits
+``float()`` gives each token.  A block of 256 lines of a text embedding
+file, if ASCII without hex, is parsed in one ``np.fromstring`` call to
+long doubles, checked to hold ``dim`` finite values a line, and cast to
+float64; the few values that two roundings can get wrong (a long double
+exactly on a float64 midpoint) and values too small for that check are
+parsed again with ``float()``.  Any other block is parsed a row at a
+time with ``float()``, which names its first bad line and accepts tokens
+such as ``1_0``.
 
 Every reader opens its path once, so a named pipe works as a file does.
 Text files stream as lines ending at "\n", "\r\n" or a lone "\r", each
@@ -51,7 +55,7 @@ import re
 import shutil
 import stat
 import struct
-import warnings
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +67,8 @@ EMBEDDING_VERSION = 2
 
 _HEADER_RE = re.compile(r"^dim=([0-9]+) count=([0-9]+)$")
 _FIELD_BREAK_RE = re.compile(r"[\t\n\r]")
-_BLOCK = 256  # text embedding lines converted per np.loadtxt call
+_BLOCK = 256  # text embedding lines parsed per np.fromstring call
+_TINY = 2.0 ** -960  # below this, a residual cast to float64 can lose bits
 _U32 = struct.Struct("<I")
 _raw_decode = json.JSONDecoder().raw_decode
 # Where the platform has it, MAP_POPULATE has the kernel fill a new block's
@@ -115,24 +120,70 @@ def _parse_values(parts, dim, path, lineno):
     return vec
 
 
-def _parse_rows(rows, dim, path, first_lineno):
-    """The whitespace-separated values of ``rows`` as a ``(len(rows), dim)`` array.
+def _block_values(rows, dim):
+    """The values of ``rows`` as a ``(len(rows), dim)`` array with the bits
+    ``float()`` gives each token, parsed in one ``np.fromstring`` call to
+    long doubles, or None where that call cannot vouch for them.
 
-    One ``np.loadtxt`` call does the work for a block of text embedding
-    lines; if it fails, finds the wrong shape or reads a non-finite
-    value, the rows are parsed again one at a time, which raises the
-    error of the first bad line (line numbers start at ``first_lineno``)
-    or returns the values of tokens only ``float()`` accepts.
+    Only ASCII text without hex (``strtold`` reads it, ``float()`` does
+    not) is parsed, with an ``inf`` after each row.  A token ``strtold``
+    cannot read whole raises.  The last of each ``dim + 1`` values is set
+    to 1, and all must then be finite in float64, so every ``inf`` stood
+    there and each row held ``dim`` numbers.  Two roundings, to the long
+    double and then to float64, can differ from ``float()``'s one only
+    where the long double lies exactly on a float64 midpoint: half a
+    spacing from the result, or a quarter below a power of two, where the
+    spacing halves.  The residual, exact in float64 from ``_TINY`` up,
+    finds those tokens.  Each of them, and each nonzero value below
+    ``_TINY``, is parsed again with ``float()``.
     """
+    text = " inf ".join([*rows, ""])
+    if not text.isascii() or "x" in text or "X" in text:
+        return None
     try:
-        with warnings.catch_warnings():
-            # "input contained no data": blank rows are a value-count error.
-            warnings.simplefilter("error", UserWarning)
-            out = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
-        if out.shape == (len(rows), dim) and np.all(np.isfinite(out)):
-            return out
-    except (ValueError, UserWarning):
-        pass
+        wide = np.fromstring(text, np.longdouble, sep=" ")
+    except ValueError:
+        return None
+    del text  # the block's text is not held while the guard runs
+    width = dim + 1
+    if wide.size != len(rows) * width:
+        return None
+    wide = wide.reshape(len(rows), width)
+    wide[:, dim] = 1  # where each "inf" belongs; one anywhere else fails the check below
+    with np.errstate(over="ignore"):  # past float64's range is inf, as is DBL_MAX's spacing
+        out = wide.astype(np.float64)
+        if not np.isfinite(out).all():
+            return None
+        magnitude = np.abs(out)
+        redo = (magnitude < _TINY) & (wide != 0)  # a long double 0 is float()'s 0 too
+        wide -= out
+        residual = wide.astype(np.float64)  # exact where |out| >= _TINY
+        del wide
+        spacing = np.spacing(magnitude, out=magnitude)
+    np.abs(residual, out=residual)
+    residual *= 2
+    redo |= residual == spacing  # half a spacing off
+    residual *= 2
+    redo |= residual == spacing  # a quarter, below a power of two
+    for r in np.flatnonzero(redo.any(axis=1)).tolist():
+        flagged = redo[r]
+        out[r, flagged] = [float(token) for token in compress(rows[r].split(), flagged.tolist())]
+    return out[:, :dim]
+
+
+def _parse_rows(rows, dim, path, first_lineno):
+    """The whitespace-separated values of ``rows`` as a ``(len(rows), dim)``
+    array, each with the bits ``float()`` gives its token.
+
+    ``_block_values`` reads a block of text embedding lines in one call;
+    a block it cannot vouch for is parsed again a row at a time, which
+    raises the error of the first bad line (line numbers start at
+    ``first_lineno``) or returns the values of tokens only ``float()``
+    accepts, such as ``1_0``.
+    """
+    values = _block_values(rows, dim)
+    if values is not None:
+        return values
     # Stacked only once every row has parsed, so a header's dim sizes nothing.
     return np.array([_parse_values(row.split(), dim, path, first_lineno + i)
                      for i, row in enumerate(rows)])

@@ -1,10 +1,12 @@
 """Embedding and JSON-lines file format contracts."""
 
 import builtins
+import math
 import struct
 import tracemalloc
 import warnings
 import weakref
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -244,6 +246,21 @@ def _reference_fields(line, seen, path, lineno):
     return fields
 
 
+def _reference_values(row, dim, path, lineno):
+    """One record's values by the per-row rule: split at whitespace, check
+    the count, ``float()`` each token, then check that all are finite."""
+    parts = row.split()
+    if len(parts) != dim:
+        raise ParseError(f"{path}: line {lineno}: expected {dim} values, got {len(parts)}")
+    try:
+        values = [float(part) for part in parts]
+    except ValueError as exc:
+        raise ParseError(f"{path}: line {lineno}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise ParseError(f"{path}: line {lineno}: non-finite value")
+    return np.array(values, dtype=np.float64)
+
+
 def _reference_read_text(path):
     """The whole-file text reader written plainly: every line is read, then checked.
 
@@ -266,8 +283,8 @@ def _reference_read_text(path):
     seen = set()
     records = [_reference_fields(line, seen, path, lineno)
                for lineno, line in enumerate(lines[1:], start=2)]
-    values = fileformats._parse_rows([rec[2] for rec in records], dim, path, 2)
-    return [(rec_id, text, vec) for (rec_id, text, _), vec in zip(records, values)]
+    return [(rec_id, text, _reference_values(row, dim, path, lineno))
+            for lineno, (rec_id, text, row) in enumerate(records, start=2)]
 
 
 def _read_outcome(read, path):
@@ -375,6 +392,128 @@ def test_text_reader_matches_whole_file_reference(tmp_path, case, seed):
     expected = _read_outcome(_reference_read_text, path)
     assert _read_outcome(fileformats.load_embeddings, path) == expected
     assert isinstance(expected, list) == (case in ("clean", "CRLF", "lone CR", "no final newline"))
+
+
+def _midpoint_tokens(rng, count, exponents):
+    """``count`` seeded decimal tokens at or near float64 rounding midpoints.
+
+    Each is the exact midpoint between a float64 with a binary exponent in
+    ``exponents`` and its neighbour (a quarter of them just below a power
+    of two, where the spacing halves), moved by 0 or by 1e-17 to 1e-40 of
+    itself and printed with 17 to 45 significant digits.
+    """
+    tokens = []
+    with localcontext() as ctx:
+        ctx.prec = 1100  # every float64 and midpoint is exact
+        for _ in range(count):
+            exp = int(rng.integers(exponents[0], exponents[1] + 1))
+            if rng.random() < 0.25:
+                x = 2.0 ** exp
+                neighbour = np.nextafter(x, 0.0)
+            else:
+                x = float(np.ldexp(1.0 + rng.random(), exp))
+                neighbour = np.nextafter(x, np.inf)
+                if np.isinf(neighbour):
+                    neighbour = np.nextafter(x, 0.0)
+            mid = (Decimal(x) + Decimal(float(neighbour))) / 2
+            if rng.random() < 0.75:
+                shift = int(rng.integers(1, 10)) * Decimal(10) ** -int(rng.integers(17, 41))
+                mid += mid * shift * int(rng.choice([-1, 1]))
+            digits = int(rng.integers(17, 46))
+            tokens.append(("-" if rng.random() < 0.5 else "") + f"{mid:.{digits - 1}e}")
+    return tokens
+
+
+@pytest.mark.parametrize("band, exponents", [
+    ("unit", (-5, 5)),
+    ("wide", (-1000, 1000)),
+    ("above tiny", (-1022, -960)),  # 2.2e-308 to 1e-289
+    ("subnormal", (-1074, -1023)),
+    ("near DBL_MAX", (1015, 1023)),
+])
+def test_text_values_round_once_like_float(tmp_path, band, exponents):
+    # A long double rounded again to float64 can miss float()'s one rounding
+    # only on a midpoint; these tokens crowd around the midpoints, one a line
+    # beside exact values.
+    rng = np.random.default_rng(30)
+    dim, count = 4, 2000
+    tokens = _midpoint_tokens(rng, count, exponents)
+    lines = []
+    for i, token in enumerate(tokens):
+        values = ["0.5"] * dim
+        values[i % dim] = token
+        lines.append(f"q{i}\tis {i} exact?\t{' '.join(values)}\n")
+    path = tmp_path / "emb.txt"
+    path.write_text(f"dim={dim} count={count}\n" + "".join(lines), encoding="ascii")
+    got = [vec[i % dim] for i, (_, _, vec) in enumerate(fileformats.load_embeddings(path))]
+    bad = [token for token, value in zip(tokens, got)
+           if np.float64(value).tobytes() != np.float64(float(token)).tobytes()]
+    assert bad == []
+
+
+_DIM, _COUNT, _AT = 8, 600, 300  # _AT: a body index in the second block of 256 lines
+
+
+def _value_rows(seed):
+    rng = np.random.default_rng(seed)
+    return [" ".join(map(repr, row)) for row in rng.standard_normal((_COUNT, _DIM)).tolist()]
+
+
+def _spaced(sep):
+    return lambda row: row.replace(" ", sep, 1)
+
+
+_ODD_BLOCKS = {
+    # name: (rewrite of body line _AT, of line _AT + 5, message or None for values)
+    "hex": (lambda row: row.rsplit(" ", 1)[0] + " 0x1p3", None,
+            "could not convert string to float: '0x1p3'"),
+    "upper hex": (lambda row: row.rsplit(" ", 1)[0] + " 0X1P3", None,
+                  "could not convert string to float: '0X1P3'"),
+    "nan payload": (lambda row: "nan(1) " + row.split(" ", 1)[1], None,
+                    "could not convert string to float: 'nan(1)'"),
+    "long then short": (lambda row: row + " 1.5", lambda row: row.rsplit(" ", 1)[0],
+                        f"expected {_DIM} values, got {_DIM + 1}"),
+    "short then long": (lambda row: row.rsplit(" ", 1)[0], lambda row: row + " 1.5",
+                        f"expected {_DIM} values, got {_DIM - 1}"),
+    "short then vertical tab": (lambda row: " " + row.rsplit(" ", 1)[0],
+                                lambda row: row.replace(" ", " 2.5\x0b", 1),
+                                f"expected {_DIM} values, got {_DIM - 1}"),
+    "short then inf": (lambda row: row.rsplit(" ", 1)[0], lambda row: "inf " + row,
+                       f"expected {_DIM} values, got {_DIM - 1}"),
+    "overflow": (lambda row: row.rsplit(" ", 1)[0] + " 1e400", None, "non-finite value"),
+    "file separator": (_spaced("\x1c"), None, None),
+    "vertical tab": (_spaced("\x0b"), None, None),
+    "form feed": (_spaced("\x0c"), None, None),
+    "leading space": (lambda row: " " + row, None, None),
+    "trailing space": (lambda row: row + " ", None, None),
+    "doubled space": (_spaced("  "), None, None),
+    # a long double rounds this to 2**-1075, which rounds to 0.0 again; float() gives 5e-324
+    "just over half of 5e-324": (lambda row: "2.470328229206232720882844211373929782449e-324 "
+                                 + row.split(" ", 1)[1], None, None),
+    "underscore": (lambda row: "1_0 " + row.split(" ", 1)[1], None, None),
+    "extremes": (lambda row: " ".join(["1.7976931348623157e308", "-5e-324", "2.2250738585072014e-308",
+                                       "-0", "0", "1e-400"] + row.split(" ")[6:]), None, None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ODD_BLOCKS))
+def test_text_odd_blocks_read_as_the_per_row_rule(tmp_path, kind):
+    # A block the one-call parse cannot vouch for is read a row at a time:
+    # the same values, or the first bad line's error.
+    first, later, message = _ODD_BLOCKS[kind]
+    rows = _value_rows(30)
+    rows[_AT] = first(rows[_AT])
+    if later is not None:
+        rows[_AT + 5] = later(rows[_AT + 5])
+    path = tmp_path / "emb.txt"
+    path.write_text(f"dim={_DIM} count={_COUNT}\n" + "".join(
+        f"q{i}\tis {i} odd?\t{row}\n" for i, row in enumerate(rows)), encoding="utf-8")
+    expected = _read_outcome(_reference_read_text, path)
+    assert _read_outcome(fileformats.load_embeddings, path) == expected
+    if message is None:
+        assert isinstance(expected, list)
+    else:
+        assert expected == (ParseError, f"{path}: line {_AT + 2}: {message}")
 
 
 _PIPE_TEXT = "dim=2 count=2\nq0\ta?\t1 2\nq1\tb?\t3 4\n"
