@@ -35,15 +35,15 @@ Text files stream as lines ending at "\n", "\r\n" or a lone "\r", each
 decoded as UTF-8 with its end, so invalid UTF-8 is met in file order and
 raises the error a whole-file decode gives.  The text embedding reader's
 peak memory is the vectors, ids and texts plus one block of lines, not
-the whole text, unless every line ends at a lone "\r"; only a regular
-file's size lets its header size an allocation.  The binary reader reads
-a pipe to its end once, and its bytes stand in for the file, so both take
+the whole text, unless every line ends at a lone "\r".  Each block's
+values go, once parsed, into a value block of their own, so no header
+sizes an allocation, from a file or a pipe.  The binary reader reads a
+pipe to its end once, and its bytes stand in for the file, so both take
 one path that checks every length and the header against the bytes that
 are there before it reads what they size.  It reads the ids and texts one
-at a time and the value block straight into its own array.  Each
-header-sized value block lives in an anonymous mapping of its own, which
-goes back to the operating system as soon as the last array viewing it is
-dropped.
+at a time and the value block straight into its own array.  Each value
+block lives in an anonymous mapping of its own, which goes back to the
+operating system as soon as the last array viewing it is dropped.
 """
 
 import contextlib
@@ -66,7 +66,6 @@ EMBEDDING_MAGIC = b"QEMB"
 EMBEDDING_VERSION = 2
 
 _HEADER_RE = re.compile(r"^dim=([0-9]+) count=([0-9]+)$")
-_FIELD_BREAK_RE = re.compile(r"[\t\n\r]")
 _BLOCK = 256  # text embedding lines parsed per np.fromstring call
 _TINY = 2.0 ** -960  # below this, a residual cast to float64 can lose bits
 _U32 = struct.Struct("<I")
@@ -98,26 +97,6 @@ def _block(count, dim):
     if count == 0:  # a mapping cannot be empty
         return np.empty((0, dim))
     return np.ndarray((count, dim), np.float64, mmap.mmap(-1, 8 * count * dim, **_MAP_ARGS))
-
-
-def pack_string(s):
-    """``s`` as ``read_binary`` reads a string back: uint32 length, UTF-8 bytes."""
-    b = s.encode("utf-8")
-    return struct.pack("<I", len(b)) + b
-
-
-def _parse_values(parts, dim, path, lineno):
-    if len(parts) != dim:
-        raise ParseError(
-            f"{path}: line {lineno}: expected {dim} values, got {len(parts)}"
-        )
-    try:
-        vec = np.array([float(p) for p in parts], dtype=np.float64)
-    except ValueError as exc:
-        raise ParseError(f"{path}: line {lineno}: {exc}") from None
-    if not np.all(np.isfinite(vec)):
-        raise ParseError(f"{path}: line {lineno}: non-finite value")
-    return vec
 
 
 def _block_values(rows, dim):
@@ -172,21 +151,32 @@ def _block_values(rows, dim):
 
 
 def _parse_rows(rows, dim, path, first_lineno):
-    """The whitespace-separated values of ``rows`` as a ``(len(rows), dim)``
-    array, each with the bits ``float()`` gives its token.
+    """The whitespace-separated values of ``rows`` as a new ``(len(rows), dim)``
+    value block, each with the bits ``float()`` gives its token.
 
     ``_block_values`` reads a block of text embedding lines in one call;
     a block it cannot vouch for is parsed again a row at a time, which
     raises the error of the first bad line (line numbers start at
     ``first_lineno``) or returns the values of tokens only ``float()``
-    accepts, such as ``1_0``.
+    accepts, such as ``1_0``.  The block is allocated only once every row
+    has parsed, so parsed text, never a header, sizes it.
     """
     values = _block_values(rows, dim)
-    if values is not None:
-        return values
-    # Stacked only once every row has parsed, so a header's dim sizes nothing.
-    return np.array([_parse_values(row.split(), dim, path, first_lineno + i)
-                     for i, row in enumerate(rows)])
+    if values is None:
+        values = []
+        for lineno, row in enumerate(rows, start=first_lineno):
+            parts = row.split()
+            if len(parts) != dim:
+                raise ParseError(f"{path}: line {lineno}: expected {dim} values, got {len(parts)}")
+            try:
+                values.append([float(p) for p in parts])
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from None
+            if not np.isfinite(values[-1]).all():
+                raise ParseError(f"{path}: line {lineno}: non-finite value")
+    block = _block(len(rows), dim)
+    block[...] = values
+    return block
 
 
 def _check_records(ids, texts, where, path, first):
@@ -253,13 +243,8 @@ def _text_embeddings(fh, path):
         if dim is None:
             raise ParseError(f"{path}: line 1: malformed header {header!r}")
         raise ParseError(f"{path}: line 1: dim must be >= 1")
-    # A record line takes at least 2 * dim + 3 bytes.  A regular file with room
-    # for ``count`` of them is read into one preallocated ``_block``; otherwise (a
-    # pipe, or a header the file's size cannot hold) the header sizes nothing
-    # and each block's values are kept as they are converted.
-    st = os.fstat(fh.fileno())
-    room = stat.S_ISREG(st.st_mode) and st.st_size >= count * (2 * dim + 3)
-    matrix = _block(count, dim) if room else None
+    # Each block of lines parses into a value block of its own, which the
+    # records view, so no header sizes an allocation, from a file or a pipe.
     ids, texts, rows, blocks = [], [], [], []
     fault = value_fault = None
     n = 0  # body lines read
@@ -278,40 +263,17 @@ def _text_embeddings(fh, path):
             continue
         rows.append(row)
         if len(rows) == _BLOCK or n == count:
-            first = n - len(rows)
             try:
-                values = _parse_rows(rows, dim, path, first + 2)
+                blocks.append(_parse_rows(rows, dim, path, n - len(rows) + 2))
             except ParseError as exc:
                 value_fault = exc
-            else:
-                if matrix is None:
-                    blocks.append(values)
-                else:
-                    matrix[first:n] = values
             rows = []
     if n != count:
         raise ParseError(f"{path}: header declares {count} records but file has {n} lines")
     _check_records(ids, texts, "%s: line %d", path, 2)
     if fault is not None or value_fault is not None:
         raise fault or value_fault
-    vectors = (vec for block in blocks for vec in block) if matrix is None else matrix
-    return list(map(QuestionRecord, ids, texts, vectors))
-
-
-def write_embeddings_text(path, records, dim):
-    """Write (id, text, vector) tuples as a text embedding file; every
-    record is checked and encoded first, so a bad one leaves no file."""
-    with encode_faults(path):
-        lines = [f"dim={dim} count={len(records)}\n".encode("utf-8")]
-        for rec_id, text, vec in records:
-            if len(vec) != dim:
-                raise ValueError(f"record {rec_id!r}: vector length {len(vec)} != dim {dim}")
-            if _FIELD_BREAK_RE.search(rec_id) or _FIELD_BREAK_RE.search(text):
-                raise ValueError(f"record {rec_id!r}: tab or line break in id or text")
-            payload = " ".join(repr(float(v)) for v in vec)
-            lines.append(f"{rec_id}\t{text}\t{payload}\n".encode("utf-8"))
-    with open(path, "wb") as fh:
-        fh.writelines(lines)
+    return list(map(QuestionRecord, ids, texts, (vec for block in blocks for vec in block)))
 
 
 def _string_fault(path, m, before, after):
@@ -412,21 +374,12 @@ def write_binary(path, ids, texts, values):
     float64 ``values`` is written from its own buffer."""
     count, dim = values.shape
     with encode_faults(path):
-        strings = b"".join([pack_string(s) for pair in zip(ids, texts) for s in pair])
+        encoded = [s.encode("utf-8") for pair in zip(ids, texts) for s in pair]
+    strings = b"".join([_U32.pack(len(b)) + b for b in encoded])
     with open(path, "wb") as fh:
         fh.write(EMBEDDING_MAGIC + struct.pack("<HII", EMBEDDING_VERSION, dim, count))
         fh.write(strings)
         fh.write(np.ascontiguousarray(values, dtype="<f8"))
-
-
-def write_embeddings_binary(path, records, dim):
-    """Write (id, text, vector) tuples as a binary embedding file; every
-    record is checked and encoded first, so a bad one leaves no file."""
-    for rec_id, _, vec in records:
-        if len(vec) != dim:
-            raise ValueError(f"record {rec_id!r}: vector length {len(vec)} != dim {dim}")
-    values = np.array([vec for _, _, vec in records], dtype=np.float64).reshape(len(records), dim)
-    write_binary(path, [rec[0] for rec in records], [rec[1] for rec in records], values)
 
 
 class QuestionRecord(NamedTuple):

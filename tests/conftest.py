@@ -12,7 +12,7 @@ import pytest
 from basiq import fileformats
 from basiq.dictionary import Dictionary, build_dictionary, save_dictionary_cache
 from basiq.errors import InvalidInputError, ParseError, ShapeError
-from basiq.fileformats import EMBEDDING_MAGIC, EMBEDDING_VERSION, QuestionRecord, pack_string
+from basiq.fileformats import EMBEDDING_MAGIC, EMBEDDING_VERSION, QuestionRecord, write_binary
 
 # verdict lines recorded by the acceptance tests, echoed after the run
 ACCEPTANCE_LINES = []
@@ -96,6 +96,27 @@ def question_records(vectors, prefix="q"):
                        vector=np.asarray(col))
         for j, col in enumerate(np.asarray(vectors).T)
     ]
+
+
+def write_text_embeddings(path, records, dim):
+    """Write ``(id, text, vector)`` tuples as a text embedding file, each
+    value as the ``repr`` of its float, which reads back to the same bits."""
+    lines = [f"dim={dim} count={len(records)}\n"]
+    lines += [f"{rec_id}\t{text}\t{' '.join(repr(float(v)) for v in vec)}\n"
+              for rec_id, text, vec in records]
+    path.write_bytes("".join(lines).encode("utf-8"))
+
+
+def write_binary_embeddings(path, records, dim):
+    """Write ``(id, text, vector)`` tuples as a binary embedding file."""
+    values = np.array([vec for _, _, vec in records], dtype=np.float64).reshape(len(records), dim)
+    write_binary(path, [rec[0] for rec in records], [rec[1] for rec in records], values)
+
+
+def pack_string(s):
+    """``s`` as the binary layout stores it: a uint32 length, then UTF-8 bytes."""
+    b = s.encode("utf-8")
+    return struct.pack("<I", len(b)) + b
 
 
 def qemb_bytes(dim, count, strings=(), tail=b""):

@@ -14,7 +14,7 @@ from basiq.vqa_metric import AnswerRecord, aggregate_by_type, evaluate
 
 from conftest import (
     CACHE_FAULTS, corrupt_cache, near_duplicate_pairs, needs_fifo, read_through_pipe,
-    unit_columns, write_old_binary_files,
+    unit_columns, write_binary_embeddings, write_old_binary_files, write_text_embeddings,
 )
 
 
@@ -25,7 +25,7 @@ def corpus_file(tmp_path, rng):
     records = [
         (f"q{j}", f"is item {j} in the frame?", vectors[:, j]) for j in range(12)
     ]
-    fileformats.write_embeddings_text(path, records, 8)
+    write_text_embeddings(path, records, 8)
     return path
 
 
@@ -34,7 +34,7 @@ def query_file(tmp_path, rng):
     path = tmp_path / "queries.txt"
     vectors = unit_columns(rng, 8, 3)
     records = [(f"img{j}", f"query number {j}?", vectors[:, j]) for j in range(3)]
-    fileformats.write_embeddings_text(path, records, 8)
+    write_text_embeddings(path, records, 8)
     return path
 
 
@@ -120,7 +120,7 @@ def test_build_dict_counts_duplicates(tmp_path, rng, capsys):
         ("c", "what COLOR is it?", vectors[:, 2]),
         ("d", "what color is it? ", vectors[:, 3]),
     ]
-    fileformats.write_embeddings_text(path, records, 4)
+    write_text_embeddings(path, records, 4)
     out = tmp_path / "dict.bin"
     assert run(["build-dict", path, "--out", out]) == EXIT_OK
     assert "2 duplicates dropped" in capsys.readouterr().out
@@ -168,10 +168,10 @@ def test_gen_bq_exclude_exact_changes_top(tmp_path, rng):
     corpus = tmp_path / "corpus.txt"
     vectors = unit_columns(rng, 8, 6)
     records = [(f"q{j}", f"is item {j} in the frame?", vectors[:, j]) for j in range(6)]
-    fileformats.write_embeddings_text(corpus, records, 8)
+    write_text_embeddings(corpus, records, 8)
     queries = tmp_path / "queries.txt"
     # query duplicates corpus question 2, text and vector alike
-    fileformats.write_embeddings_text(
+    write_text_embeddings(
         queries, [("img0", "is item 2 in the frame?", vectors[:, 2])], 8
     )
     cache = _build(tmp_path, corpus)
@@ -194,7 +194,7 @@ def _query_file_with_zero_vector(tmp_path, rng):
         ("bad", "degenerate?", np.zeros(8)),  # penalty resolves to zero
         ("ok2", "also fine?", vectors[:, 1]),
     ]
-    fileformats.write_embeddings_text(path, records, 8)
+    write_text_embeddings(path, records, 8)
     return path
 
 
@@ -225,10 +225,10 @@ def _uncertified_inputs(tmp_path):
     rng = np.random.default_rng(0)
     vectors = unit_columns(rng, 16, 200)
     corpus = tmp_path / "corpus16.txt"
-    fileformats.write_embeddings_text(
+    write_text_embeddings(
         corpus, [(f"q{j}", f"is item {j} in view?", vectors[:, j]) for j in range(200)], 16)
     queries = tmp_path / "queries16.txt"
-    fileformats.write_embeddings_text(
+    write_text_embeddings(
         queries, [("hard", "hard?", rng.standard_normal(16)), ("easy", "easy?", vectors[:, 5])], 16)
     return _build(tmp_path, corpus), queries
 
@@ -255,10 +255,10 @@ def _near_duplicate_inputs(tmp_path, seed):
     queries: the pair's query, then a planted column."""
     a, b = near_duplicate_pairs(seed)
     corpus = tmp_path / "near.txt"
-    fileformats.write_embeddings_text(
+    write_text_embeddings(
         corpus, [(f"q{j}", f"is item {j} in view?", a[:, j]) for j in range(16)], 8)
     queries = tmp_path / "queries.txt"
-    fileformats.write_embeddings_text(queries, [("bad", "bad?", b), ("ok", "ok?", a[:, 0])], 8)
+    write_text_embeddings(queries, [("bad", "bad?", b), ("ok", "ok?", a[:, 0])], 8)
     return _build(tmp_path, corpus), queries
 
 
@@ -336,7 +336,7 @@ def test_text_and_binary_inputs_give_the_same_outputs(tmp_path, corpus_file, que
         if fmt == "binary":
             corpus, queries = tmp_path / "corpus.bin", tmp_path / "queries.bin"
             for src, dst in ((corpus_file, corpus), (query_file, queries)):
-                fileformats.write_embeddings_binary(dst, fileformats.load_embeddings(src), 8)
+                write_binary_embeddings(dst, fileformats.load_embeddings(src), 8)
         cache, bq = tmp_path / f"{fmt}-dict.bin", tmp_path / f"{fmt}-bq.jsonl"
         assert run(["build-dict", corpus, "--out", cache]) == EXIT_OK
         assert run(["gen-bq", "--dict", cache, "--queries", queries, "--out", bq]) == EXIT_OK

@@ -1,9 +1,11 @@
 """The package imports nothing but numpy and the standard library, its
 sources parse under the declared Python floor, a cold import builds no
-CLI parser, and its value types are checked tuples rather than generated
+CLI parser, its file-format functions all have a caller outside the
+tests, and its value types are checked tuples rather than generated
 classes, whose configs write as JSON."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -13,13 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from basiq import fileformats
 from basiq.coattention import AttentionParameters
 from basiq.dictionary import Dictionary
 from basiq.errors import InvalidInputError, ShapeError
 from basiq.policy import ConcatenationPolicy
 from basiq.solver import LassoConfig
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 SOURCES = sorted((SRC / "basiq").glob("*.py"))
 
 
@@ -72,6 +76,31 @@ def test_import_builds_no_argument_parser():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout.split()
     assert out[0] == "0" and out[1] == out[2] != "0"
+
+
+def _uses(path):
+    """The names the code of ``path`` uses: loaded names, attributes, and the
+    last dotted part of each string constant (a tracer patches by name)."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value.rpartition(".")[2]
+
+
+def test_every_fileformats_function_has_a_caller():
+    # Code only the tests use belongs in the tests: each public function of
+    # ``fileformats`` is used, not only defined or imported, in the package,
+    # the benchmark or a demo.
+    public = {name for name, obj in vars(fileformats).items()
+              if inspect.isfunction(obj) and obj.__module__ == fileformats.__name__
+              and not name.startswith("_")}
+    callers = SOURCES + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    used = {name for path in callers for name in _uses(path)}
+    assert "load_embeddings" in public
+    assert sorted(public - used) == []
 
 
 def _dictionary():

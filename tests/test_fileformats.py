@@ -1,7 +1,9 @@
 """Embedding and JSON-lines file format contracts."""
 
 import builtins
+import json
 import math
+import os
 import struct
 import tracemalloc
 import warnings
@@ -23,11 +25,14 @@ from basiq.errors import BasiqError, InvalidInputError, ParseError, ShapeError
 from conftest import (
     mapping_of,
     needs_fifo,
+    pack_string,
     qemb_bytes,
     question_records,
     read_through_pipe,
     unit_columns,
+    write_binary_embeddings,
     write_old_binary_files,
+    write_text_embeddings,
 )
 
 
@@ -43,7 +48,7 @@ def test_text_round_trip_exact(tmp_path):
     path = tmp_path / "emb.txt"
     for count in (3, 600):  # a few lines and a corpus-sized file
         records = _sample_records(count=count)
-        fileformats.write_embeddings_text(path, records, 16)
+        write_text_embeddings(path, records, 16)
         loaded = fileformats.load_embeddings(path)
         assert len(loaded) == count
         for (wid, wtext, wvec), (rid, rtext, rvec) in zip(records, loaded):
@@ -56,26 +61,14 @@ def test_text_round_trip_keeps_unicode_line_separators(tmp_path):
     records = _sample_records(count=3)
     records = [(rid, text + sep, vec) for (rid, text, vec), sep
                in zip(records, ("\x0c page", "\x85 next", "\u2028 line"))]
-    fileformats.write_embeddings_text(path, records, 16)
+    write_text_embeddings(path, records, 16)
     loaded = fileformats.load_embeddings(path)
     assert [(r[0], r[1]) for r in loaded] == [(r[0], r[1]) for r in records]
 
 
-@pytest.mark.parametrize("field", ["id", "text"])
-@pytest.mark.parametrize("char", ["\t", "\n", "\r"])
-def test_text_writer_rejects_field_breaks(tmp_path, field, char):
-    rid, text, vec = _sample_records(count=1)[0]
-    if field == "id":
-        rid = "q" + char + "0"
-    else:
-        text = "is it" + char + "ready?"
-    with pytest.raises(ValueError, match="tab or line break"):
-        fileformats.write_embeddings_text(tmp_path / "emb.txt", [(rid, text, vec)], 16)
-
-
 def test_text_reader_shapes(tmp_path):
     path = tmp_path / "emb.txt"
-    fileformats.write_embeddings_text(path, _sample_records(dim=16), 16)
+    write_text_embeddings(path, _sample_records(dim=16), 16)
     loaded = fileformats.load_embeddings(path)
     assert all(vec.shape == (16,) for _, _, vec in loaded)
 
@@ -570,14 +563,40 @@ def test_text_header_sizes_no_allocation(tmp_path, header, message, block_bytes)
 
 
 @needs_fifo
-def test_text_header_sizes_no_allocation_on_a_pipe(tmp_path):
-    # A pipe has no size to check the header against: values are kept as
-    # they arrive, and the count fails as it does on a regular file.
+def test_text_header_sizes_no_allocation_on_a_pipe(tmp_path, block_bytes):
+    # Values go into a block only once parsed, so the count fails before
+    # the header sizes anything, as on a regular file.
     data = b"dim=1000000 count=1000000000\nq0\ta?\t1 2\n"
     with pytest.raises(ParseError) as info:
         read_through_pipe(tmp_path, data, fileformats.load_embeddings)
     assert str(info.value) == (f"{tmp_path / 'input.fifo'}: header declares 1000000000 "
                                "records but file has 1 lines")
+    assert block_bytes == []
+
+
+def test_text_header_on_a_regular_file_sizes_no_allocation(tmp_path, block_bytes):
+    # The file's size could hold 1000 lines of 1000 values, but it has one
+    # line of 2 values: the count fails and no value block is asked for.
+    path = tmp_path / "emb.txt"
+    path.write_text(f"dim=1000 count=1000\nq0\t{'a' * 2_100_000}\t1 2\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        fileformats.load_embeddings(path)
+    assert str(info.value) == f"{path}: header declares 1000 records but file has 1 lines"
+    assert block_bytes == []
+
+
+@needs_fifo
+def test_text_file_and_pipe_read_alike(tmp_path):
+    # n >> dim, and a last block of one line.
+    path = tmp_path / "emb.txt"
+    records = _sample_records(dim=64, count=4097, seed=4097)
+    write_text_embeddings(path, records, 64)
+    from_file = fileformats.load_embeddings(path)
+    from_pipe = read_through_pipe(tmp_path, path.read_bytes(), fileformats.load_embeddings)
+    assert [(r.id, r.text) for r in from_pipe] == [(r.id, r.text) for r in from_file]
+    vectors = np.array([vec for _, _, vec in records]).tobytes()
+    assert np.array([r.vector for r in from_pipe]).tobytes() == vectors
+    assert np.array([r.vector for r in from_file]).tobytes() == vectors
 
 
 @needs_fifo
@@ -588,10 +607,10 @@ def test_jsonl_reads_a_pipe(tmp_path):
 
 
 def test_text_reader_peak_memory_is_below_file_size(tmp_path, block_bytes):
-    # The peak is the output array plus one block of lines, not the file's text.
-    # The array is a mapping tracemalloc cannot see, so its size is added.
+    # The peak is the value blocks plus one block of lines, not the file's text.
+    # The value blocks are mappings tracemalloc cannot see, so their sizes are added.
     path = tmp_path / "emb.txt"
-    fileformats.write_embeddings_text(path, _sample_records(dim=64, count=2000, seed=2000), 64)
+    write_text_embeddings(path, _sample_records(dim=64, count=2000, seed=2000), 64)
     tracemalloc.start()
     try:
         loaded = fileformats.load_embeddings(path)
@@ -599,45 +618,60 @@ def test_text_reader_peak_memory_is_below_file_size(tmp_path, block_bytes):
     finally:
         tracemalloc.stop()
     assert len(loaded) == 2000
-    assert block_bytes == [2000 * 64 * 8]
+    assert sum(block_bytes) == 2000 * 64 * 8
+    assert max(block_bytes) <= 256 * 64 * 8
     assert peak + sum(block_bytes) < path.stat().st_size
 
 
-@pytest.mark.parametrize("fmt", ["text", "binary"])
-def test_dropped_records_unmap_their_vectors(tmp_path, fmt):
-    # The vectors are rows of one mapping, unmapped with the last of them.
-    path = tmp_path / "emb"
-    _WRITERS[fmt](path, _sample_records(count=4), 16)
-    loaded = fileformats.load_embeddings(path)
-    mapping = weakref.ref(mapping_of(loaded[0].vector))
-    assert all(mapping_of(rec.vector) is mapping() for rec in loaded)
-    del loaded
-    assert mapping() is None
-
-
-_WRITERS = {"text": fileformats.write_embeddings_text,
-            "binary": fileformats.write_embeddings_binary}
+_WRITERS = {"text": write_text_embeddings, "binary": write_binary_embeddings}
 
 
 @pytest.mark.parametrize("fmt", sorted(_WRITERS))
-def test_writer_checks_every_record_before_opening(tmp_path, fmt):
+def test_dropped_records_unmap_their_vectors(tmp_path, fmt):
+    # The vectors are rows of mappings, each unmapped with the last of them:
+    # 600 text lines parse into three blocks of their own, a binary file's
+    # values are one block, and a pipe's vectors live as a file's do.
     path = tmp_path / "emb"
-    first = ("q0", "a?", [1.0, 2.0])
-    with pytest.raises(ValueError) as info:
-        _WRITERS[fmt](path, [first, ("q1", "b?", [1.0, 2.0, 3.0])], 2)
-    assert str(info.value) == "record 'q1': vector length 3 != dim 2"
-    assert not path.exists()
-    for second in (("q1\ud800", "b?", [3.0, 4.0]), ("q1", "b\ud800?", [3.0, 4.0])):
+    _WRITERS[fmt](path, _sample_records(count=600), 16)
+    loads = {"file": lambda: fileformats.load_embeddings(path)}
+    if hasattr(os, "mkfifo"):
+        loads["pipe"] = lambda: read_through_pipe(tmp_path, path.read_bytes(),
+                                                  fileformats.load_embeddings)
+    for source, load in loads.items():
+        loaded = load()
+        mappings = {id(m): weakref.ref(m) for m in (mapping_of(rec.vector) for rec in loaded)}
+        assert len(mappings) == {"text": 3, "binary": 1}[fmt], source
+        del loaded
+        assert all(ref() is None for ref in mappings.values()), source
+
+
+_LIBRARY_WRITERS = {  # format: a writer of record "q0", then of ``second``, an id and a text
+    "text": lambda path, second: fileformats.write_jsonl(path, [
+        json.dumps({"id": i, "text": t}, ensure_ascii=False) for i, t in [("q0", "a?"), second]]),
+    "binary": lambda path, second: fileformats.write_binary(
+        path, ["q0", second[0]], ["a?", second[1]], np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_LIBRARY_WRITERS))
+def test_writer_checks_every_record_before_opening(tmp_path, fmt):
+    # The library's writers, of JSON lines and of the binary layout, encode
+    # every record before they open the file, so a string UTF-8 cannot hold
+    # in a later record's id or text leaves no file.
+    path = tmp_path / "out"
+    for second in (("q1\ud800", "b?"), ("q1", "b\ud800?")):
         with pytest.raises(InvalidInputError) as info:
-            _WRITERS[fmt](path, [first, second], 2)
+            _LIBRARY_WRITERS[fmt](path, second)
         assert str(info.value).startswith(f"{path}: 'utf-8' codec can't encode character '\\ud800'")
         assert not path.exists()
+    _LIBRARY_WRITERS[fmt](path, ("q1", "b?"))
+    assert path.stat().st_size > 0
 
 
 def test_binary_round_trip(tmp_path):
     path = tmp_path / "emb.bin"
     records = _sample_records()
-    fileformats.write_embeddings_binary(path, records, 16)
+    write_binary_embeddings(path, records, 16)
     loaded = fileformats.load_embeddings(path)
     assert [(r[0], r[1]) for r in loaded] == [(r[0], r[1]) for r in records]
     # the payload is float64, so the loaded values are the written bits
@@ -650,8 +684,8 @@ def test_text_and_binary_embeddings_load_the_same_bits(tmp_path):
     records = [(rid, text, vec * 10.0 ** rng.uniform(-300, 300, size=16))
                for rid, text, vec in _sample_records(count=40)]
     records[0][2][:3] = (5e-324, -0.0, 2.0 ** -1074 * 3)  # subnormals and a signed zero
-    fileformats.write_embeddings_text(tmp_path / "emb.txt", records, 16)
-    fileformats.write_embeddings_binary(tmp_path / "emb.bin", records, 16)
+    write_text_embeddings(tmp_path / "emb.txt", records, 16)
+    write_binary_embeddings(tmp_path / "emb.bin", records, 16)
     text = fileformats.load_embeddings(tmp_path / "emb.txt")
     binary = fileformats.load_embeddings(tmp_path / "emb.bin")
     assert [(r.id, r.text) for r in binary] == [(r.id, r.text) for r in text]
@@ -673,7 +707,7 @@ def test_version_1_files_are_rejected(tmp_path):
 
 def test_binary_truncation_rejected(tmp_path):
     path = tmp_path / "trunc.bin"
-    fileformats.write_embeddings_binary(path, _sample_records(), 16)
+    write_binary_embeddings(path, _sample_records(), 16)
     raw = path.read_bytes()
     path.write_bytes(raw[:-7])
     with pytest.raises(ParseError):
@@ -682,7 +716,7 @@ def test_binary_truncation_rejected(tmp_path):
 
 def test_binary_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "trail.bin"
-    fileformats.write_embeddings_binary(path, _sample_records(), 16)
+    write_binary_embeddings(path, _sample_records(), 16)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ParseError, match="trailing"):
         fileformats.load_embeddings(path)
@@ -690,7 +724,7 @@ def test_binary_trailing_bytes_rejected(tmp_path):
 
 def test_binary_invalid_utf8_id_names_field(tmp_path):
     path = tmp_path / "utf8.bin"
-    fileformats.write_embeddings_binary(path, _sample_records(), 16)
+    write_binary_embeddings(path, _sample_records(), 16)
     raw = bytearray(path.read_bytes())
     raw[4 + 2 + 8 + 4] = 0xFF  # first byte of record 0's id
     path.write_bytes(bytes(raw))
@@ -700,7 +734,7 @@ def test_binary_invalid_utf8_id_names_field(tmp_path):
 
 def test_binary_bad_magic(tmp_path):
     path = tmp_path / "magic.bin"
-    fileformats.write_embeddings_binary(path, _sample_records(), 16)
+    write_binary_embeddings(path, _sample_records(), 16)
     raw = bytearray(path.read_bytes())
     raw[:4] = b"NOPE"
     path.write_bytes(bytes(raw))
@@ -710,7 +744,7 @@ def test_binary_bad_magic(tmp_path):
 
 def test_binary_version_check(tmp_path):
     path = tmp_path / "ver.bin"
-    fileformats.write_embeddings_binary(path, _sample_records(), 16)
+    write_binary_embeddings(path, _sample_records(), 16)
     raw = bytearray(path.read_bytes())
     raw[4:6] = struct.pack("<H", 99)
     path.write_bytes(bytes(raw))
@@ -735,7 +769,7 @@ def _records_with_inf(ids):
 
 def test_binary_non_finite_names_record(tmp_path):
     path = tmp_path / "inf.bin"
-    fileformats.write_embeddings_binary(path, _records_with_inf(["q0", "q1", "q2"]), 16)
+    write_binary_embeddings(path, _records_with_inf(["q0", "q1", "q2"]), 16)
     with pytest.raises(ParseError) as info:
         fileformats.load_embeddings(path)
     assert str(info.value) == f"{path}: record 1: non-finite value"
@@ -743,11 +777,11 @@ def test_binary_non_finite_names_record(tmp_path):
 
 def test_binary_later_field_error_reported_before_bad_value(tmp_path):
     path = tmp_path / "two_faults.bin"
-    fileformats.write_embeddings_binary(path, _records_with_inf(["q0", "q1", "q0"]), 16)
+    write_binary_embeddings(path, _records_with_inf(["q0", "q1", "q0"]), 16)
     with pytest.raises(ParseError) as info:
         fileformats.load_embeddings(path)
     assert str(info.value) == f"{path}: record 2: duplicate id 'q0'"
-    fileformats.write_embeddings_binary(path, _records_with_inf(["q0", "q1", "q2"]), 16)
+    write_binary_embeddings(path, _records_with_inf(["q0", "q1", "q2"]), 16)
     path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(ParseError) as info:
         fileformats.load_embeddings(path)
@@ -761,7 +795,7 @@ def test_binary_later_field_error_reported_before_bad_value(tmp_path):
 ], ids=["empty id", "empty text", "last text"])
 def test_binary_first_field_fault_wins(tmp_path, ids, texts, message):
     path = tmp_path / "fields.bin"
-    fileformats.write_embeddings_binary(
+    write_binary_embeddings(
         path, [(i, t, vec) for i, t, (_, _, vec) in zip(ids, texts, _sample_records())], 16)
     with pytest.raises(ParseError) as info:
         fileformats.load_embeddings(path)
@@ -770,13 +804,13 @@ def test_binary_first_field_fault_wins(tmp_path, ids, texts, message):
 
 def test_binary_vectors_are_rows_of_one_array(tmp_path):
     path = tmp_path / "emb.bin"
-    fileformats.write_embeddings_binary(path, _sample_records(count=4), 16)
+    write_binary_embeddings(path, _sample_records(count=4), 16)
     vectors = [vec for _, _, vec in fileformats.load_embeddings(path)]
     assert vectors[0].base is not None
     assert all(vec.dtype == np.float64 and vec.base is vectors[0].base for vec in vectors)
 
 
-_RECORD_0 = fileformats.pack_string("a") + fileformats.pack_string("a?")
+_RECORD_0 = pack_string("a") + pack_string("a?")
 _HOSTILE_BINARY = {  # kind: (header dim and count, bytes after the header, fault)
     "huge dim": ((2**32 - 1, 1), _RECORD_0 + b"\x00" * 5, "record 0: values"),
     "huge count": ((2, 2**32 - 1), _RECORD_0 + b"\x00" * 3, "record 1: id length"),
@@ -966,7 +1000,7 @@ def test_binary_reader_matches_whole_file_reference(tmp_path, family, source):
 @needs_fifo
 def test_binary_pipe_names_cut_record_and_trailing_bytes(tmp_path):
     path = tmp_path / "emb.bin"
-    fileformats.write_embeddings_binary(path, _sample_records(), 16)
+    write_binary_embeddings(path, _sample_records(), 16)
     raw = path.read_bytes()
     fifo = tmp_path / "input.fifo"
     with pytest.raises(ParseError) as info:
@@ -985,12 +1019,12 @@ def test_binary_pipe_names_cut_record_and_trailing_bytes(tmp_path):
 
 def test_binary_empty_body(tmp_path):
     path = tmp_path / "empty.bin"
-    fileformats.write_embeddings_binary(path, [], 16)
+    write_binary_embeddings(path, [], 16)
     assert fileformats.load_embeddings(path) == []
 
 
-@pytest.mark.parametrize("write", [fileformats.write_embeddings_text,
-                                   fileformats.write_embeddings_binary],
+@pytest.mark.parametrize("write", [write_text_embeddings,
+                                   write_binary_embeddings],
                          ids=["text", "binary"])
 def test_load_embeddings_well_formed(tmp_path, write):
     path = tmp_path / "emb"
@@ -1084,8 +1118,8 @@ _ONE_OPEN_READERS = {  # case: (reader, name of its input)
 
 def _write_each_format(tmp_path):
     records = question_records(np.eye(4)[:, :3])
-    fileformats.write_embeddings_text(tmp_path / "emb.txt", records, 4)
-    fileformats.write_embeddings_binary(tmp_path / "emb.bin", records, 4)
+    write_text_embeddings(tmp_path / "emb.txt", records, 4)
+    write_binary_embeddings(tmp_path / "emb.bin", records, 4)
     fileformats.write_jsonl(tmp_path / "rows.jsonl", ['{"a": 1}', '{"b": 2}'])
     save_dictionary_cache(build_dictionary(records), tmp_path / "dict.bin")
 
