@@ -102,7 +102,7 @@ def build_dictionary(records, dedup="normalized"):
         raise InvalidInputError("cannot build a dictionary from zero records")
     key_of = normalize_question_text if dedup == "normalized" else (lambda t: t)
 
-    vecs, kept, dropped = [], [], []
+    vecs, kept, bad = [], [], []
     seen_keys, seen_ids = set(), set()
     dim = None
     for i, rec in enumerate(records):
@@ -119,31 +119,26 @@ def build_dictionary(records, dedup="normalized"):
             raise ShapeError(
                 f"record {rec.id!r}: vector length {vec.shape[0]} != {dim} of earlier records"
             )
-        vecs.append(vec)
         key = key_of(rec.text)
         if key in seen_keys:
-            dropped.append(i)
+            if not np.isfinite(vec).all():
+                bad.append(i)
             continue
         seen_keys.add(key)
         if rec.id in seen_ids:
             raise InvalidInputError(f"duplicate record id {rec.id!r}")
         seen_ids.add(rec.id)
+        vecs.append(vec)
         kept.append(i)
 
     # The survivors fill one block of their own, whose transpose is the
-    # column-major matrix; the dropped rows are checked, then let go.
+    # column-major matrix, and are checked there; a dropped duplicate's
+    # vector was checked as it was met, and is never copied.
     rows = _block(len(kept), dim)
-    np.concatenate([vecs[i] for i in kept], out=rows.reshape(-1))
-    finite = [np.isfinite(rows).all(axis=1)]
-    if dropped:
-        gone = np.concatenate([vecs[i] for i in dropped])
-        finite.append(np.isfinite(gone).reshape(-1, dim).all(axis=1))
-        del gone
-    bad = np.flatnonzero(~np.concatenate(finite))
-    if bad.size:
-        order = kept + dropped
-        first = min(order[b] for b in bad)
-        raise InvalidInputError(f"record {records[first].id!r}: non-finite vector")
+    np.concatenate(vecs, out=rows.reshape(-1))
+    bad += [kept[r] for r in np.flatnonzero(~np.isfinite(rows).all(axis=1)).tolist()]
+    if bad:
+        raise InvalidInputError(f"record {records[min(bad)].id!r}: non-finite vector")
     # Batched dot products: bit-identical to per-vector np.linalg.norm,
     # which einsum is not.
     norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(-1))

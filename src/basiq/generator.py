@@ -19,6 +19,7 @@ column indices; a zero score passes no concatenation threshold.
 """
 
 import json
+from itertools import islice
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
@@ -114,38 +115,19 @@ def _ranked_entries(d, solution, config, exclude_text):
             + (" of a float64 re-solve" if solution.re_solved else "")
         )
     coef = solution.coefficients
-
-    if exclude_text is None:
-        excluded = frozenset()
-    else:
-        excluded = frozenset(j for j, text in enumerate(d.texts) if text == exclude_text)
+    excluded = (frozenset() if exclude_text is None
+                else frozenset(j for j, text in enumerate(d.texts) if text == exclude_text))
     if d.n_columns - len(excluded) < BQ_COUNT:
         raise InvalidInputError("exclusion leaves fewer columns than requested questions")
 
-    order = np.argsort(-coef, kind="stable")
-    columns, scores = [], []
-    clamped = 0
-    for j in order:
-        if len(columns) == BQ_COUNT:
-            break
-        j = int(j)
-        if coef[j] <= 0.0:
-            break
-        if j in excluded:
-            continue
-        score = float(coef[j])
-        if score > 1.0:
-            score = 1.0
-            clamped += 1
-        columns.append(j)
-        scores.append(score)
-    pad_j = 0
-    while len(columns) < BQ_COUNT:
-        if pad_j not in columns and pad_j not in excluded:
-            columns.append(pad_j)
-            scores.append(0.0)
-        pad_j += 1
-    return columns, scores, clamped
+    # A stable sort, so equal coefficients keep ascending column order.
+    positive = [j for j in np.flatnonzero(coef > 0.0).tolist() if j not in excluded]
+    columns = sorted(positive, key=coef.__getitem__, reverse=True)[:BQ_COUNT]
+    scores = [min(float(coef[j]), 1.0) for j in columns]
+    clamped = sum(float(coef[j]) > 1.0 for j in columns)
+    pads = (j for j in range(d.n_columns) if j not in excluded and j not in columns)
+    missing = BQ_COUNT - len(columns)
+    return columns + list(islice(pads, missing)), scores + [0.0] * missing, clamped
 
 
 def generate_batch(d, queries, config=None, exclude_exact=False):

@@ -60,25 +60,23 @@ class LassoConfig(checked_tuple("LassoConfig", "lambda_abs lambda_rel tol max_sw
             raise UnsupportedConfigError(
                 "exactly one of lambda_abs / lambda_rel must be set"
             )
+        # Each field's kind, then its sign, then finiteness; a NaN tol is not positive.
         for name, value in (("lambda_abs", lambda_abs), ("lambda_rel", lambda_rel), ("tol", tol)):
             if value is None and name != "tol":
                 continue
             if not is_real(value):
                 raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-        if lambda_abs is not None and lambda_abs < 0:
-            raise InvalidInputError("lambda_abs must be nonnegative")
-        if lambda_rel is not None and lambda_rel < 0:
-            raise InvalidInputError("lambda_rel must be nonnegative")
-        if not tol > 0:
-            raise InvalidInputError("tol must be positive")
+            if name == "tol" and not value > 0:
+                raise InvalidInputError("tol must be positive")
+            if value < 0:
+                raise InvalidInputError(f"{name} must be nonnegative")
+            if not np.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value!r}")
         # bool is an int subclass, but True is not a count of sweeps.
         if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer)):
             raise InvalidInputError(f"max_sweeps must be an integer, got {max_sweeps!r}")
         if max_sweeps < 1:
             raise InvalidInputError("max_sweeps must be >= 1")
-        for name, value in (("lambda_abs", lambda_abs), ("lambda_rel", lambda_rel), ("tol", tol)):
-            if value is not None and not np.isfinite(value):
-                raise InvalidInputError(f"{name} must be finite, got {value!r}")
         if 0 in (lambda_abs, lambda_rel):
             raise UnsupportedConfigError(_ZERO_LAMBDA)
         lambda_abs, lambda_rel = (None if v is None else float(v) for v in (lambda_abs, lambda_rel))

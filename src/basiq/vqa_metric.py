@@ -35,15 +35,6 @@ class AccuracyReport(NamedTuple):
     per_question: tuple
     mean: float
 
-    def as_dict(self):
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "per_question": [
-                {"question_id": qid, "score": score} for qid, score in self.per_question
-            ],
-        }
-
 
 def _consensus_score(record, norm):
     matches = list(map(norm, record.annotator_answers)).count(norm(record.predicted))

@@ -785,7 +785,9 @@ def test_eval_report_layout_is_json_dumps(tmp_path, per_type):
     records = [AnswerRecord(qid, "red", ["red"] * (i % 4 + 1) + ["blue"])
                for i, qid in enumerate(_AWKWARD)]
     report = evaluate(records)
-    payload = report.as_dict()
+    payload = {"n": report.n, "mean": report.mean,
+               "per_question": [{"question_id": qid, "score": score}
+                                for qid, score in report.per_question]}
     if per_type:
         payload["per_type"] = aggregate_by_type(report, {q: f"type {q}" for q in _AWKWARD[::2]})
     out = tmp_path / "report.json"
@@ -803,7 +805,8 @@ def test_eval_report_rows_layout_is_json_dumps(tmp_path, per_type):
         payload["per_type"] = aggregate_by_type(report, {q: f"type {q}" for q in _AWKWARD[::2]})
     out = tmp_path / "report.json"
     _write_json(out, payload, report.per_question)
-    expected = report.as_dict() | payload
+    expected = payload | {"per_question": [{"question_id": qid, "score": score}
+                                           for qid, score in report.per_question]}
     assert out.read_text(encoding="utf-8") == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 

@@ -21,7 +21,7 @@ from basiq.generator import generate_batch
 
 from conftest import (
     CACHE_FAULTS, corrupt_cache, mapping_of, needs_fifo, question_records, read_through_pipe,
-    unit_columns,
+    unit_columns, write_text_embeddings,
 )
 
 
@@ -117,16 +117,36 @@ def test_non_finite_vector_names_record(where):
         build_dictionary(records)
 
 
-def test_first_non_finite_vector_in_file_order_wins():
-    # The dropped duplicate comes first in the file, though the kept rows
-    # come first in the stack that is checked.
-    records = [
-        QuestionRecord("good", "fine?", np.array([1.0, 0.0])),
-        QuestionRecord("dup", "FINE?", np.array([np.nan, 1.0])),
-        QuestionRecord("later", "later?", np.array([np.inf, 1.0])),
+def test_first_non_finite_vector_in_file_order_wins(tmp_path):
+    # Kept rows and dropped duplicates are checked apart; the record named
+    # is the first bad one in the file, whichever kind it is.
+    good = QuestionRecord("good", "fine?", np.array([1.0, 0.0]))
+    cases = [
+        ([good,
+          QuestionRecord("dup", "FINE?", np.array([np.nan, 1.0])),
+          QuestionRecord("later", "later?", np.array([np.inf, 1.0]))], "dup"),
+        ([good,
+          QuestionRecord("kept", "kept?", np.array([np.inf, 1.0])),
+          QuestionRecord("dup", "FINE?", np.array([np.nan, 1.0]))], "kept"),
+        ([good,
+          QuestionRecord("dup1", "FINE?", np.array([0.0, 1.0])),
+          QuestionRecord("dup2", " fine? ", np.array([np.nan, 1.0])),
+          QuestionRecord("later", "later?", np.array([np.inf, 1.0]))], "dup2"),
     ]
-    with pytest.raises(InvalidInputError, match="^record 'dup': non-finite vector$"):
-        build_dictionary(records)
+    # Read from a file, the vectors view the reader's 256-line blocks: the
+    # bad duplicate sits in the second block, the bad kept record in the third.
+    path = tmp_path / "emb.txt"
+    write_text_embeddings(path, [(f"q{i}", f"question {i}?", [1.0, float(i)])
+                                 for i in range(600)], 2)
+    records = load_embeddings(path)
+    records[300] = records[300]._replace(text="QUESTION 10?")
+    records[300].vector[0] = np.nan
+    records[550].vector[1] = np.inf
+    assert not np.shares_memory(records[300].vector.base, records[550].vector.base)
+    cases.append((records, "q300"))
+    for records, first in cases:
+        with pytest.raises(InvalidInputError, match=f"^record '{first}': non-finite vector$"):
+            build_dictionary(records)
 
 
 def test_zero_norm_vector_loses_to_later_duplicate_id():

@@ -8,17 +8,18 @@ import pytest
 from basiq.errors import InvalidInputError, ParseError, UncertifiedSolveError
 from basiq.generator import (
     BqdRecord,
+    _ranked_entries,
     generate_basic_questions,
     generate_batch,
     read_bqd,
     record_to_json,
     write_bqd,
 )
-from basiq.solver import LassoConfig
+from basiq.solver import LassoConfig, SparseSolution
 from basiq.vqa_metric import AnswerRecord
 
 from conftest import near_duplicate_pairs, orthogonal_dictionary, question_records, unit_columns
-from basiq.dictionary import build_dictionary
+from basiq.dictionary import Dictionary, build_dictionary
 
 
 def test_planted_query_top_score():
@@ -70,6 +71,27 @@ def test_exclude_text_skips_self_match():
         d, b, config=LassoConfig.relative(0.024), exclude_text=d.texts[2]
     )
     assert 2 not in columns
+
+
+@pytest.mark.parametrize("coefficients, excluded, expected", [
+    ([0.0, 0.5, 0.2, 0.5, 0.5, 0.5], None, ([1, 3, 4], [0.5, 0.5, 0.5], 0)),
+    ([0.1, 0.9, 0.3, 0.8, 0.2, 0.0], 1, ([3, 2, 4], [0.8, 0.3, 0.2], 0)),
+    ([0.0, 0.0, 0.4, -0.5, 0.0, 0.0], 1, ([2, 0, 3], [0.4, 0.0, 0.0], 0)),
+    ([1.5, 0.3, 2.0, 1.0, 0.0, 0.0], None, ([2, 0, 3], [1.0, 1.0, 1.0], 2)),
+    ([-0.1, 0.0, -2.0, -0.0, -0.3, 0.0], None, ([0, 1, 2], [0.0, 0.0, 0.0], 0)),
+], ids=["ties by ascending column", "excluded column skipped", "pads skip used and excluded",
+        "clamped above 1", "all nonpositive"])
+def test_ranking_of_hand_built_solutions(coefficients, excluded, expected):
+    # Column ``excluded`` shares the self-match text with no other column;
+    # a coefficient of exactly 1 is not a clamp.
+    n = len(coefficients)
+    texts = ["self?" if j == excluded else f"q{j}?" for j in range(n)]
+    d = Dictionary(np.eye(n), [f"id{j}" for j in range(n)], texts)
+    solution = SparseSolution(coefficients, 0.0, 1, 0.0, True)
+    exclude_text = None if excluded is None else "self?"
+    ranked = _ranked_entries(d, solution, LassoConfig(), exclude_text)
+    assert ranked == expected
+    assert type(ranked[2]) is int
 
 
 def test_k_larger_than_dictionary_rejected():

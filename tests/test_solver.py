@@ -258,6 +258,42 @@ def test_config_rejects_non_finite(make, name, value):
         make(value)
 
 
+_MAKE = {"lambda_abs": LassoConfig.absolute, "lambda_rel": LassoConfig.relative,
+         "tol": lambda v: LassoConfig.relative(0.1, tol=v)}
+
+
+_SINGLE_FAULTS = [
+    ("lambda_abs", -1, "lambda_abs must be nonnegative"),
+    ("lambda_abs", -np.inf, "lambda_abs must be nonnegative"),
+    ("lambda_abs", np.inf, "lambda_abs must be finite, got inf"),
+    ("lambda_abs", np.nan, "lambda_abs must be finite, got nan"),
+    ("lambda_abs", True, "lambda_abs must be a real number, got True"),
+    ("lambda_abs", "1", "lambda_abs must be a real number, got '1'"),
+    ("lambda_rel", -1, "lambda_rel must be nonnegative"),
+    ("lambda_rel", -np.inf, "lambda_rel must be nonnegative"),
+    ("lambda_rel", np.inf, "lambda_rel must be finite, got inf"),
+    ("lambda_rel", np.nan, "lambda_rel must be finite, got nan"),
+    ("lambda_rel", True, "lambda_rel must be a real number, got True"),
+    ("lambda_rel", "1", "lambda_rel must be a real number, got '1'"),
+    ("tol", -1, "tol must be positive"),
+    ("tol", -np.inf, "tol must be positive"),
+    ("tol", np.inf, "tol must be finite, got inf"),
+    ("tol", np.nan, "tol must be positive"),
+    ("tol", True, "tol must be a real number, got True"),
+    ("tol", "1", "tol must be a real number, got '1'"),
+    ("tol", 0, "tol must be positive"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", _SINGLE_FAULTS,
+                         ids=[f"{name}={value!r}" for name, value, _ in _SINGLE_FAULTS])
+def test_config_single_fault_messages(name, value, message):
+    # One bad field, every other at its default: the message names it.
+    with pytest.raises(InvalidInputError) as info:
+        _MAKE[name](value)
+    assert str(info.value) == message
+
+
 def _degenerate_design(rng, kind):
     a = unit_columns(rng, 12, 30)
     if kind == "duplicate":

