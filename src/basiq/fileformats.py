@@ -15,6 +15,10 @@ Two formats live here:
   reject dimension mismatches, duplicate ids, and non-finite values.
 
 * JSON-lines files hold one pre-serialized JSON value per line.
+  ``read_jsonl`` reads about 1 MiB of whole lines at a time, decodes it
+  once, and reads each line's value in place with ``json``'s C scanner;
+  a line whose value does not end at the line's end, or that fails, is
+  read again alone by ``json.loads``, which names its fault.
 
 Fields come before values: a reader checks the structure of the whole
 file (headers, ids, texts, field counts, lengths), raising its first
@@ -31,11 +35,12 @@ time with ``float()``, which names its first bad line and accepts tokens
 such as ``1_0``.
 
 Every reader opens its path once, so a named pipe works as a file does.
-Text files stream as lines ending at "\n", "\r\n" or a lone "\r", each
-decoded as UTF-8 with its end, so invalid UTF-8 is met in file order and
-raises the error a whole-file decode gives.  The text embedding reader's
-peak memory is the vectors, ids and texts plus one block of lines, not
-the whole text, unless every line ends at a lone "\r".  Each block's
+Text files stream as lines ending at "\n", "\r\n" or a lone "\r", decoded
+as UTF-8 a line, or a chunk of whole lines, at a time, so invalid UTF-8 is
+met in file order and raises the error a whole-file decode gives.  Peak
+memory is a few chunks for the JSON-lines reader, and the vectors, ids and
+texts plus one block of lines for the text embedding reader; neither holds
+the whole text unless every line ends at a lone "\r".  Each block's
 values go, once parsed, into a value block of their own, so no header
 sizes an allocation, from a file or a pipe.  The binary reader reads a
 pipe to its end once, and its bytes stand in for the file, so both take
@@ -69,7 +74,8 @@ _HEADER_RE = re.compile(r"^dim=([0-9]+) count=([0-9]+)$")
 _BLOCK = 256  # text embedding lines parsed per np.fromstring call
 _TINY = 2.0 ** -960  # below this, a residual cast to float64 can lose bits
 _U32 = struct.Struct("<I")
-_raw_decode = json.JSONDecoder().raw_decode
+_CHUNK = 1 << 20  # bytes of whole JSON lines read and decoded at a time
+_scan = json.JSONDecoder().scan_once
 # Where the platform has it, MAP_POPULATE has the kernel fill a new block's
 # pages in one call, not at one page fault each, which about halves the cost.
 _MAP_ARGS = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE}
@@ -195,6 +201,15 @@ def _check_records(ids, texts, where, path, first):
                 raise ParseError(f"{where % (path, i)}: empty text")
 
 
+def _utf8_fault(path, at, raw, exc):
+    """The ``ParseError`` a whole-file decode gives for ``exc``, met while
+    decoding ``raw``, the bytes from file offset ``at``."""
+    start, n = at + exc.start, exc.end - exc.start
+    where = (f"byte 0x{raw[exc.start]:02x} in position {start}" if n == 1
+             else f"bytes in position {start}-{start + n - 1}")
+    return ParseError(f"{path}: 'utf-8' codec can't decode {where}: {exc.reason}")
+
+
 def _lines(fh, path):
     r"""The lines of the open binary file ``fh`` as UTF-8 text, without their
     ends, split at "\n", "\r\n" or a lone "\r" only, not at the form feeds,
@@ -208,10 +223,7 @@ def _lines(fh, path):
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            start, n = at + exc.start, exc.end - exc.start
-            where = (f"byte 0x{raw[exc.start]:02x} in position {start}" if n == 1
-                     else f"bytes in position {start}-{start + n - 1}")
-            raise ParseError(f"{path}: 'utf-8' codec can't decode {where}: {exc.reason}") from None
+            raise _utf8_fault(path, at, raw, exc) from None
         at += len(raw)
         if "\r" in line:  # "\r\n" can only end ``raw``; lone "\r"s split it
             yield from line.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
@@ -411,25 +423,54 @@ def write_jsonl(path, lines):
         fh.write(data)
 
 
-def read_jsonl(path):
-    """Yield (line_number, raw_line) pairs for non-empty lines of a JSON-lines
-    file as it is read; invalid UTF-8 raises when its line is reached."""
+def read_jsonl(path, where="%s: line %d", malformed=None):
+    """Yield ``(line_number, value)`` for each non-empty line of a JSON-lines
+    file as it is read, ``value`` being ``decode_json_line`` of the line.  A
+    line that is not one JSON value raises ``ParseError`` naming
+    ``where % (path, line_number)``; one whose integer passes ``int``'s digit
+    limit names ``malformed % (path, line_number)``, or raises its
+    ``ValueError`` if ``malformed`` is None.  Invalid UTF-8 raises once the
+    lines before the one holding it are read.
+    """
     with open(path, "rb") as fh:
-        for i, line in enumerate(_lines(fh, path), start=1):
-            if line:
-                yield i, line
+        at = lineno = 0  # file offset of the chunk, number of the last line read
+        while raw := b"".join(fh.readlines(_CHUNK)):
+            try:
+                text, fault = raw.decode("utf-8"), None
+            except UnicodeDecodeError as exc:  # the lines before its own come first
+                fault = _utf8_fault(path, at, raw, exc)
+                text = raw[:raw.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
+            at += len(raw)
+            if "\r" in text:  # a chunk ends at "\n", so no "\r\n" is split
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            start, size = 0, len(text)
+            while start < size:
+                end = text.find("\n", start)
+                end = size if end < 0 else end
+                lineno += 1
+                if end > start:
+                    try:
+                        value, got = _scan(text, start)
+                    except (StopIteration, ValueError, RecursionError):
+                        got = None
+                    if got != end:
+                        try:
+                            value = decode_json_line(text[start:end])
+                        except json.JSONDecodeError as exc:
+                            raise ParseError(f"{where % (path, lineno)}: {exc}") from None
+                        except ValueError as exc:
+                            if malformed is None:
+                                raise
+                            raise ParseError(f"{malformed % (path, lineno)}: {exc}") from None
+                    yield lineno, value
+                start = end + 1
+            if fault is not None:
+                raise fault
 
 
 def decode_json_line(line):
-    """``json.loads(line)``, in one C scan when that reads the whole line; any
-    other line (a BOM, whitespace or data around the value) goes to ``json.loads``.
-    A value nested past the recursion limit raises ``JSONDecodeError`` too."""
-    try:
-        value, end = _raw_decode(line)
-        if end == len(line):
-            return value
-    except (ValueError, RecursionError):
-        pass
+    """``json.loads(line)``; a value nested past the recursion limit raises
+    ``JSONDecodeError`` too."""
     try:
         return json.loads(line)
     except RecursionError:

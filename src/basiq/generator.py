@@ -18,7 +18,6 @@ coefficients are padded with zero-score entries from the smallest unused
 column indices; a zero score passes no concatenation threshold.
 """
 
-import json
 from itertools import islice
 from json.encoder import encode_basestring
 from typing import NamedTuple
@@ -32,13 +31,20 @@ from .solver import LassoConfig, solve_lasso
 
 SCORE_DECIMALS = 6
 BQ_COUNT = 3  # supporting questions per record
-_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)  # JSONDecodeError is a ValueError
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def check_scores(scores):
     """``scores`` as a tuple that keeps the score law: three scores, each in
-    [0, 1], nonincreasing.  The range is checked before the count and the order."""
+    [0, 1], nonincreasing.  One chained comparison checks the whole law; the
+    scores are walked only to name a fault, the range before the count and
+    the order."""
     scores = tuple(scores)
+    try:
+        if len(scores) == BQ_COUNT and 1.0 >= scores[0] >= scores[1] >= scores[2] >= 0.0:
+            return scores
+    except TypeError:  # the walk raises it, for the first score that has it
+        pass
     for s in scores:
         if not 0.0 <= s <= 1.0:
             raise InvalidInputError(f"score {s!r} outside [0, 1]")
@@ -170,9 +176,8 @@ def record_to_json(record):
         encode_basestring(record.image_id), encode_basestring(record.mq_text), bq_parts)
 
 
-def _parse_record(line):
+def _parse_record(obj):
     # Each field is read, then type-checked, in this order; a JSON true or false is not a number.
-    obj = fileformats.decode_json_line(line)
     texts, scores = [], []
     for bq in obj["bqs"]:
         if type(text := bq["text"]) is not str:
@@ -194,11 +199,9 @@ def write_bqd(path, records):
 
 def read_bqd(path):
     records = []
-    for ln, line in fileformats.read_jsonl(path):
+    for ln, obj in fileformats.read_jsonl(path, "%s:%d", "%s:%d: malformed record"):
         try:
-            records.append(_parse_record(line))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{ln}: {exc}") from None
+            records.append(_parse_record(obj))
         except _MALFORMED as exc:
             raise ParseError(f"{path}:{ln}: malformed record: {exc}") from None
     return records

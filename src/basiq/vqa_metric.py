@@ -8,7 +8,6 @@ text (trim, collapse whitespace, casefold) before comparison unless raw
 matching is requested.
 """
 
-import json
 import math
 from typing import NamedTuple
 
@@ -73,11 +72,7 @@ def evaluate(records, normalize=True):
 
 def _jsonl_fields(path, value_key):
     """(line number, str(question_id), value) per nonblank line, decoded and checked as read."""
-    for lineno, line in fileformats.read_jsonl(path):
-        try:
-            obj = fileformats.decode_json_line(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, obj in fileformats.read_jsonl(path, "%s: line %d"):
         try:
             qid, value = obj["question_id"], obj[value_key]
         except (KeyError, TypeError):

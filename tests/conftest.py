@@ -1,8 +1,10 @@
 """Shared builders for solver, dictionary and file-reading tests."""
 
 import contextlib
+import json
 import mmap
 import os
+import re
 import struct
 import threading
 
@@ -11,7 +13,7 @@ import pytest
 
 from basiq import fileformats
 from basiq.dictionary import Dictionary, build_dictionary, save_dictionary_cache
-from basiq.errors import InvalidInputError, ParseError, ShapeError
+from basiq.errors import BasiqError, InvalidInputError, ParseError, ShapeError
 from basiq.fileformats import EMBEDDING_MAGIC, EMBEDDING_VERSION, QuestionRecord, write_binary
 
 # verdict lines recorded by the acceptance tests, echoed after the run
@@ -69,6 +71,99 @@ def read_through_pipe(tmp_path, data, read):
     if "error" in outcome:
         raise outcome["error"]
     return outcome["result"]
+
+
+def outcome(read, *args):
+    """What ``read(*args)`` returns, or the type and message of the ``BasiqError`` it raises."""
+    try:
+        return read(*args)
+    except BasiqError as exc:
+        return type(exc), str(exc)
+
+
+def plain_jsonl(path, where="%s: line %d"):
+    r"""``fileformats.read_jsonl`` written plainly, as an oracle: ``(line
+    number, value)`` per non-empty line, from one decode of the whole file
+    split at "\n", "\r\n" and lone "\r", each line read by ``json.loads``.
+
+    A line that is not one JSON value raises ``ParseError`` naming ``where %
+    (path, line number)``, with the message ``json.loads`` gives, or
+    ``decode_json_line``'s for a value nested past the recursion limit.
+    Invalid UTF-8 raises the whole-file decode's error once every line
+    before the "\n"-ended line holding it is read.
+    """
+    data = path.read_bytes()
+    try:
+        text, fault = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        text, fault = data[:data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8"), exc
+    for lineno, line in enumerate(re.split("\r\n|\r|\n", text), start=1):
+        if not line:
+            continue
+        try:
+            value = json.loads(line)
+        except RecursionError:
+            raise ParseError(f"{where % (path, lineno)}: Value nested too deeply: "
+                             "line 1 column 1 (char 0)") from None
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{where % (path, lineno)}: {exc}") from None
+        yield lineno, value
+    if fault is not None:
+        raise ParseError(f"{path}: {fault}")
+
+
+JSONL_WIDTH = 256  # bytes of each line of ``jsonl_over_chunks``, its "\n" included
+PER_CHUNK = fileformats._CHUNK // JSONL_WIDTH  # such lines in one chunk of ``read_jsonl``
+
+
+def _bad(text):
+    """An edit that puts ``text``, padded with spaces, in place of a line."""
+    return lambda good: text + b" " * (len(good) - len(text) - 1) + b"\n"
+
+
+def _invalid_utf8(good):
+    """The line with one of its padding spaces made the byte 0xff."""
+    return good[:-4] + b"\xff" + good[-3:]
+
+
+# case: {line index: edit of that line's bytes}.  Faults sit on the first
+# or last line of a chunk, or next to a chunk boundary.
+CHUNK_CASES = {
+    "JSON fault on a later chunk's first line": {2 * PER_CHUNK: _bad(b'{"x": ')},
+    "invalid UTF-8 on a later chunk's first line": {2 * PER_CHUNK: _invalid_utf8},
+    "JSON fault, then invalid UTF-8 in the next chunk": {
+        PER_CHUNK - 1: _bad(b"{'x': 1}"), PER_CHUNK: _invalid_utf8},
+    "record fault, then invalid UTF-8 in the next chunk": {
+        PER_CHUNK - 1: _bad(b'{"mq": 7}'), PER_CHUNK: _invalid_utf8},
+    "invalid UTF-8, then a JSON fault in the next chunk": {
+        PER_CHUNK - 1: _invalid_utf8, PER_CHUNK: _bad(b"[1, 2")},
+    "line ends, blank lines and whitespace": {
+        PER_CHUNK - 2: lambda good: good[:-1] + b"\r\n",
+        PER_CHUNK - 1: lambda good: b"\n\r\n" + good[:-1] + b"\r",
+        PER_CHUNK: lambda good: b" \t" + good[:-1] + b" \r\n\r",
+        2 * PER_CHUNK - 1: lambda good: b"\r" + good[:-1] + b"\t\r\n\n",
+        2 * PER_CHUNK: lambda good: good[:-1] + b"\r\r"},
+    "BOM on a chunk's first line": {PER_CHUNK: lambda good: b"\xef\xbb\xbf" + good},
+    "value over two lines of one chunk": {
+        PER_CHUNK + 1: _bad(b'{"image_id":'), PER_CHUNK + 2: _bad(b'"x"}')},
+    "value over two chunks": {PER_CHUNK - 1: _bad(b'{"image_id":'), PER_CHUNK: _bad(b'"x"}')},
+    "nesting past the recursion limit": {PER_CHUNK: lambda good: b"[" * 5000 + b"]" * 5000 + b"\n"},
+}
+
+
+def jsonl_over_chunks(make, case):
+    """The bytes of a JSON-lines file two and a half ``read_jsonl`` chunks
+    long, with the edits of ``CHUNK_CASES[case]``.  Line ``i`` is ``make(i)``
+    with a "pad" field that makes it ``JSONL_WIDTH`` bytes, so chunk ``c``
+    starts at line ``c * PER_CHUNK`` until an edit changes a line's length."""
+    lines = []
+    for i in range(5 * PER_CHUNK // 2):
+        pad = JSONL_WIDTH - 1 - len(json.dumps({**make(i), "pad": ""}))
+        assert pad >= 3
+        lines.append(json.dumps({**make(i), "pad": " " * pad}).encode("ascii") + b"\n")
+    for i, edit in CHUNK_CASES[case].items():
+        lines[i] = edit(lines[i])
+    return b"".join(lines)
 
 
 def unit_columns(rng, dim, n):

@@ -23,9 +23,15 @@ from basiq.dictionary import (
 from basiq.errors import BasiqError, InvalidInputError, ParseError, ShapeError
 
 from conftest import (
+    CHUNK_CASES,
+    JSONL_WIDTH,
+    PER_CHUNK,
+    jsonl_over_chunks,
     mapping_of,
     needs_fifo,
+    outcome,
     pack_string,
+    plain_jsonl,
     qemb_bytes,
     question_records,
     read_through_pipe,
@@ -603,7 +609,7 @@ def test_text_file_and_pipe_read_alike(tmp_path):
 def test_jsonl_reads_a_pipe(tmp_path):
     loaded = read_through_pipe(tmp_path, b'{"a": 1}\r\n\n{"b": 2}',
                                lambda path: list(fileformats.read_jsonl(path)))
-    assert loaded == [(1, '{"a": 1}'), (3, '{"b": 2}')]
+    assert loaded == [(1, {"a": 1}), (3, {"b": 2})]
 
 
 def test_text_reader_peak_memory_is_below_file_size(tmp_path, block_bytes):
@@ -1056,7 +1062,7 @@ def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "rows.jsonl"
     fileformats.write_jsonl(path, ['{"a": 1}', '{"b": 2}'])
     assert path.read_bytes().endswith(b"\n")
-    assert [line for _, line in fileformats.read_jsonl(path)] == ['{"a": 1}', '{"b": 2}']
+    assert [value for _, value in fileformats.read_jsonl(path)] == [{"a": 1}, {"b": 2}]
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "lone CR"])
@@ -1064,7 +1070,50 @@ def test_jsonl_round_trip(tmp_path):
 def test_jsonl_lines_end_at_universal_newlines(tmp_path, end, final):
     path = tmp_path / "rows.jsonl"
     path.write_bytes((end.join(['{"a": 1}', "", '{"b": 2}']) + end * final).encode("utf-8"))
-    assert list(fileformats.read_jsonl(path)) == [(1, '{"a": 1}'), (3, '{"b": 2}')]
+    assert list(fileformats.read_jsonl(path)) == [(1, {"a": 1}), (3, {"b": 2})]
+
+
+@pytest.mark.parametrize("case", list(CHUNK_CASES))
+def test_jsonl_chunks_read_as_the_plain_reader(tmp_path, case):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(jsonl_over_chunks(lambda i: {"i": i, "q": f"row {i}?"}, case))
+    expected = outcome(lambda: list(plain_jsonl(path)))
+    assert outcome(lambda: list(fileformats.read_jsonl(path))) == expected
+
+
+def test_jsonl_faults_name_their_place_across_chunks(tmp_path):
+    # Line numbers and byte offsets count from the start of the file, not of the chunk.
+    path = tmp_path / "rows.jsonl"
+    for case, message in [
+        ("JSON fault on a later chunk's first line",
+         f"line {2 * PER_CHUNK + 1}: Expecting value: line 1 column {JSONL_WIDTH} "
+         f"(char {JSONL_WIDTH - 1})"),
+        ("invalid UTF-8 on a later chunk's first line",
+         f"'utf-8' codec can't decode byte 0xff in position {2 * fileformats._CHUNK + JSONL_WIDTH - 4}:"
+         " invalid start byte"),
+    ]:
+        path.write_bytes(jsonl_over_chunks(lambda i: {"i": i}, case))
+        with pytest.raises(ParseError) as info:
+            list(fileformats.read_jsonl(path))
+        assert str(info.value) == f"{path}: {message}"
+
+
+def test_jsonl_peak_memory_does_not_grow_with_the_file(tmp_path):
+    # A few chunks of lines and their text are held at once, never the file.
+    line = json.dumps({"q": "what is it? " * 160, "n": [0.5, 0.25, 0.0]})
+    peaks = []
+    for mib in (5, 20):
+        path = tmp_path / f"{mib}.jsonl"
+        path.write_bytes(f"{line}\n".encode("ascii") * (mib * 2 ** 20 // (len(line) + 1)))
+        tracemalloc.start()
+        try:
+            for _ in fileformats.read_jsonl(path):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 5 * fileformats._CHUNK
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
 _TRUNCATED = {"truncated 2-byte": "é", "truncated 3-byte": "€", "truncated 4-byte": "\U0001f600"}

@@ -8,7 +8,9 @@ import pytest
 from basiq.errors import InvalidInputError, ParseError, UncertifiedSolveError
 from basiq.generator import (
     BqdRecord,
+    _parse_record,
     _ranked_entries,
+    check_scores,
     generate_basic_questions,
     generate_batch,
     read_bqd,
@@ -18,7 +20,16 @@ from basiq.generator import (
 from basiq.solver import LassoConfig, SparseSolution
 from basiq.vqa_metric import AnswerRecord
 
-from conftest import near_duplicate_pairs, orthogonal_dictionary, question_records, unit_columns
+from conftest import (
+    CHUNK_CASES,
+    jsonl_over_chunks,
+    near_duplicate_pairs,
+    orthogonal_dictionary,
+    outcome,
+    plain_jsonl,
+    question_records,
+    unit_columns,
+)
 from basiq.dictionary import Dictionary, build_dictionary
 
 
@@ -326,3 +337,74 @@ def test_read_bqd_reports_the_first_fault_in_file_order(tmp_path, n_lines, chunk
     with pytest.raises(ParseError) as exc:
         read_bqd(path)
     assert str(exc.value) == f"{path}:2: malformed record: 'mq' must be a string, got int"
+
+
+def test_read_bqd_names_an_integer_past_the_digit_limit(tmp_path):
+    # json reads the line but int() refuses its value: a malformed record,
+    # named with its line, whether the fast scan or json.loads meets it.
+    digits = "1" * 5000
+    with pytest.raises(ValueError) as refused:
+        int(digits)
+    good = json.dumps({"image_id": "i", "mq": "m?", "bqs": _GOOD_BQS})
+    path = tmp_path / "bqd.jsonl"
+    path.write_text(f"{good}\n\n{good.replace('0.1', digits)}\n{good[:-1]}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        read_bqd(path)
+    assert str(exc.value) == f"{path}:3: malformed record: {refused.value}"
+
+
+def _reference_read_bqd(path):
+    """``read_bqd`` on the lines of ``plain_jsonl``, an oracle for its line reading."""
+    records = []
+    for ln, obj in plain_jsonl(path, "%s:%d"):
+        try:
+            records.append(_parse_record(obj))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}:{ln}: malformed record: {exc}") from None
+    return records
+
+
+@pytest.mark.parametrize("case", list(CHUNK_CASES))
+def test_read_bqd_chunks_read_as_the_plain_reader(tmp_path, case):
+    path = tmp_path / "bqd.jsonl"
+    path.write_bytes(jsonl_over_chunks(
+        lambda i: {"image_id": f"img{i}", "mq": f"m{i}?", "bqs": _GOOD_BQS}, case))
+    assert outcome(read_bqd, path) == outcome(_reference_read_bqd, path)
+
+
+def _walk_check_scores(scores):
+    """The score law checked as one walk of the scores, as it was before the
+    chained comparison: the oracle for every fault's type and message."""
+    scores = tuple(scores)
+    for s in scores:
+        if not 0.0 <= s <= 1.0:
+            raise InvalidInputError(f"score {s!r} outside [0, 1]")
+    if len(scores) != 3:
+        raise InvalidInputError(f"expected exactly 3 supporting questions, got {len(scores)}")
+    if not (scores[0] >= scores[1] >= scores[2]):
+        raise InvalidInputError(f"scores must be nonincreasing, got {list(scores)}")
+    return scores
+
+
+_NAN, _INF = float("nan"), float("inf")
+_SCORE_CASES = [
+    (0.5, 0.25, 0.0), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (0.5, 0.5, -0.0), (-0.0, 0.0, -0.0),
+    (1, 1, 0), (True, True, False), (1.0, True, 0), [0.9, 0.5, 0.1],
+    (_NAN, 0.5, 0.1), (0.5, _NAN, 0.1), (0.5, 0.1, _NAN), (_INF, 0.5, 0.1), (0.5, 0.1, -_INF),
+    (1.0000000000000002, 0.5, 0.1), (0.5, 0.1, -5e-324), (2, 1, 0), (1, 0, -1),
+    ("0.5", 0.25, 0.0), (0.5, "0.25", 0.0), (0.5, 0.25, None), (None, 0.25, 0.0), (0.5, None, 9.0),
+    (), (0.5, 0.25), (0.5, 0.25, 0.1, 0.0), (0.5, 0.25, 0.1, 7.0), (0.5, _NAN),
+    (0.1, 0.5, 0.9), (0.1, 0.5, 0.2), (0.5, 0.1, 0.2), (0.5, 0.5, 0.6), (0.0, 0.0, 5e-324),
+]
+
+
+@pytest.mark.parametrize("scores", _SCORE_CASES, ids=repr)
+def test_check_scores_matches_the_walk(scores):
+    def result(check):
+        try:
+            got = check(scores)
+        except Exception as exc:  # a TypeError from comparing a str or None too
+            return type(exc), str(exc)
+        return type(got), [(type(s), repr(s)) for s in got]
+
+    assert result(check_scores) == result(_walk_check_scores)

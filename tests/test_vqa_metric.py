@@ -7,9 +7,8 @@ import random
 
 import pytest
 
-from basiq import fileformats
 from basiq.dictionary import normalize_question_text
-from basiq.errors import BasiqError, InvalidInputError, ParseError
+from basiq.errors import InvalidInputError, ParseError
 from basiq.vqa_metric import (
     AnswerRecord,
     aggregate_by_type,
@@ -17,6 +16,8 @@ from basiq.vqa_metric import (
     load_answer_records,
     question_score,
 )
+
+from conftest import CHUNK_CASES, jsonl_over_chunks, outcome, plain_jsonl
 
 
 def make_record(qid, predicted, answers):
@@ -225,11 +226,7 @@ def _reference_load_answer_records(predictions_path, annotations_path):
     exception type and message, for the first fault in file order.
     """
     def objects(path, required_keys):
-        for lineno, line in fileformats.read_jsonl(path):
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        for lineno, obj in plain_jsonl(path):
             if not isinstance(obj, dict):
                 raise ParseError(f"{path}: line {lineno}: expected a JSON object")
             missing = [k for k in required_keys if k not in obj]
@@ -322,13 +319,6 @@ def _answer_files(rng, kinds):
     return files["pred"], files["anno"]
 
 
-def _outcome(load, pred, anno):
-    try:
-        return load(pred, anno)
-    except BasiqError as exc:
-        return type(exc), str(exc)
-
-
 @pytest.mark.parametrize("kinds", [(), *[(k,) for k in _FAULTS + _VARIANTS],
                                    *itertools.combinations(_FAULTS, 2),
                                    *[(k, "numeric", "blank lines") for k in _FAULTS]],
@@ -339,6 +329,18 @@ def test_load_answer_records_matches_two_phase_reference(tmp_path, kinds):
         pred_lines, anno_lines = _answer_files(random.Random(seed), kinds)
         pred.write_text("".join(f"{line}\n" for line in pred_lines), encoding="utf-8")
         anno.write_text("".join(f"{line}\n" for line in anno_lines), encoding="utf-8")
-        expected = _outcome(_reference_load_answer_records, pred, anno)
-        assert _outcome(load_answer_records, pred, anno) == expected, (
+        expected = outcome(_reference_load_answer_records, pred, anno)
+        assert outcome(load_answer_records, pred, anno) == expected, (
             seed, pred_lines, anno_lines)
+
+
+@pytest.mark.parametrize("side", ["annotations", "predictions"])
+@pytest.mark.parametrize("case", list(CHUNK_CASES))
+def test_load_answer_records_chunks_read_as_the_reference(tmp_path, case, side):
+    files = {"annotations": lambda i: {"question_id": str(i), "answers": ["red", f"{i}"]},
+             "predictions": lambda i: {"question_id": str(i), "answer": "red"}}
+    for name, make in files.items():
+        (tmp_path / name).write_bytes(jsonl_over_chunks(
+            make, case if name == side else "line ends, blank lines and whitespace"))
+    paths = tmp_path / "predictions", tmp_path / "annotations"
+    assert outcome(load_answer_records, *paths) == outcome(_reference_load_answer_records, *paths)
