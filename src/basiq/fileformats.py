@@ -15,10 +15,9 @@ Two formats live here:
   reject dimension mismatches, duplicate ids, and non-finite values.
 
 * JSON-lines files hold one pre-serialized JSON value per line.
-  ``read_jsonl`` reads about 1 MiB of whole lines at a time, decodes it
-  once, and reads each line's value in place with ``json``'s C scanner;
-  a line whose value does not end at the line's end, or that fails, is
-  read again alone by ``json.loads``, which names its fault.
+  ``read_jsonl`` reads each line's value with ``json``'s C scanner; a
+  line whose value does not end at the line's end, or that fails, is
+  read again by ``json.loads``, which names its fault.
 
 Fields come before values: a reader checks the structure of the whole
 file (headers, ids, texts, field counts, lengths), raising its first
@@ -35,20 +34,22 @@ time with ``float()``, which names its first bad line and accepts tokens
 such as ``1_0``.
 
 Every reader opens its path once, so a named pipe works as a file does.
-Text files stream as lines ending at "\n", "\r\n" or a lone "\r", decoded
-as UTF-8 a line, or a chunk of whole lines, at a time, so invalid UTF-8 is
-met in file order and raises the error a whole-file decode gives.  Peak
-memory is a few chunks for the JSON-lines reader, and the vectors, ids and
-texts plus one block of lines for the text embedding reader; neither holds
-the whole text unless every line ends at a lone "\r".  Each block's
-values go, once parsed, into a value block of their own, so no header
-sizes an allocation, from a file or a pipe.  The binary reader reads a
-pipe to its end once, and its bytes stand in for the file, so both take
-one path that checks every length and the header against the bytes that
-are there before it reads what they size.  It reads the ids and texts one
-at a time and the value block straight into its own array.  Each value
-block lives in an anonymous mapping of its own, which goes back to the
-operating system as soon as the last array viewing it is dropped.
+Both text formats stream through one line source, ``_lines``, which reads
+about 64 KiB of whole lines at a time, decodes them as UTF-8 once and
+splits them at "\n", "\r\n" or a lone "\r", so invalid UTF-8 is met in
+file order and raises the error a whole-file decode gives.  Peak memory is
+one chunk of lines for the JSON-lines reader, and the vectors, ids and
+texts plus a chunk and a block of lines for the text embedding reader;
+neither holds the whole text unless every line ends at a lone "\r".
+Each block's values go, once parsed, into a value block of their own, so
+no header sizes an allocation, from a file or a pipe.  The binary reader
+reads a pipe to its end once, and its bytes stand in for the file, so
+both take one path that checks every length and the header against the
+bytes that are there before it reads what they size.  It reads the ids
+and texts one at a time and the value block straight into its own array.
+Each value block lives in an anonymous mapping of its own, which goes
+back to the operating system as soon as the last array viewing it is
+dropped.
 """
 
 import contextlib
@@ -74,7 +75,7 @@ _HEADER_RE = re.compile(r"^dim=([0-9]+) count=([0-9]+)$")
 _BLOCK = 256  # text embedding lines parsed per np.fromstring call
 _TINY = 2.0 ** -960  # below this, a residual cast to float64 can lose bits
 _U32 = struct.Struct("<I")
-_CHUNK = 1 << 20  # bytes of whole JSON lines read and decoded at a time
+_CHUNK = 1 << 16  # bytes read at a time by ``_lines``, then on to the end of a line
 _scan = json.JSONDecoder().scan_once
 # Where the platform has it, MAP_POPULATE has the kernel fill a new block's
 # pages in one call, not at one page fault each, which about halves the cost.
@@ -215,20 +216,28 @@ def _lines(fh, path):
     ends, split at "\n", "\r\n" or a lone "\r" only, not at the form feeds,
     ``\x85`` or ``\u2028`` that ``str.splitlines`` splits at.
 
-    Each line is decoded with its end, so invalid UTF-8 raises when the
-    line holding it is read, with the message a whole-file decode gives.
+    About ``_CHUNK`` bytes of whole lines are read and decoded at a time.
+    Invalid UTF-8 raises, with the message a whole-file decode gives, once
+    the lines before the "\n"-ended line holding it are read.
     """
-    at = 0  # file offset of the line being decoded
-    for raw in fh:
+    at = 0  # file offset of the chunk
+    while chunk := fh.read(_CHUNK) + fh.readline():
         try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise _utf8_fault(path, at, raw, exc) from None
-        at += len(raw)
-        if "\r" in line:  # "\r\n" can only end ``raw``; lone "\r"s split it
-            yield from line.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
-        else:
-            yield line.removesuffix("\n")
+            text, fault = chunk.decode("utf-8"), None
+        except UnicodeDecodeError as exc:  # the lines before its own come first
+            fault = _utf8_fault(path, at, chunk, exc)
+            text = chunk[:chunk.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
+        at += len(chunk)
+        if "\r" in text:  # a chunk ends at "\n" or the file's end, so no "\r\n" is split
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
+        del chunk, text  # neither is held while the lines are read
+        if not lines[-1]:  # what follows the chunk's last "\n"
+            lines.pop()
+        yield from lines
+        del lines  # nor are they while the next chunk is read
+        if fault is not None:
+            raise fault
 
 
 def _text_embeddings(fh, path):
@@ -428,44 +437,27 @@ def read_jsonl(path, where="%s: line %d", malformed=None):
     file as it is read, ``value`` being ``decode_json_line`` of the line.  A
     line that is not one JSON value raises ``ParseError`` naming
     ``where % (path, line_number)``; one whose integer passes ``int``'s digit
-    limit names ``malformed % (path, line_number)``, or raises its
-    ``ValueError`` if ``malformed`` is None.  Invalid UTF-8 raises once the
-    lines before the one holding it are read.
+    limit names ``malformed % (path, line_number)``, or ``where``'s if
+    ``malformed`` is None.  Invalid UTF-8 raises once the lines before the
+    one holding it are read.
     """
+    malformed = malformed or where
     with open(path, "rb") as fh:
-        at = lineno = 0  # file offset of the chunk, number of the last line read
-        while raw := b"".join(fh.readlines(_CHUNK)):
+        for lineno, line in enumerate(_lines(fh, path), 1):
+            if not line:
+                continue
             try:
-                text, fault = raw.decode("utf-8"), None
-            except UnicodeDecodeError as exc:  # the lines before its own come first
-                fault = _utf8_fault(path, at, raw, exc)
-                text = raw[:raw.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
-            at += len(raw)
-            if "\r" in text:  # a chunk ends at "\n", so no "\r\n" is split
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
-            start, size = 0, len(text)
-            while start < size:
-                end = text.find("\n", start)
-                end = size if end < 0 else end
-                lineno += 1
-                if end > start:
-                    try:
-                        value, got = _scan(text, start)
-                    except (StopIteration, ValueError, RecursionError):
-                        got = None
-                    if got != end:
-                        try:
-                            value = decode_json_line(text[start:end])
-                        except json.JSONDecodeError as exc:
-                            raise ParseError(f"{where % (path, lineno)}: {exc}") from None
-                        except ValueError as exc:
-                            if malformed is None:
-                                raise
-                            raise ParseError(f"{malformed % (path, lineno)}: {exc}") from None
-                    yield lineno, value
-                start = end + 1
-            if fault is not None:
-                raise fault
+                value, end = _scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = None
+            if end != len(line):
+                try:
+                    value = decode_json_line(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"{where % (path, lineno)}: {exc}") from None
+                except ValueError as exc:
+                    raise ParseError(f"{malformed % (path, lineno)}: {exc}") from None
+            yield lineno, value
 
 
 def decode_json_line(line):

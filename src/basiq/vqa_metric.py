@@ -72,7 +72,7 @@ def evaluate(records, normalize=True):
 
 def _jsonl_fields(path, value_key):
     """(line number, str(question_id), value) per nonblank line, decoded and checked as read."""
-    for lineno, obj in fileformats.read_jsonl(path, "%s: line %d"):
+    for lineno, obj in fileformats.read_jsonl(path):
         try:
             qid, value = obj["question_id"], obj[value_key]
         except (KeyError, TypeError):

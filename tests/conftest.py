@@ -113,7 +113,9 @@ def plain_jsonl(path, where="%s: line %d"):
 
 
 JSONL_WIDTH = 256  # bytes of each line of ``jsonl_over_chunks``, its "\n" included
-PER_CHUNK = fileformats._CHUNK // JSONL_WIDTH  # such lines in one chunk of ``read_jsonl``
+# Such lines in one chunk of ``fileformats._lines``: its read of ``_CHUNK``
+# bytes ends at a line's end, and the next whole line completes the chunk.
+PER_CHUNK = fileformats._CHUNK // JSONL_WIDTH + 1
 
 
 def _bad(text):
@@ -152,8 +154,8 @@ CHUNK_CASES = {
 
 
 def jsonl_over_chunks(make, case):
-    """The bytes of a JSON-lines file two and a half ``read_jsonl`` chunks
-    long, with the edits of ``CHUNK_CASES[case]``.  Line ``i`` is ``make(i)``
+    """The bytes of a JSON-lines file two and a half ``fileformats._lines``
+    chunks long, with the edits of ``CHUNK_CASES[case]``.  Line ``i`` is ``make(i)``
     with a "pad" field that makes it ``JSONL_WIDTH`` bytes, so chunk ``c``
     starts at line ``c * PER_CHUNK`` until an edit changes a line's length."""
     lines = []
@@ -164,6 +166,12 @@ def jsonl_over_chunks(make, case):
     for i, edit in CHUNK_CASES[case].items():
         lines[i] = edit(lines[i])
     return b"".join(lines)
+
+
+def chunk_ends(path):
+    """The file offset at which each chunk ``fileformats._lines`` reads of ``path`` ends."""
+    with open(path, "rb") as fh:
+        return sorted({fh.tell() for _ in fileformats._lines(fh, path)})
 
 
 def unit_columns(rng, dim, n):

@@ -665,6 +665,21 @@ def test_eval_annotation_duplicate_wins_over_later_json_error(tmp_path, capsys):
         f"error: {tmp_path / 'anno.jsonl'}: line 2: duplicate question_id 'q1'\n")
 
 
+@pytest.mark.parametrize("bad", ["pred.jsonl", "anno.jsonl"])
+def test_eval_integer_past_the_digit_limit_fails_cleanly(tmp_path, capsys, bad):
+    # json reads the line but int() refuses its value: a clean error naming the line.
+    digits = "1" * 5000
+    argv = _eval_files(
+        tmp_path,
+        '{"question_id": "q1", "answer": "red"}\n' + (
+            f'{{"question_id": "q2", "answer": {digits}}}\n' if bad == "pred.jsonl" else ""),
+        '{"question_id": "q1", "answers": ["red"]}\n' + (
+            f'{{"question_id": "q2", "answers": [{digits}]}}\n' if bad == "anno.jsonl" else ""))
+    assert run(argv) == EXIT_FAIL
+    assert capsys.readouterr().err.startswith(
+        f"error: {tmp_path / bad}: line 2: Exceeds the limit (4300 digits)")
+
+
 def test_eval_duplicate_prediction_names_file_and_line(tmp_path, capsys):
     argv = _eval_files(
         tmp_path,

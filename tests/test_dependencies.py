@@ -1,8 +1,9 @@
 """The package imports nothing but numpy and the standard library, its
 sources parse under the declared Python floor, a cold import builds no
 CLI parser, its public functions all have a caller outside the tests,
-and its value types are checked tuples rather than generated classes,
-whose configs write as JSON."""
+one function of ``fileformats`` decodes text lines, and its value types
+are checked tuples rather than generated classes, whose configs write as
+JSON."""
 
 import ast
 import importlib
@@ -106,6 +107,16 @@ def test_every_fileformats_function_has_a_caller():
     used = {name for path in callers for name in _uses(path)}
     assert {"basiq.fileformats.load_embeddings", "basiq.solver.solve_lasso"} <= public
     assert sorted(name for name in public if name.rpartition(".")[2] not in used) == []
+
+
+def test_fileformats_decodes_text_lines_in_one_place():
+    # Every text input reads its lines through ``_lines``; apart from it,
+    # only ``_read_strings`` decodes, the ids and texts of the binary layout.
+    tree = ast.parse((SRC / "basiq" / "fileformats.py").read_text(encoding="utf-8"))
+    decoding = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                for node in ast.walk(func) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute) and node.func.attr == "decode"}
+    assert decoding == {"_lines", "_read_strings"}
 
 
 def _dictionary():

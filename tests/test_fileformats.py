@@ -26,6 +26,7 @@ from conftest import (
     CHUNK_CASES,
     JSONL_WIDTH,
     PER_CHUNK,
+    chunk_ends,
     jsonl_over_chunks,
     mapping_of,
     needs_fifo,
@@ -293,7 +294,7 @@ def _read_outcome(read, path):
         return type(exc), str(exc)
 
 
-_DIFF_DIM, _DIFF_COUNT = 8, 600  # body lines span three value blocks and many 8 KiB chunks
+_DIFF_DIM, _DIFF_COUNT = 8, 600  # body lines span three value blocks and two chunks
 _FIELD_FAULTS = {
     "two fields": lambda line: line.rsplit("\t", 1)[0],
     "four fields": lambda line: line + "\t1",
@@ -350,7 +351,7 @@ def _diff_case(case, seed):
         body[3] = _FIELD_FAULTS["four fields"](body[3])
         splice = 20025
     elif kind == "utf-8":
-        splice = 8192 + int(rng.integers(50_000))
+        splice = fileformats._CHUNK + int(rng.integers(40_000))  # in the second chunk
     elif kind == "header then utf-8":
         header, splice = "dim=0 count=600", 20025
     elif kind == "count then utf-8":
@@ -391,6 +392,82 @@ def test_text_reader_matches_whole_file_reference(tmp_path, case, seed):
     expected = _read_outcome(_reference_read_text, path)
     assert _read_outcome(fileformats.load_embeddings, path) == expected
     assert isinstance(expected, list) == (case in ("clean", "CRLF", "lone CR", "no final newline"))
+
+
+def _with_bad_byte(line):
+    """The line with its second byte made 0xff, invalid UTF-8 of the same length."""
+    return line[:1] + b"\xff" + line[2:]
+
+
+def _end_at(lines, offset, end):
+    """Lengthen the text of the last line whose "\n" comes at or before file
+    offset ``offset`` so that the "\n" sits at ``offset``, then make that
+    line end ``end``."""
+    newlines = np.cumsum([len(line) for line in lines]) - 1
+    i = int(np.searchsorted(newlines, offset, side="right")) - 1
+    rec_id, text, row = lines[i].split(b"\t")
+    lines[i] = b"\t".join([rec_id, text + b"x" * int(offset - newlines[i]), row[:-1] + end])
+
+
+def _edit_text_chunks(case, lines, first):
+    """Edit ``lines`` (bytes with their ends, the header first) as ``case``
+    says, ``first`` being the lines that start each later chunk."""
+    if case == "invalid UTF-8 on a later chunk's first line":
+        lines[first[1]] = _with_bad_byte(lines[first[1]])
+    elif case == "field fault, then invalid UTF-8 in the next chunk":
+        lines[first[0] - 1] = lines[first[0] - 1].replace(b"\t", b" ", 1)
+        lines[first[0]] = _with_bad_byte(lines[first[0]])
+    elif case == "CRLF split by the read's end":
+        _end_at(lines, fileformats._CHUNK - 1, b"\r\n")
+    elif case == "lone CR at the read's end":
+        _end_at(lines, fileformats._CHUNK - 1, b"\r")
+    elif case in ("CRLF ends", "lone CR ends"):
+        lines[:] = [line[:-1] + (b"\r\n" if case == "CRLF ends" else b"\r") for line in lines]
+    elif case == "count low":
+        lines[0] = b"dim=16 count=519\n"
+    elif case == "count high, then invalid UTF-8 in a later chunk":
+        lines[0] = b"dim=16 count=521\n"
+        lines[first[1]] = _with_bad_byte(lines[first[1]])
+    else:
+        assert case == "clean", case
+
+
+_TEXT_CHUNK_CASES = {  # case: whether the file reads
+    "clean": True,
+    "invalid UTF-8 on a later chunk's first line": False,
+    "field fault, then invalid UTF-8 in the next chunk": False,
+    "CRLF split by the read's end": True,
+    "lone CR at the read's end": True,
+    "CRLF ends": True,
+    "lone CR ends": True,
+    "count low": False,
+    "count high, then invalid UTF-8 in a later chunk": False,
+}
+
+
+@pytest.mark.parametrize("case", list(_TEXT_CHUNK_CASES))
+def test_text_chunks_read_as_the_whole_file_reference(tmp_path, case):
+    # 520 records of 16 values make a file of more than two chunks; the
+    # edits sit on a chunk's first line or end next to a chunk's edge.
+    path = tmp_path / "emb.txt"
+    write_text_embeddings(path, _sample_records(count=520, seed=520), 16)
+    ends = chunk_ends(path)
+    assert len(ends) > 2
+    lines = path.read_bytes().splitlines(keepends=True)
+    starts = np.cumsum([0] + [len(line) for line in lines])
+    _edit_text_chunks(case, lines, [int(np.searchsorted(starts, end)) for end in ends[:-1]])
+    data = b"".join(lines)
+    path.write_bytes(data)
+    expected = _read_outcome(_reference_read_text, path)
+    assert _read_outcome(fileformats.load_embeddings, path) == expected
+    assert isinstance(expected, list) == _TEXT_CHUNK_CASES[case]
+    if hasattr(os, "mkfifo"):
+        fifo = tmp_path / "input.fifo"
+        from_pipe = _read_outcome(
+            lambda _: read_through_pipe(tmp_path, data, fileformats.load_embeddings), fifo)
+        if not isinstance(expected, list):
+            expected = expected[0], expected[1].replace(str(path), str(fifo))
+        assert from_pipe == expected
 
 
 def _midpoint_tokens(rng, count, exponents):
@@ -1089,13 +1166,22 @@ def test_jsonl_faults_name_their_place_across_chunks(tmp_path):
          f"line {2 * PER_CHUNK + 1}: Expecting value: line 1 column {JSONL_WIDTH} "
          f"(char {JSONL_WIDTH - 1})"),
         ("invalid UTF-8 on a later chunk's first line",
-         f"'utf-8' codec can't decode byte 0xff in position {2 * fileformats._CHUNK + JSONL_WIDTH - 4}:"
+         f"'utf-8' codec can't decode byte 0xff in position {(2 * PER_CHUNK + 1) * JSONL_WIDTH - 4}:"
          " invalid start byte"),
     ]:
         path.write_bytes(jsonl_over_chunks(lambda i: {"i": i}, case))
         with pytest.raises(ParseError) as info:
             list(fileformats.read_jsonl(path))
         assert str(info.value) == f"{path}: {message}"
+
+
+def test_chunks_end_where_per_chunk_says(tmp_path):
+    # Each chunk ``_lines`` reads holds ``PER_CHUNK`` whole lines of
+    # ``JSONL_WIDTH`` bytes, so every ``CHUNK_CASES`` edit sits where it says.
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(jsonl_over_chunks(lambda i: {"i": i}, "JSON fault on a later chunk's first line"))
+    assert chunk_ends(path) == [PER_CHUNK * JSONL_WIDTH, 2 * PER_CHUNK * JSONL_WIDTH,
+                                path.stat().st_size]
 
 
 def test_jsonl_peak_memory_does_not_grow_with_the_file(tmp_path):
@@ -1135,9 +1221,9 @@ def _utf8_fault(kind, rng):
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "lone CR"])
 @pytest.mark.parametrize("kind", _UTF8_FAULTS)
 def test_jsonl_invalid_utf8_matches_whole_file_decode(tmp_path, kind, end):
-    # Lines are decoded one at a time; the reported byte offset must be the
-    # one a decode of the whole file gives, for a splice anywhere past the
-    # first 8 KiB, after non-ASCII text, and at the end of the file.
+    # The reported byte offset must be the one a decode of the whole file
+    # gives, for a splice anywhere past the first 8 KiB, after non-ASCII
+    # text, and at the end of the file.
     path = tmp_path / "rows.jsonl"
     for seed in range(24):
         rng = np.random.default_rng(seed)

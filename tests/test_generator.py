@@ -22,6 +22,7 @@ from basiq.vqa_metric import AnswerRecord
 
 from conftest import (
     CHUNK_CASES,
+    chunk_ends,
     jsonl_over_chunks,
     near_duplicate_pairs,
     orthogonal_dictionary,
@@ -323,17 +324,18 @@ def test_record_from_json_checks_scores_first(tmp_path, bqs, message):
     assert str(exc.value) == f"{path}:2: malformed record: {message}"
 
 
-@pytest.mark.parametrize("n_lines, chunk", [(7, 0), (202, 3)],
-                         ids=["same 8 KiB chunk", "three chunks later"])
+@pytest.mark.parametrize("n_lines, chunk", [(7, 0), (1780, 3)],
+                         ids=["same chunk", "three chunks later"])
 def test_read_bqd_reports_the_first_fault_in_file_order(tmp_path, n_lines, chunk):
     # A malformed line 2 wins over invalid UTF-8 on the last line, in the
-    # 8 KiB chunk of the file that holds line 2 or a later one.
+    # chunk of the file that holds line 2 or a later one.
     good = json.dumps({"image_id": "i", "mq": "m?", "bqs": _GOOD_BQS})
     lines = [good, good.replace('"m?"', "7")] + [good] * (n_lines - 2)
     data = "\n".join(lines).encode("utf-8") + b"\n"
     path = tmp_path / "bqd.jsonl"
+    path.write_bytes(data)
+    assert sum(end <= len(data) - 20 for end in chunk_ends(path)) == chunk
     path.write_bytes(data[:-20] + b"\xff" + data[-20:])
-    assert (len(data) - 20) // 8192 == chunk
     with pytest.raises(ParseError) as exc:
         read_bqd(path)
     assert str(exc.value) == f"{path}:2: malformed record: 'mq' must be a string, got int"
