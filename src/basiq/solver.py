@@ -254,25 +254,26 @@ def _homotopy(a, search, b, corr, lam_cur, lam, config):
     x = np.zeros(n)
     sign = np.zeros(n)  # +-1 on the active set
     active = np.zeros(n, dtype=bool)
+    if lam < lam_cur:  # the first step: the most correlated column enters at once
+        j = int(np.abs(corr).argmax())
+        sign[j] = 1.0 if corr[j] > 0 else -1.0
+        active[j] = True
     idx = active.nonzero()[0]  # the active set, ascending, so drop ties go to the lowest
     cols, signs = a[:, idx], sign[idx]
     left = []  # the (column, edge) cells dropped since the penalty last moved
-    slope = np.zeros(n)  # until the first entry; a lone coefficient never drops
 
-    steps = 0
-    while steps < config.max_sweeps:
+    steps = 1
+    while idx.size and steps < config.max_sweeps:  # a lone coefficient never drops
         steps += 1
-        t_out, k = np.inf, -1
-        if idx.size:
-            gram = cols.T @ cols
-            d = np.linalg.solve(gram, signs)
-            u = (cols @ d).astype(search.dtype, copy=False)
-            slope = (search.T @ u).astype(np.float64, copy=False)
-            xs = x[idx]
-            t_drop = np.full(idx.size, np.inf)
-            np.divide(-xs, d, out=t_drop, where=signs * d < 0)
-            i = int(t_drop.argmin())
-            t_out, k = float(t_drop[i]), int(idx[i])
+        gram = cols.T @ cols
+        d = np.linalg.solve(gram, signs)
+        u = (cols @ d).astype(search.dtype, copy=False)
+        slope = (search.T @ u).astype(np.float64, copy=False)
+        xs = x[idx]
+        t_drop = np.full(idx.size, np.inf)
+        np.divide(-xs, d, out=t_drop, where=signs * d < 0)
+        i = int(t_drop.argmin())
+        t_out, k = float(t_drop[i]), int(idx[i])
 
         # Active columns and those with a denominator of at most zero (moving
         # away) never enter; a negative numerator (past the edge by rounding)
@@ -301,18 +302,14 @@ def _homotopy(a, search, b, corr, lam_cur, lam, config):
                 event, t = "drop", t_out
             else:
                 event, t = "enter", t_in
-                # Not on the first step, before ``gram`` exists: there the slope
-                # is zero and every denominator 1.
                 if den.item(cell) <= _SPAN_GATE and _in_span(a[:, j], cols, gram):
                     times[j] = np.inf  # until this step's event changes the active set
                     continue
             break
         if event == "target":
-            if idx.size:
-                x[idx] = np.linalg.solve(gram, cols.T @ b - lam * signs)
+            x[idx] = np.linalg.solve(gram, cols.T @ b - lam * signs)
             break
-        if idx.size:
-            x[idx] = xs + t * d
+        x[idx] = xs + t * d
         lam_cur -= t
         if t > 0:
             left.clear()
