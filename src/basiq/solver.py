@@ -3,21 +3,25 @@
 The problem is  min_x  0.5 * ||A x - b||^2 + lambda * ||x||_1.  Its
 solution is piecewise linear in lambda (Osborne, Presnell & Turlach 2000;
 Efron et al. 2004), so the solver follows that path exactly: it starts
-at the critical penalty, where x = 0, and moves from event to event (a
-column enters the active set or a coefficient reaches zero and leaves)
-until the penalty reaches lambda.  Each step is one small Gram solve on
-the active set.  At lambda the KKT system on the final support is solved
-exactly, and the duality gap at the returned coefficients certifies the
-result; it is the gap, not the path, that callers rely on.
+at the critical penalty, where x = 0, with the most correlated column
+already active, and moves from event to event (a column enters the
+active set or a coefficient reaches zero and leaves) until the penalty
+reaches lambda.  Each step is one small Gram solve on the active set.
+Once the active set holds as many columns as the dimension, it spans
+every column, and no column enters.  At lambda the KKT system on the
+final support is solved exactly, and the duality gap at the returned
+coefficients certifies the result; it is the gap, not the path, that
+callers rely on.
 
 Events are resolved in a fixed order, with ties going to the lowest
 column index, so identical inputs give bit-identical solutions.
 
 Precision: against a ``Dictionary`` the events are placed from a float32
 copy of its matrix; the support, the coefficients and the gap are
-float64, and a gap that misses the tolerance triggers one float64
-re-solve, which the solution reports.  A column in the span of the active
-set never enters, whatever the search precision.
+float64, and a float32 pass that fails to certify, by a gap that misses
+the tolerance or by raising on a singular Gram matrix, triggers one
+float64 re-solve, which the solution reports.  A column in the span of
+the active set never enters, whatever the search precision.
 """
 
 import numpy as np
@@ -177,31 +181,38 @@ def solve_lasso(d, b, config=None):
 
     The penalty is resolved per the config (``LassoConfig()`` if None).
     The path starts at the critical penalty with ``x = 0`` and lowers the
-    penalty to ``lam``.  Each step solves the Gram system of the active
-    set for the direction and moves to the first event: an inactive
-    column enters, an active coefficient reaches zero and drops, or the
-    penalty reaches ``lam``; ties go to the lowest column index.  At
-    ``lam`` the KKT system on the final support is solved exactly.
+    penalty to ``lam``.  Below the critical penalty its first step is a
+    fact: the column of largest ``|A^T b|`` (the lowest on a tie) is
+    active with that correlation's sign.  Each later step solves the Gram
+    system of the active set for the direction and moves to the first
+    event: an inactive column enters, an active coefficient reaches zero
+    and drops, or the penalty reaches ``lam``; ties go to the lowest
+    column index.  No column enters an active set of ``dim`` columns,
+    which spans them all.  At ``lam`` the KKT system on the final support
+    is solved exactly.
 
     Precision: for a Dictionary, events are placed from its float32
     ``search_matrix``; only each step's slope ``A^T u`` reads it, and is
     cast back to float64.  The correlations ``A^T b``, the Gram solves,
     the final KKT solve on the support and the gap (from a fresh float64
     ``A^T r``) are float64, so the support, the coefficients and the gap
-    are too.  If that gap misses ``config.tol``, the path is solved once
-    more entirely in float64 and the solution says so (``re_solved``).
-    A raw design is searched in its own float64.
+    are too.  If that pass fails to certify, because the gap misses
+    ``config.tol`` or because a float32 event made a Gram matrix singular
+    and the pass raised, the path is solved once more entirely in float64
+    and the solution says so (``re_solved``).  A raw design is searched
+    in its own float64.
 
     ``config.max_sweeps`` caps the number of path steps and
-    ``sweeps_used`` counts them.  The returned gap is always evaluated
-    at the returned coefficients, and ``converged`` says it is at most
-    ``config.tol``.  A cell (column and band edge) that drops may not
-    re-enter until the penalty moves, so zero-length steps cannot cycle.
-    A column about to enter with a denominator of at most ``_SPAN_GATE``
-    is projected onto the active span in float64; if it lies there (a
-    duplicate or a combination of active columns, which would make the
-    Gram matrix singular), it is passed over until the active set
-    changes, and the next candidate is taken.
+    ``sweeps_used`` counts them, the first entry and the zero solution
+    each as one.  The returned gap is always evaluated at the returned
+    coefficients, and ``converged`` says it is at most ``config.tol``.
+    A cell (column and band edge) that drops may not re-enter until the
+    penalty moves, so zero-length steps cannot cycle.  A column about to
+    enter with a denominator of at most ``_SPAN_GATE`` is projected onto
+    the active span in float64; if it lies there (a duplicate or a
+    combination of active columns, which would make the Gram matrix
+    singular), it is passed over until the active set changes, and the
+    next candidate is taken.
 
     The correlations ``A^T r`` are linear along a path segment, so each
     step updates them by ``t * slope`` (the running correlation of LARS,
@@ -232,9 +243,12 @@ def solve_lasso(d, b, config=None):
         raise UnsupportedConfigError(_ZERO_LAMBDA)
     if not isinstance(d, Dictionary):
         return _homotopy(a, a, b, corr, lam_max, lam, config)
-    solution = _homotopy(a, d.search_matrix, b, corr.copy(), lam_max, lam, config)
-    if solution.converged:
-        return solution
+    try:
+        solution = _homotopy(a, d.search_matrix, b, corr.copy(), lam_max, lam, config)
+        if solution.converged:
+            return solution
+    except np.linalg.LinAlgError:  # a float32 event the float64 path need not take
+        pass
     return _homotopy(a, a, b, corr, lam_max, lam, config)._replace(re_solved=True)
 
 
@@ -284,6 +298,8 @@ def _homotopy(a, search, b, corr, lam_cur, lam, config):
         np.subtract(1.0, slope, out=den.T[0])
         np.add(1.0, slope, out=den.T[1])
         np.greater(den, 0.0, out=mask)
+        if idx.size >= a.shape[0]:  # a full-rank active set spans every column
+            mask.fill(False)
         mask[idx] = False
         for dropped in left:
             mask[dropped] = False

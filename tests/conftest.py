@@ -181,6 +181,14 @@ def unit_columns(rng, dim, n):
     return np.asfortranarray(a)
 
 
+def unit_columns_of_rank(rng, dim, n, rank):
+    """Unit columns drawn from a random ``rank``-dimensional subspace of R^dim."""
+    basis = np.linalg.qr(rng.standard_normal((dim, rank)))[0]
+    a = basis @ rng.standard_normal((rank, n))
+    a /= np.linalg.norm(a, axis=0)
+    return a
+
+
 def near_duplicate_pairs(seed):
     """An 8x16 unit-column design whose columns 2k and 2k+1 differ by about
     1e-8, and a Gaussian query.  At ``lambda_rel = 1e-3`` seed 116 reaches

@@ -250,6 +250,27 @@ def test_gen_bq_uncertified_solve_is_a_query_error(tmp_path, capsys, keep_going)
         assert not out.exists()
 
 
+def test_gen_bq_full_support_writes_every_record(tmp_path):
+    # An 8x32 corpus at a tiny penalty: every support fills all 8 dimensions.
+    # The float32 search once let a 9th column enter on query "img4", and
+    # its singular Gram matrix ended the run with a LinAlgError traceback.
+    rng = np.random.default_rng(2)
+    vectors = unit_columns(rng, 8, 32)
+    corpus = tmp_path / "corpus8.txt"
+    write_text_embeddings(
+        corpus, [(f"q{j}", f"is item {j} in view?", vectors[:, j]) for j in range(32)], 8)
+    queries = tmp_path / "queries8.txt"
+    write_text_embeddings(
+        queries, [(f"img{j}", f"query {j}?", q) for j, q in enumerate(rng.standard_normal((5, 8)))],
+        8)
+    out = tmp_path / "bqd.jsonl"
+    code = run(["gen-bq", "--dict", _build(tmp_path, corpus), "--queries", queries, "--out", out,
+                "--lambda-rel", "1e-6", "--keep-going"])
+    assert code == EXIT_OK
+    written = [json.loads(l)["image_id"] for l in out.read_text().splitlines()]
+    assert written == [f"img{j}" for j in range(5)]
+
+
 def _near_duplicate_inputs(tmp_path, seed):
     """A cache of the 16 columns of ``near_duplicate_pairs(seed)`` and two
     queries: the pair's query, then a planted column."""

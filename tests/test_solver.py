@@ -6,19 +6,23 @@ import numpy as np
 import pytest
 
 from basiq.dictionary import build_dictionary
-from basiq.errors import InvalidInputError, ShapeError, UnsupportedConfigError
+from basiq.errors import BasiqError, InvalidInputError, ShapeError, UnsupportedConfigError
 from basiq.solver import (
     _SPAN_GATE,
     _SPAN_TOL,
     LassoConfig,
     SparseSolution,
     _gap_from_residual,
+    _homotopy,
     duality_gap,
     lambda_max,
     solve_lasso,
 )
 
-from conftest import near_duplicate_pairs, orthogonal_dictionary, question_records, unit_columns
+from conftest import (
+    near_duplicate_pairs, orthogonal_dictionary, question_records, unit_columns,
+    unit_columns_of_rank,
+)
 
 
 def kkt_violation(a, b, lam, x):
@@ -472,11 +476,89 @@ def test_max_sweeps_reports_honest_gap(rng):
 def test_lambda_abs_above_lambda_max_exits_in_one_step(rng):
     a = unit_columns(rng, 10, 25)
     b = rng.standard_normal(10)
-    config = LassoConfig.absolute(1.5 * lambda_max(a, b))
-    sol = solve_lasso(a, b, config)
-    assert np.all(sol.coefficients == 0.0)
-    assert sol.sweeps_used == 1
-    assert sol.duality_gap == 0.0 and sol.converged
+    # At the critical penalty itself the target wins the tie with the first entry.
+    for scale in (1.5, 1.0):
+        config = LassoConfig.absolute(scale * lambda_max(a, b))
+        sol = solve_lasso(a, b, config)
+        assert np.all(sol.coefficients == 0.0)
+        assert sol.sweeps_used == 1
+        assert sol.duality_gap == 0.0 and sol.converged
+
+
+def test_one_step_below_lambda_max_only_enters_the_first_column(rng):
+    # The first step is the entry of the most correlated column at zero
+    # length, so a one-step cap returns x = 0, honestly uncertified.
+    a = unit_columns(rng, 10, 25)
+    b = rng.standard_normal(10)
+    config = LassoConfig.relative(0.5, max_sweeps=1)
+    for design in (a, build_dictionary(question_records(a))):
+        sol = solve_lasso(design, b, config)
+        assert np.all(sol.coefficients == 0.0)
+        assert sol.sweeps_used == 1
+        assert not sol.converged and sol.duality_gap > config.tol
+
+
+def _near_full_support_designs():
+    """Seeded designs whose supports at small penalties reach the rank of
+    the design: dim in {8, 16, 32}, n of 4 and 32 columns a dimension, full
+    rank and rank dim/2, each with five Gaussian queries."""
+    for dim in (8, 16, 32):
+        for n in (4 * dim, 32 * dim):
+            for rank in (dim, dim // 2):
+                rng = np.random.default_rng([dim, n, rank])
+                yield unit_columns_of_rank(rng, dim, n, rank), rng.standard_normal((5, dim))
+
+
+def test_support_near_dim_certifies_or_raises_a_basiq_error():
+    # Before the full-rank entry rule and the float32 fallback, two of these
+    # Dictionary solves (8x256 and 32x1024 at rank dim/2) raised LinAlgError.
+    for a, queries in _near_full_support_designs():
+        designs = (a, build_dictionary(question_records(a)))
+        for b in queries:
+            for frac in (1e-6, 1e-3, 0.024):
+                config = LassoConfig.relative(frac)
+                for design in designs:
+                    try:
+                        sol = solve_lasso(design, b, config)
+                    except BasiqError:
+                        continue
+                    assert sol.converged and sol.duality_gap <= config.tol
+
+
+def test_full_rank_active_set_admits_no_entry():
+    # Once the active set spans R^8, float32 rounding of the slope put some
+    # entry times just before the target, and the 9th column made the Gram
+    # matrix singular (query 4 raised).  No column enters now, so the float32
+    # search takes the float64 path's events.
+    rng = np.random.default_rng(2)
+    a = unit_columns(rng, 8, 32)
+    d = build_dictionary(question_records(a))
+    config = LassoConfig.relative(1e-6)
+    for b in rng.standard_normal((5, 8)):
+        sol, exact = solve_lasso(d, b, config), solve_lasso(d.matrix, b, config)
+        assert sol.converged and sol.re_solved is False
+        assert np.count_nonzero(sol.coefficients) == 8
+        assert np.array_equal(sol.coefficients, exact.coefficients)
+        assert (sol.duality_gap, sol.sweeps_used) == (exact.duality_gap, exact.sweeps_used)
+
+
+def test_float32_search_that_raises_is_re_solved_in_float64():
+    # Columns of rank 8 in R^16: the active set never reaches dim, and a
+    # float32 entry makes the Gram matrix singular.  That search is a miss,
+    # like an uncertified one, and the float64 path certifies.
+    rng = np.random.default_rng(1)
+    a = unit_columns_of_rank(rng, 16, 512, 8)
+    d = build_dictionary(question_records(a))
+    b = rng.standard_normal((5, 16))[1]
+    config = LassoConfig.relative(1e-6)
+    corr = d.matrix.T @ b
+    lam_max = float(np.max(np.abs(corr)))
+    with pytest.raises(np.linalg.LinAlgError):
+        _homotopy(d.matrix, d.search_matrix, b, corr, lam_max, 1e-6 * lam_max, config)
+    sol, exact = solve_lasso(d, b, config), solve_lasso(d.matrix, b, config)
+    assert sol.re_solved is True and sol.converged
+    assert np.array_equal(sol.coefficients, exact.coefficients)
+    assert (sol.duality_gap, sol.sweeps_used) == (exact.duality_gap, exact.sweeps_used)
 
 
 def _reference_solve(a, b, config):
